@@ -155,7 +155,7 @@ def schedule_heft(
                 best = (finish, start, pe)
         assert best is not None
         finish, start, pe = best
-        timelines[pe].insert(start, finish - start, v)
+        timelines[pe].insert(start, finish - start)
         placements[v] = HeftPlacement(v, start, finish, pe)
         makespan = max(makespan, finish)
 

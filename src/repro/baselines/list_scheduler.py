@@ -19,6 +19,7 @@ import heapq
 import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Hashable
 
 from ..core.graph import CanonicalGraph
@@ -101,6 +102,9 @@ def condensed_dependencies(
     return deps
 
 
+_start = attrgetter("start")
+
+
 class _Timeline:
     """A PE's busy timeline, represented by its idle *gaps*.
 
@@ -110,12 +114,11 @@ class _Timeline:
     instead of a scan over all placed tasks.
     """
 
-    __slots__ = ("gaps", "last_end", "placed")
+    __slots__ = ("gaps", "last_end")
 
     def __init__(self) -> None:
         self.gaps: list[tuple[int, int]] = []  # sorted idle [start, end)
         self.last_end = 0
-        self.placed: list[tuple[int, int, Hashable]] = []
 
     def earliest_slot(self, ready: int, duration: int) -> int:
         """Earliest start >= ready of an idle span fitting ``duration``."""
@@ -133,9 +136,8 @@ class _Timeline:
                 return candidate
         return self.last_end
 
-    def insert(self, start: int, duration: int, name: Hashable) -> None:
+    def insert(self, start: int, duration: int) -> None:
         end = start + duration
-        self.placed.append((start, end, name))
         if start >= self.last_end:
             if start > self.last_end:
                 insort(self.gaps, (self.last_end, start))
@@ -154,10 +156,6 @@ class _Timeline:
         if end < g_end:
             pieces.append((end, g_end))
         self.gaps[idx : idx + 1] = pieces
-
-    @property
-    def intervals(self) -> list[tuple[int, int, Hashable]]:
-        return sorted(self.placed)
 
 
 def schedule_nonstreaming(graph: CanonicalGraph, num_pes: int) -> ListSchedule:
@@ -193,6 +191,7 @@ def schedule_nonstreaming(graph: CanonicalGraph, num_pes: int) -> ListSchedule:
 
     work, index = ig.work, ig.index
     timelines = [_Timeline() for _ in range(num_pes)]
+    placed: list[list[PlacedTask]] = [[] for _ in range(num_pes)]
     placements: dict[Hashable, PlacedTask] = {}
     makespan = 0
     while order:
@@ -207,12 +206,15 @@ def schedule_nonstreaming(graph: CanonicalGraph, num_pes: int) -> ListSchedule:
                 if start == ready:  # cannot start any earlier
                     break
         assert best_start is not None
-        timelines[best_pe].insert(best_start, duration, v)
-        placements[v] = PlacedTask(v, best_start, best_start + duration, best_pe)
+        timelines[best_pe].insert(best_start, duration)
+        task = placements[v] = PlacedTask(
+            v, best_start, best_start + duration, best_pe
+        )
+        placed[best_pe].append(task)
         makespan = max(makespan, best_start + duration)
 
-    placed = [
-        [PlacedTask(n, s, e, pe) for s, e, n in timelines[pe].intervals]
-        for pe in range(num_pes)
-    ]
+    # works are positive, so starts are unique per PE: ordering by start
+    # is the timeline order
+    for timeline in placed:
+        timeline.sort(key=_start)
     return ListSchedule(graph, num_pes, placements, makespan, placed)

@@ -793,6 +793,7 @@ def _cmd_serve(args) -> int:
         ScheduleServer,
         ScheduleService,
     )
+    from .service.gcpolicy import serving_gc
 
     if args.shards < 1:
         print("--shards must be at least 1", file=sys.stderr)
@@ -864,29 +865,33 @@ def _cmd_serve(args) -> int:
         service, host=args.host, port=args.port, workers=args.workers,
         allow_remote_shutdown=args.allow_remote_shutdown,
     )
-    server.start()
-    # SIGTERM (systemd stop, container teardown, CI cleanup) drains:
-    # stop accepting, finish and flush in-flight work, then exit
-    import signal
+    # the serving GC policy holds for the life of the loop; entered
+    # before the loop thread starts, so no request runs during the
+    # start-up collection and freeze
+    with serving_gc(telemetry.registry):
+        server.start()
+        # SIGTERM (systemd stop, container teardown, CI cleanup) drains:
+        # stop accepting, finish and flush in-flight work, then exit
+        import signal
 
-    try:
-        signal.signal(
-            signal.SIGTERM, lambda *_: server.drain(args.drain_grace)
+        try:
+            signal.signal(
+                signal.SIGTERM, lambda *_: server.drain(args.drain_grace)
+            )
+        except (ValueError, OSError):
+            pass  # not the main thread (embedded use): no handler
+        print(
+            f"serving on {server.host}:{server.port} "
+            f"({args.workers} workers; send {{\"op\": \"shutdown\"}} to stop)",
+            flush=True,
         )
-    except (ValueError, OSError):
-        pass  # not the main thread (embedded use): no handler
-    print(
-        f"serving on {server.host}:{server.port} "
-        f"({args.workers} workers; send {{\"op\": \"shutdown\"}} to stop)",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.stop()
-        server.join()
-    finally:
-        telemetry.close()  # flush + close the span log
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            server.stop()
+            server.join()
+        finally:
+            telemetry.close()  # flush + close the span log
     print("server stopped")
     return 0
 

@@ -9,10 +9,9 @@ over int64 arrays, following the ``bdf_vectorized3`` "per-object code
 
 * the Section 4.2 level recurrence ``L(v)`` as per-generation
   ``maximum.reduceat`` sweeps over the CSR predecessor arrays;
-* per-WCC Theorem-4.1 constants from one edge-parallel pass over the
-  streaming edges (scipy's C connected components when available, a
-  union-find otherwise), and the Section 5.1 ``ST``/``FO``/``LO``
-  block recurrences with every per-node quantity (latencies, memory
+* per-WCC Theorem-4.1 constants from one union-find pass over the
+  streaming edges, and the Section 5.1 ``ST``/``FO``/``LO`` block
+  recurrences with every per-node quantity (latencies, memory
   deltas, interval Fractions, edge classes) precomputed as one
   vectorized pass — the remaining propagation along topo order is a
   dependence chain, so it runs as a lean scalar sweep over the
@@ -56,14 +55,6 @@ from .block_schedule import (
 )
 from .node_types import NodeKind
 from .streaming import StreamingIntervals
-
-try:  # pragma: no cover - exercised when scipy is absent
-    from scipy.sparse import csr_matrix as _sp_csr
-    from scipy.sparse.csgraph import connected_components as _sp_cc
-
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - optional accelerator only
-    _HAVE_SCIPY = False
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .indexed import IndexedGraph
@@ -348,10 +339,10 @@ def _wcc_constants(
     """Per-node Theorem-4.1 constant ``C`` over the streaming WCCs.
 
     ``eu``/``ev`` are the streaming (comp-to-comp, same-block) edges;
-    components come from scipy's C implementation when available, else
-    a python union-find; ``C`` is the per-component max of
-    ``max(I, O, 1)``.  Returns the per-node constant (0 for passive
-    nodes) and the per-node WCC label (-1 for passive nodes).  Because
+    components come from a python union-find; ``C`` is the
+    per-component max of ``max(I, O, 1)``.  Returns the per-node
+    constant (0 for passive nodes) and the per-node WCC label (-1 for
+    passive nodes).  Because
     streaming edges never cross blocks, these global components are
     exactly the per-block components ``_block_constants`` finds, and
     the label values are arbitrary (the intervals view renumbers by
@@ -359,22 +350,6 @@ def _wcc_constants(
     """
     n = ig.n
     top = np.maximum(np.maximum(A.in_vol, A.out_vol), 1)
-    if _HAVE_SCIPY and n:
-        counts = np.bincount(eu, minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        indices = ev[np.argsort(eu, kind="stable")]
-        m = _sp_csr(
-            (np.ones(ev.size, dtype=np.int8), indices, indptr),
-            shape=(n, n))
-        ncomp, labels = _sp_cc(m, directed=False)
-        labels = labels.astype(_I64, copy=False)
-        cm = np.zeros(ncomp, dtype=_I64)
-        comp_idx = np.nonzero(A.comp)[0]
-        np.maximum.at(cm, labels[comp_idx], top[comp_idx])
-        const = np.where(A.comp, cm[labels], 0).tolist()
-        roots = np.where(A.comp, labels, -1).tolist()
-        return const, roots
-
     parent = list(range(n))
 
     def find(x: int) -> int:

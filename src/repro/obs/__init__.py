@@ -55,6 +55,9 @@ rewrites dots to underscores):
 ``server.connections``  live connections gauge; ``.accepted`` counter
 ``campaign.cells``      executor cells per ``outcome`` (computed/cached);
                         ``campaign.cell_s`` per-cell histogram
+``runtime.gc_ms``       garbage-collector pause histogram per
+                        ``generation``; ``runtime.gc_collections``
+                        counts them (serving processes only)
 ======================  ======================================================
 """
 

@@ -149,9 +149,14 @@ class _HistogramChild:
 
     def snapshot(self) -> dict:
         """Cumulative ``le -> count`` buckets plus count/sum, taken
-        atomically so ``buckets[+Inf] == count`` always holds."""
+        atomically so ``buckets[+Inf] == count`` always holds.
+
+        Nothing is allocated under the lock: an allocation can start a
+        garbage collection, whose timing hook observes into a child of
+        this class on the same thread (``runtime.gc_ms``)."""
+        counts = [0] * len(self._counts)
         with self._lock:
-            counts = list(self._counts)
+            counts[:] = self._counts
             total, acc = self._count, self._sum
         cumulative: list[tuple[float, int]] = []
         running = 0

@@ -174,6 +174,19 @@ class OpsConsole:
                 f"numpy {backend.get('numpy') or '-':<9} "
                 f"fallbacks {fallback}"
             )
+        gc_block = stats.get("gc")
+        if gc_block:  # pre-GC-policy servers and the router report none
+            gens = gc_block.get("generations") or []
+            lines.append(
+                f"  gc      threshold "
+                f"{'/'.join(map(str, gc_block.get('threshold', ())))}   "
+                f"frozen {_fmt_si(gc_block.get('frozen', 0))}   "
+                + "   ".join(
+                    f"gen{g} {gen['collections']} "
+                    f"({gen['pause_ms']:.0f} ms)"
+                    for g, gen in enumerate(gens)
+                )
+            )
         shards = stats.get("shards")
         if shards:  # sharded tier: one row per supervised shard
             counters = stats.get("router_counters") or {}

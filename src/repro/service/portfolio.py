@@ -496,14 +496,13 @@ class PortfolioPool:
 
     def _fail_worker(self, slot: _WorkerSlot, error: RuntimeError,
                      kind: str) -> None:
-        """A worker crashed or was killed: fail its task, schedule the
-        respawn, advance the backoff, and note poison."""
+        """A worker crashed or was killed: note poison, count it, tear
+        the slot down and schedule the respawn — and only then fail its
+        task, so a woken waiter sees every counter already settled."""
         task = slot.task
-        if task is not None:
-            if task.key is not None:
-                with self._lock:
-                    self._poison[task.key] = self._poison.get(task.key, 0) + 1
-            task.finish(error=error)
+        if task is not None and task.key is not None:
+            with self._lock:
+                self._poison[task.key] = self._poison.get(task.key, 0) + 1
         if kind == "hang":
             self.hangs += 1
             if self._c_hangs is not None:
@@ -529,6 +528,8 @@ class PortfolioPool:
             self.max_backoff_s,
             slot.backoff_s * 2 if slot.backoff_s else self.respawn_backoff_s,
         )
+        if task is not None:
+            task.finish(error=error)
 
     def _complete(self, slot: _WorkerSlot, out: dict) -> None:
         task = slot.task
@@ -568,12 +569,14 @@ class PortfolioPool:
             now = time.monotonic()
             for slot in self._slots:
                 if slot.proc is None and now >= slot.respawn_at:
-                    self._spawn(slot)
+                    # counted before the worker becomes visible, so a
+                    # snapshot never shows it alive with respawns unset
                     self.respawns += 1
                     if self._c_respawns is not None:
                         self._c_respawns.inc()
                     if self._flight is not None:
                         self._flight.record("pool_respawn")
+                    self._spawn(slot)
             self._assign()
             now = time.monotonic()
             for slot in self._slots:

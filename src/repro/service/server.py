@@ -107,6 +107,7 @@ from .fingerprint import (
     request_key,
     simulate_request_key,
 )
+from .gcpolicy import gc_stats
 from .portfolio import (
     DEFAULT_SCHEDULERS,
     OBJECTIVES,
@@ -857,6 +858,7 @@ class ScheduleService:
                 "clears": self._c_wire_clears.value,
             }
         stats["cache"] = self.cache.counters() if self.cache else None
+        stats["gc"] = gc_stats(self.telemetry.registry)
         stats["draining"] = self.draining
         stats["health"] = self.health()["status"]
         if self.portfolio_pool is not None:

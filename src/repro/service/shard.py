@@ -107,6 +107,7 @@ def _shard_main(idx: int, config: ShardConfig, conn) -> None:
     port over ``conn``, serve until SIGTERM drains us."""
     from ..obs import FlightRecorder, MetricsRegistry
     from .cache import ScheduleCache, StoreKeyLock
+    from .gcpolicy import serving_gc
     from .server import ScheduleServer, ScheduleService
 
     cache = None
@@ -154,15 +155,17 @@ def _shard_main(idx: int, config: ShardConfig, conn) -> None:
         signal.signal(signal.SIGHUP, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - embedded use
         pass
-    server.start()
-    try:
-        conn.send({"port": server.port, "pid": os.getpid()})
-    finally:
-        conn.close()
-    try:
-        server.serve_forever()
-    finally:
-        telemetry.close()
+    # the same serving GC policy as ``repro serve`` (see gcpolicy)
+    with serving_gc(telemetry.registry):
+        server.start()
+        try:
+            conn.send({"port": server.port, "pid": os.getpid()})
+        finally:
+            conn.close()
+        try:
+            server.serve_forever()
+        finally:
+            telemetry.close()
 
 
 class _Shard:
@@ -910,6 +913,7 @@ class ShardRouter:
                         value = doc.get(field_name, 0)
                         row[field_name] = value
                         totals[field_name] += value
+                    row["gc"] = doc.get("gc")
                     cache = doc.get("cache")
                     if isinstance(cache, dict):
                         if cache_totals is None:

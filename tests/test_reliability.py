@@ -731,8 +731,8 @@ class TestPortfolioPool:
             with pytest.raises(WorkerCrashError):
                 pool.wait(task, None)
             assert pool.crashes == 1
+            assert wait_until(lambda: pool.respawns >= 1)
             assert wait_until(lambda: pool.snapshot()["alive"] == 2)
-            assert pool.respawns >= 1
             # the pool keeps serving after the respawn
             healthy = pool.submit(GRAPH_DOC, 2, "lts")
             result = pool.wait(healthy, None)

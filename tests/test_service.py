@@ -1,6 +1,7 @@
 """Tests for the scheduling service: fingerprint, cache, portfolio,
 server/client wire protocol, load generator and CLI wiring."""
 
+import gc
 import json
 import threading
 import time
@@ -27,6 +28,7 @@ from repro.service import (
     run_portfolio,
     scheduler_names,
 )
+from repro.service.gcpolicy import YOUNG_GEN_THRESHOLD
 
 
 def relabel(graph: CanonicalGraph, prefix: str = "r") -> CanonicalGraph:
@@ -783,6 +785,9 @@ class TestServiceCli:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         rc_box = {}
+        # the serve loop's GC policy must not outlive it in this process
+        gc_before = (gc.get_threshold(), gc.get_freeze_count(),
+                     list(gc.callbacks))
 
         def run_serve():
             rc_box["rc"] = main([
@@ -805,9 +810,14 @@ class TestServiceCli:
         assert client is not None
         with client:
             assert client.schedule(g, 2)["ok"]
+            gc_block = client.stats()["gc"]
             client.shutdown()
         thread.join(timeout=10)
         assert not thread.is_alive() and rc_box["rc"] == 0
+        assert gc_block["threshold"][0] == YOUNG_GEN_THRESHOLD
+        assert gc_block["frozen"] > 0
+        assert (gc.get_threshold(), gc.get_freeze_count(),
+                list(gc.callbacks)) == gc_before
         # the persistent schedule store was created and holds the entry
         store = tmp_path / "svc" / "schedules.jsonl"
         assert store.exists()

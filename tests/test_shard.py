@@ -115,6 +115,8 @@ class TestRouting:
                 assert len(stats["shards"]) == 2
                 assert {"failovers", "rerouted", "shard_crashes", "respawns",
                         "reloads"} <= set(stats["router_counters"])
+                # every shard serves under the start-up freeze
+                assert all(row["gc"]["frozen"] > 0 for row in stats["shards"])
                 # "ok" needs one health-poll round trip per shard first
                 assert wait_until(
                     lambda: client.health()["status"] == "ok"
