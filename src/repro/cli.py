@@ -788,10 +788,10 @@ def _serve_sharded(args) -> int:
 def _cmd_serve(args) -> int:
     from .obs import FlightRecorder, SamplingProfiler, Telemetry, get_registry
     from .service import (
-        SCHEDULE_KEY_VERSION,
         ScheduleCache,
         ScheduleServer,
         ScheduleService,
+        is_current_key,
     )
     from .service.gcpolicy import serving_gc
 
@@ -806,10 +806,8 @@ def _cmd_serve(args) -> int:
         # entries persisted under an older schema version are
         # unreachable by construction; refusing to index them lets the
         # store compaction reclaim their bytes
-        version_prefix = f"{SCHEDULE_KEY_VERSION}:"
         cache = ScheduleCache(
-            path, capacity=args.cache_size,
-            retain=lambda key: key.startswith(version_prefix),
+            path, capacity=args.cache_size, retain=is_current_key,
         )
         tier = path if path else "memory-only"
         print(f"schedule cache: {tier} ({len(cache)} stored entries)")

@@ -14,10 +14,14 @@ validator used by generators and front-ends.
 from __future__ import annotations
 
 import hashlib
+import struct
+from functools import lru_cache
+from itertools import chain
 from typing import Hashable, Iterable, Iterator
 
 import networkx as nx
 
+from .backend import resolve_backend
 from .indexed import IndexedGraph, freeze
 from .node_types import NodeKind, NodeSpec, classify_rate
 
@@ -30,57 +34,80 @@ __all__ = [
 
 #: bump when the fingerprint construction changes — folded into the hash
 #: so fingerprints from different algorithm versions can never collide.
-#: ``cg2``: byte-packed labels over the indexed arrays (the construction
-#: refines the same 1-WL partition as ``cg1`` but hashes raw digest
-#: bytes with length framing instead of joined hex strings).
-FINGERPRINT_VERSION = "cg2"
+#: ``cg3``: hashed 1-WL over 64-bit integer labels (commutative multiset
+#: sums instead of cg2's per-node SHA-256 over sorted neighbour labels),
+#: with SHA-256 applied once, to the final canonical digest.
+FINGERPRINT_VERSION = "cg3"
 
-#: label width in bytes; labels are sha-256 prefixes, so 16 bytes keep
-#: the collision probability negligible at any realistic graph size
-_LABEL_BYTES = 16
+_M64 = (1 << 64) - 1
+#: odd multipliers weighting the predecessor / successor multiset sums
+_K_PRED = 0x9E3779B97F4A7C15
+_K_SUCC = 0xC2B2AE3D27D4EB4F
+#: direction salts xor'ed into a neighbour's label before mixing, so a
+#: predecessor and a successor with the same label contribute differently
+_C_PRED = 0x243F6A8885A308D3
+_C_SUCC = 0x13198A2E03707344
+#: splitmix64 finalizer multipliers
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
-def _digest16(payload: bytes) -> bytes:
-    """Short (16 byte) digest used for intermediate node labels."""
-    return hashlib.sha256(payload).digest()[:_LABEL_BYTES]
+def _mix(z: int) -> int:
+    """The splitmix64 finalizer (a bijection on 64-bit words)."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2) & _M64
+    return z ^ (z >> 31)
 
 
-def _wl_seed_labels(ig: IndexedGraph) -> list[bytes]:
+def _label64(payload: bytes) -> int:
+    """First 8 bytes of SHA-256 as a big-endian 64-bit label."""
+    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+
+
+@lru_cache(maxsize=4096)
+def _seed_label(kind: NodeKind, in_vol: int, out_vol: int) -> int:
+    # graphs carry a handful of distinct (kind, I, O) triples, so the
+    # SHA-256 runs per triple, not per node
+    return _label64(f"{kind.value}|{in_vol}|{out_vol}".encode())
+
+
+def _wl_seed_labels(ig: IndexedGraph) -> list[int]:
     """Initial 1-WL labels: a digest of each node's cost data
     ``(kind, I(v), O(v))`` — exactly what the schedulers consume."""
-    return [
-        _digest16(
-            f"{ig.kinds[i].value}|{ig.in_vol[i]}|{ig.out_vol[i]}".encode()
-        )
-        for i in range(ig.n)
-    ]
+    return list(map(_seed_label, ig.kinds, ig.in_vol, ig.out_vol))
 
 
-def _wl_refine(ig: IndexedGraph, labels: list[bytes]) -> list[bytes]:
+def _wl_refine_python(ig: IndexedGraph, labels: list[int]) -> list[int]:
     """1-WL color refinement to stability (at most ``|V|`` rounds).
 
-    Each round rehashes a node's label together with the *sorted*
-    multisets of its predecessor and successor labels (direction-aware,
-    so mirrored DAGs do not collide), until the label partition stops
-    refining.  Labels are fixed-width digest bytes concatenated with an
-    explicit predecessor count, so the packing is unambiguous without
-    per-label string joins.
+    Each round maps ``L[v]`` to ``mix(L[v] + K_PRED * sum(mix(L[u] ^
+    C_PRED) for u in preds) + K_SUCC * sum(mix(L[w] ^ C_SUCC) for w in
+    succs))`` mod 2^64: the sums are commutative, so no sort is needed,
+    and the salts keep the construction direction-aware (mirrored DAGs
+    do not collide).  Stops once the number of label classes stops
+    growing.  :func:`repro.core.kernels.wl_refine_numpy` is the array
+    twin; both compute the same labels bit for bit.
     """
     n = ig.n
     pp, pa = ig.pred_ptr, ig.pred_adj
     sp, sa = ig.succ_ptr, ig.succ_adj
     num_classes = len(set(labels))
     for _ in range(n):
-        refined: list[bytes] = []
-        for v in range(n):
-            h = hashlib.sha256(labels[v])
-            h.update((pp[v + 1] - pp[v]).to_bytes(4, "big"))
-            for lb in sorted(labels[pa[j]] for j in range(pp[v], pp[v + 1])):
-                h.update(lb)
-            for lb in sorted(labels[sa[j]] for j in range(sp[v], sp[v + 1])):
-                h.update(lb)
-            refined.append(h.digest()[:_LABEL_BYTES])
-        labels = refined
+        up = [_mix(x ^ _C_PRED) for x in labels]
+        down = [_mix(x ^ _C_SUCC) for x in labels]
+        up = [up[u] for u in pa]  # per CSR predecessor slot
+        down = [down[w] for w in sa]  # per CSR successor slot
+        labels = [
+            _mix(
+                (
+                    labels[v]
+                    + _K_PRED * sum(up[pp[v] : pp[v + 1]])
+                    + _K_SUCC * sum(down[sp[v] : sp[v + 1]])
+                )
+                & _M64
+            )
+            for v in range(n)
+        ]
         refined_classes = len(set(labels))
         if refined_classes == num_classes:  # partition is stable
             break
@@ -88,54 +115,92 @@ def _wl_refine(ig: IndexedGraph, labels: list[bytes]) -> list[bytes]:
     return labels
 
 
-def _wl_stable_labels(ig: IndexedGraph) -> list[bytes]:
+def _wl_refine(ig: IndexedGraph, labels: list[int]) -> list[int]:
+    """:func:`_wl_refine_python` on the default array backend."""
+    if resolve_backend(None) == "numpy":
+        from .kernels import wl_refine_numpy
+
+        return wl_refine_numpy(ig, labels).tolist()
+    return _wl_refine_python(ig, labels)
+
+
+def _wl_stable_labels(ig: IndexedGraph) -> list[int]:
     """Refined-to-stability labels, memoized on the frozen view."""
     if ig._wl_stable is None:
         ig._wl_stable = _wl_refine(ig, _wl_seed_labels(ig))
     return ig._wl_stable
 
 
-def graph_fingerprint(graph: "CanonicalGraph | IndexedGraph") -> str:
+def _wl_header(ig: IndexedGraph) -> bytes:
+    return f"{FINGERPRINT_VERSION}|{ig.n}|{len(ig.succ_adj)}".encode()
+
+
+def _wl_digest_python(ig: IndexedGraph, labels: list[int]) -> str:
+    """SHA-256 over the header, the sorted 8-byte labels and the sorted
+    16-byte ``(label(u), label(v))`` edge pairs, all big-endian."""
+    h = hashlib.sha256(_wl_header(ig))
+    h.update(struct.pack(f">{ig.n}Q", *sorted(labels)))
+    sp, sa = ig.succ_ptr, ig.succ_adj
+    edges = sorted(
+        (labels[u], labels[sa[j]])
+        for u in range(ig.n)
+        for j in range(sp[u], sp[u + 1])
+    )
+    h.update(struct.pack(f">{2 * len(edges)}Q", *chain.from_iterable(edges)))
+    return h.hexdigest()
+
+
+def graph_fingerprint(
+    graph: "CanonicalGraph | IndexedGraph", *, backend: str | None = None
+) -> str:
     """Canonical, isomorphism-stable fingerprint of a task graph.
 
     Two graphs that differ only in node naming (or node insertion order)
     hash identically; any change to the topology or to a node's
-    cost/volume data changes the fingerprint.  The construction is
-    1-WL (Weisfeiler-Leman) color refinement over the DAG:
+    cost/volume data changes the fingerprint.  The construction (cg3)
+    is hashed 1-WL (Weisfeiler-Leman) color refinement over the DAG with
+    64-bit integer labels, as in Shervashidze et al., "Weisfeiler-Lehman
+    Graph Kernels" (JMLR 2011):
 
-    1. every node starts from a digest of its cost data
-       ``(kind, I(v), O(v))`` — exactly what the schedulers consume;
-    2. each round rehashes a node's label together with the *sorted*
-       multisets of its predecessor and successor labels (direction-
-       aware, so mirrored DAGs do not collide), until the label
-       partition stops refining (at most ``|V|`` rounds);
-    3. the fingerprint is the SHA-256 over a version tag, the node and
-       edge counts, the sorted stable node labels and the sorted
-       per-edge ``(label(u), label(v))`` pairs.
+    1. every node starts from the first 8 bytes of the SHA-256 of its
+       cost data ``(kind, I(v), O(v))`` — exactly what the schedulers
+       consume;
+    2. each round replaces a node's label by a splitmix64 mix of the
+       label plus direction-salted, weighted *sums* of its mixed
+       predecessor and successor labels (commutative multiset hashes,
+       so no per-node sort), until the number of label classes stops
+       growing (at most ``|V|`` rounds);
+    3. the fingerprint is the SHA-256 over ``cg3|n|m``, the sorted
+       stable node labels and the sorted per-edge ``(label(u),
+       label(v))`` pairs.
 
     Refinement to stability makes the digest a *topological canon*: the
-    final labels are a canonical ordering of the nodes up to graph
-    automorphism, so the sorted node/edge label lists are invariant
-    under any relabeling.  Like every 1-WL scheme it can in principle
-    assign one fingerprint to non-isomorphic regular graphs, but DAGs
-    with volume-labelled nodes (our entire workload space) are separated
-    in practice.
+    sorted node/edge label lists are invariant under any relabeling.
+    Like every 1-WL scheme it can in principle assign one fingerprint to
+    non-isomorphic graphs (and 64-bit labels add a small hash-collision
+    chance on top); the service never relies on it alone — a hit for a
+    different document is served only through a verified
+    :func:`find_isomorphism` witness.
+
+    ``backend`` picks the array backend as
+    :func:`repro.core.backend.resolve_backend` does: the numpy kernel
+    runs the rounds and the final sort over the shared
+    :func:`repro.core.kernels.graph_arrays` mirror, the pure-Python twin
+    over the CSR lists.  Both produce the same hex on every graph
+    (volumes only enter through the seed labels, so no overflow guard
+    is needed).
     """
     ig = freeze(graph)
-    labels = _wl_stable_labels(ig)
-    h = hashlib.sha256()
-    h.update(f"{FINGERPRINT_VERSION}|{ig.n}|{len(ig.succ_adj)}".encode())
-    for label in sorted(labels):
-        h.update(label)
-    sp, sa = ig.succ_ptr, ig.succ_adj
-    edge_labels = [
-        labels[u] + labels[sa[j]]
-        for u in range(ig.n)
-        for j in range(sp[u], sp[u + 1])
-    ]
-    for edge in sorted(edge_labels):
-        h.update(edge)
-    return h.hexdigest()
+    seeds = _wl_seed_labels(ig)
+    if resolve_backend(backend) == "numpy":
+        from .kernels import wl_fingerprint_numpy
+
+        hexdigest, labels = wl_fingerprint_numpy(ig, seeds, _wl_header(ig))
+    else:
+        labels = _wl_refine_python(ig, seeds)
+        hexdigest = _wl_digest_python(ig, labels)
+    ig._wl_stable = labels
+    return hexdigest
 
 
 def find_isomorphism(
@@ -171,8 +236,8 @@ def find_isomorphism(
     ld = list(_wl_stable_labels(igd))
     idx_map: dict[int, int] | None = None
     for round_no in range(igs.n + 1):
-        classes_s: dict[bytes, list[int]] = {}
-        classes_d: dict[bytes, list[int]] = {}
+        classes_s: dict[int, list[int]] = {}
+        classes_d: dict[int, list[int]] = {}
         for v, lab in enumerate(ls):
             classes_s.setdefault(lab, []).append(v)
         for v, lab in enumerate(ld):
@@ -186,7 +251,7 @@ def find_isomorphism(
             idx_map = {classes_s[lab][0]: classes_d[lab][0] for lab in classes_s}
             break
         lab = min(ambiguous, key=lambda x: (len(classes_s[x]), x))
-        tag = _digest16(b"individualized|" + lab + b"|%d" % round_no)
+        tag = _label64(b"individualized|%d|%d" % (lab, round_no))
         ls[min(classes_s[lab], key=lambda i: repr(igs.names[i]))] = tag
         ld[min(classes_d[lab], key=lambda i: repr(igd.names[i]))] = tag
         ls = _wl_refine(igs, ls)

@@ -342,7 +342,7 @@ class IndexedGraph:
         return sum(self.work)
 
     def fingerprint(self) -> str:
-        """Isomorphism-stable content hash (cg2 1-WL over the arrays)."""
+        """Isomorphism-stable content hash (cg3 1-WL over the arrays)."""
         from .graph import graph_fingerprint
 
         return graph_fingerprint(self)

@@ -9,6 +9,11 @@ over int64 arrays, following the ``bdf_vectorized3`` "per-object code
 
 * the Section 4.2 level recurrence ``L(v)`` as per-generation
   ``maximum.reduceat`` sweeps over the CSR predecessor arrays;
+* the cg3 graph fingerprint: hashed 1-WL rounds as whole-array uint64
+  arithmetic (per-node neighbour sums are differences of one wrapping
+  prefix sum over the CSR slots) plus the final canonical sort — the
+  same :func:`graph_arrays` mirror the streaming candidates reuse, so a
+  cold request builds it once;
 * per-WCC Theorem-4.1 constants from one union-find pass over the
   streaming edges, and the Section 5.1 ``ST``/``FO``/``LO`` block
   recurrences with every per-node quantity (latencies, memory
@@ -33,7 +38,8 @@ recomputed on the exact pure-Python path (identical output, counted in
 ``core.kernel_fallbacks{kernel}``); volumes that do not even fit int64
 drop the whole call back to the reference path.  Results are therefore
 byte-identical to the ``python`` backend on every input, which the
-backend-parity suites assert.
+backend-parity suites assert.  The fingerprint kernel needs no guard:
+it computes mod 2^64 by definition and never reads a volume.
 
 This module imports numpy at module load; callers must only import it
 after :func:`repro.core.backend.resolve_backend` returned ``"numpy"``.
@@ -41,11 +47,13 @@ after :func:`repro.core.backend.resolve_backend` returned ``"numpy"``.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
+from . import graph as _graph
 from .backend import count_fallback
 from .block_schedule import (
     _ONE,
@@ -64,17 +72,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "graph_arrays",
     "levels_numpy",
+    "wl_refine_numpy",
+    "wl_fingerprint_numpy",
     "schedule_sweep_numpy",
     "buffer_sizes_numpy",
 ]
 
 _I64 = np.int64
+_U64 = np.uint64
+#: cg3 constants as uint64 scalars (see repro.core.graph)
+_K_PRED, _K_SUCC, _C_PRED, _C_SUCC, _MIX1, _MIX2 = (
+    _U64(c) for c in (_graph._K_PRED, _graph._K_SUCC, _graph._C_PRED,
+                      _graph._C_SUCC, _graph._MIX1, _graph._MIX2))
+_U27, _U30, _U31 = _U64(27), _U64(30), _U64(31)
 #: largest magnitude a vectorized int64 product may reach; products are
 #: pre-bounded (not checked after the fact) because numpy wraps silently
 _SAFE = 1 << 62
 _C_SAFE = 1 << 31  #: per-WCC constant bound: C * vol < 2^62 elementwise
 #: per-node kind codes for the sweep's dispatch (faster than enum `is`)
 _K_SOURCE, _K_BUFFER, _K_SINK, _K_COMP = 0, 1, 2, 3
+_KIND_CODE = {
+    NodeKind.SOURCE: _K_SOURCE, NodeKind.BUFFER: _K_BUFFER,
+    NodeKind.SINK: _K_SINK,
+}
 
 
 class _Arrays:
@@ -102,21 +122,11 @@ class _Arrays:
             self.in_vol = self.out_vol = None
             self.oversized = True
         self.comp = np.asarray(ig.comp, dtype=bool)
-        codes = []
-        for k in ig.kinds:
-            if k is NodeKind.SOURCE:
-                codes.append(_K_SOURCE)
-            elif k is NodeKind.BUFFER:
-                codes.append(_K_BUFFER)
-            elif k is NodeKind.SINK:
-                codes.append(_K_SINK)
-            else:
-                codes.append(_K_COMP)
+        codes = [_KIND_CODE.get(k, _K_COMP) for k in ig.kinds]
         self.kind_code = codes  # python list: read in the scalar sweep
-        self.is_source = np.asarray(
-            [c == _K_SOURCE for c in codes], dtype=bool)
-        self.is_buffer = np.asarray(
-            [c == _K_BUFFER for c in codes], dtype=bool)
+        code_arr = np.asarray(codes, dtype=np.int8)
+        self.is_source = code_arr == _K_SOURCE
+        self.is_buffer = code_arr == _K_BUFFER
         #: producer node of every CSR successor slot (edge-parallel view)
         self.e_src = np.repeat(
             np.arange(n, dtype=_I64), np.diff(self.succ_ptr))
@@ -327,6 +337,74 @@ def levels_numpy(ig: "IndexedGraph", den: int, *, force: bool = False
         vals[counts == 0] = den  # entry nodes: L = D (one full term)
         num[rows] = vals
     return num.tolist()
+
+
+# ----------------------------------------------------------------------
+# cg3 fingerprint: hashed 1-WL over 64-bit labels
+# ----------------------------------------------------------------------
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """Elementwise splitmix64 finalizer (uint64 arithmetic wraps)."""
+    z = z ^ (z >> _U30)
+    z *= _MIX1
+    z ^= z >> _U27
+    z *= _MIX2
+    z ^= z >> _U31
+    return z
+
+
+def _csr_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Per-row sums mod 2^64 of a CSR value array (empty rows sum to 0).
+
+    Differences of one wrapping prefix sum, so empty segments need no
+    special case (unlike ``add.reduceat``)."""
+    prefix = np.zeros(values.size + 1, dtype=_U64)
+    np.cumsum(values, out=prefix[1:])
+    return prefix[ptr[1:]] - prefix[ptr[:-1]]
+
+
+def wl_refine_numpy(ig: "IndexedGraph", labels) -> np.ndarray:
+    """The cg3 1-WL rounds of :func:`repro.core.graph._wl_refine_python`
+    over the CSR mirror; returns the stable labels as a uint64 array.
+
+    Only the adjacency arrays are read, so there is no overflow guard
+    and no fallback: every operation is exact arithmetic mod 2^64,
+    the same as the ``& _M64`` of the pure-Python twin.
+    """
+    A = graph_arrays(ig)
+    L = np.asarray(labels, dtype=_U64)
+    num_classes = np.unique(L).size
+    for _ in range(ig.n):
+        up = _mix64(L ^ _C_PRED)[A.pred_adj]
+        down = _mix64(L ^ _C_SUCC)[A.succ_adj]
+        L = _mix64(L + _K_PRED * _csr_sums(up, A.pred_ptr)
+                   + _K_SUCC * _csr_sums(down, A.succ_ptr))
+        refined_classes = np.unique(L).size
+        if refined_classes == num_classes:  # partition is stable
+            break
+        num_classes = refined_classes
+    return L
+
+
+def wl_fingerprint_numpy(ig: "IndexedGraph", seeds: list[int],
+                         header: bytes) -> tuple[str, list[int]]:
+    """cg3 hex digest and stable labels of ``ig`` from its seed labels.
+
+    The digest layout matches :func:`repro.core.graph._wl_digest_python`:
+    ``header``, the sorted labels as big-endian 8-byte words, then the
+    edge pairs sorted by ``(label(u), label(v))`` as 16-byte records.
+    """
+    A = graph_arrays(ig)
+    L = wl_refine_numpy(ig, seeds)
+    h = hashlib.sha256(header)
+    h.update(np.sort(L).astype(">u8").tobytes())
+    lu, lv = L[A.e_src], L[A.succ_adj]
+    order = np.lexsort((lv, lu))
+    pairs = np.empty((lu.size, 2), dtype=">u8")
+    pairs[:, 0] = lu[order]
+    pairs[:, 1] = lv[order]
+    h.update(pairs.tobytes())
+    return h.hexdigest(), L.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -39,28 +39,34 @@ Fingerprint format
 ------------------
 A graph fingerprint is 64 lowercase hex characters: the SHA-256 of
 
-``"cg2|<num_nodes>|<num_edges>"`` ++ sorted node labels ++ sorted
+``"cg3|<num_nodes>|<num_edges>"`` ++ sorted node labels ++ sorted
 ``label(u) ++ label(v)`` edge pairs,
 
-where node labels are 16-*byte* SHA-256 prefixes obtained by 1-WL
-color refinement over the flat :class:`~repro.core.indexed.IndexedGraph`
-arrays (parsed straight from the wire by :mod:`repro.core.ingest` — no
-networkx on the request path) — seeds are digests of ``(kind, I(v), O(v))``, each round
-rehashes a label with its predecessor count and the sorted predecessor
-and successor label multisets (byte-packed, no string joins), and
-refinement stops when the label partition stabilizes (at most ``|V|``
-rounds).  Renaming or reordering nodes never changes the fingerprint;
-changing topology or any node's volumes does.  The ``cg2`` version tag
-is folded into the hash, so algorithm revisions can never collide with
-old fingerprints.
+where node labels are 64-bit integers (packed big-endian, 8 bytes each)
+obtained by hashed 1-WL color refinement over the flat
+:class:`~repro.core.indexed.IndexedGraph` arrays (parsed straight from
+the wire by :mod:`repro.core.ingest` — no networkx on the request
+path).  Seeds are the first 8 bytes of the SHA-256 of ``(kind, I(v),
+O(v))``; each round maps a label to the splitmix64 mix of itself plus
+direction-salted, weighted sums of its mixed predecessor and successor
+labels (commutative, so no sort per node), and refinement stops when
+the number of label classes stops growing (at most ``|V|`` rounds).
+SHA-256 runs once, over the final digest.  The rounds run as a NumPy
+kernel on the CSR mirror the streaming candidates reuse, or as a
+pure-Python twin producing the same hex.  Renaming or reordering nodes
+never changes the fingerprint; changing topology or any node's volumes
+does.  The ``cg3`` version tag is folded into the hash, so algorithm
+revisions can never collide with old fingerprints.
 
 Cache entries are keyed by the *request* identity
-``"sv2:<fingerprint>:p<num_pes>:<objective>:<sched+sched+...>"``
+``"sv3:<fingerprint>:p<num_pes>:<objective>:<sched+sched+...>"``
 (:func:`~repro.service.fingerprint.request_key`); the scheduler list is
 order-sensitive because racing order breaks objective ties, and the
 leading :data:`~repro.service.fingerprint.SCHEDULE_KEY_VERSION` tag
 makes entries persisted by older code unreachable after a schedule
-schema or scheduler change instead of being served stale forever.
+schema, scheduler or fingerprint change instead of being served stale
+forever (:func:`~repro.service.fingerprint.is_current_key` keeps them
+out of the store index, so compaction reclaims their bytes).
 
 Because the key is isomorphism stable, a hit may have been computed for
 a *differently named* copy of the requester's graph.  Each cached entry
@@ -68,9 +74,10 @@ therefore carries the exact graph document it was computed from: on a
 cross-document hit the service finds an explicit isomorphism witness
 (:func:`repro.core.graph.find_isomorphism`) between the two documents
 and remaps the stored schedule's node names onto the requester's before
-answering; when no witness exists — 1-WL can in principle collide
-non-isomorphic graphs — the request is recomputed rather than answered
-with names from someone else's graph.
+answering; when no witness exists — 1-WL (and, rarely, a 64-bit label
+collision) can in principle give non-isomorphic graphs one fingerprint
+— the request is recomputed rather than answered with names from
+someone else's graph.
 
 Quickstart::
 
@@ -105,6 +112,7 @@ from .fingerprint import (
     doc_digest,
     fingerprint_graph_doc,
     graph_fingerprint,
+    is_current_key,
     request_key,
     simulate_request_key,
 )
@@ -163,6 +171,7 @@ __all__ = [
     "doc_digest",
     "fingerprint_graph_doc",
     "graph_fingerprint",
+    "is_current_key",
     "percentile",
     "quantile",
     "register_scheduler",

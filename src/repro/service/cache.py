@@ -94,7 +94,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from ..obs import MetricsRegistry
 from .faults import CircuitBreaker
 
-__all__ = ["ScheduleCache", "StoreKeyLock", "record_crc"]
+__all__ = ["ScheduleCache", "StoreKeyLock", "encode_record", "record_crc"]
 
 
 def record_crc(key: str, entry: dict) -> int:
@@ -104,6 +104,25 @@ def record_crc(key: str, entry: dict) -> int:
     it survives whitespace and key-order differences between writers.
     """
     return zlib.crc32(json.dumps([key, entry], sort_keys=True).encode())
+
+
+def encode_record(key: str, entry: dict) -> bytes:
+    """The store line for ``(key, entry)``, newline included.
+
+    Byte-identical to ``json.dumps({"crc": record_crc(key, entry),
+    "entry": entry, "key": key}, sort_keys=True)`` plus ``\n``, but
+    dumps ``entry`` (the bulk of the record) once instead of twice: the
+    CRC chains over ``[`` + key + ``, `` + body + ``]``, which is exactly
+    the canonical ``[key, entry]`` serialization, and the line splices
+    the same body between the sorted ``crc`` and ``key`` fields.
+    """
+    body = json.dumps(entry, sort_keys=True).encode()
+    key_json = json.dumps(key).encode()
+    crc = zlib.crc32(b"[" + key_json + b", ")
+    crc = zlib.crc32(b"]", zlib.crc32(body, crc))
+    return b"".join((
+        b'{"crc": %d, "entry": ' % crc, body, b', "key": ', key_json, b"}\n",
+    ))
 
 
 class ScheduleCache:
@@ -566,14 +585,7 @@ class ScheduleCache:
                 with self._lock:
                     if key in self._disk:  # a concurrent put won the race
                         return
-                line = (
-                    json.dumps(
-                        {"crc": record_crc(key, entry), "entry": entry,
-                         "key": key},
-                        sort_keys=True,
-                    ).encode()
-                    + b"\n"
-                )
+                line = encode_record(key, entry)
                 try:
                     rule = (
                         self._faults.fire("disk.write", key=key[:48])

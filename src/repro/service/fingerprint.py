@@ -22,19 +22,31 @@ from ..core.serialize import graph_from_dict
 __all__ = [
     "SCHEDULE_KEY_VERSION",
     "graph_fingerprint",
+    "is_current_key",
     "request_key",
     "simulate_request_key",
     "fingerprint_graph_doc",
     "doc_digest",
 ]
 
-#: bump when the schedule document schema, the cached-entry layout or a
-#: scheduler's behaviour changes: the tag prefixes every request key, so
-#: a restarted server never serves entries persisted by older code —
-#: they simply become unreachable in the JSONL store (the graph
-#: fingerprint itself folds its own ``cg1`` version into the hash, but
-#: that only guards the *graph* hashing, not the schedule format).
-SCHEDULE_KEY_VERSION = "sv2"
+#: bump when the schedule document schema, the cached-entry layout, a
+#: scheduler's behaviour or the graph fingerprint construction changes:
+#: the tag prefixes every request key, so a restarted server never
+#: serves entries persisted by older code, and :func:`is_current_key`
+#: lets store compaction reclaim them.  (The graph fingerprint folds its
+#: own :data:`~repro.core.graph.FINGERPRINT_VERSION` into the hash, so a
+#: fingerprint bump alone already makes old keys unreachable — but they
+#: would keep this prefix and stay indexed forever.)  ``sv3``: the cg3
+#: fingerprint.
+SCHEDULE_KEY_VERSION = "sv3"
+
+
+def is_current_key(key: str) -> bool:
+    """True when ``key`` carries the current :data:`SCHEDULE_KEY_VERSION`
+    tag — the ``retain`` predicate of every serving store, so records
+    persisted by older code are never indexed and compaction drops
+    them."""
+    return key.startswith(f"{SCHEDULE_KEY_VERSION}:")
 
 
 def doc_digest(doc: Mapping) -> str:
@@ -54,8 +66,8 @@ def fingerprint_graph_doc(
     """Parse a graph document and fingerprint the result.
 
     With ``ingest`` (the default) the document goes straight to the
-    flat :class:`~repro.core.indexed.IndexedGraph` arrays and the cg2
-    1-WL fingerprint streams over them — no networkx graph is ever
+    flat :class:`~repro.core.indexed.IndexedGraph` arrays and the cg3
+    1-WL fingerprint runs over them — no networkx graph is ever
     built, so a cache hit never pays freeze cost.  ``ingest=False``
     preserves the legacy ``graph_from_dict`` path (the golden tests
     assert both produce identical fingerprints and schedules).
@@ -79,7 +91,7 @@ def request_key(
     """Cache / coalescing key of one schedule request.
 
     Human-readable composite (documented in the package docstring):
-    ``sv2:<graph fingerprint>:p<PEs>:<objective>:<sched+sched+...>``.
+    ``sv3:<graph fingerprint>:p<PEs>:<objective>:<sched+sched+...>``.
     The scheduler list is order-sensitive on purpose — order is the
     racing priority and breaks objective ties, so it shapes the answer.
     The leading :data:`SCHEDULE_KEY_VERSION` tag keeps entries persisted

@@ -12,8 +12,8 @@ Two layers, separately testable:
   receives the same response (single-flight coalescing, counted in the
   stats).  Graph documents are parsed by the zero-copy ingest path
   (:mod:`repro.core.ingest`): straight to the flat
-  :class:`~repro.core.indexed.IndexedGraph` arrays, with the cg2 1-WL
-  fingerprint streaming over them — no networkx graph is built on the
+  :class:`~repro.core.indexed.IndexedGraph` arrays, with the cg3 1-WL
+  fingerprint running over them — no networkx graph is built on the
   request path at all (``use_ingest=False`` preserves the legacy path
   for the golden equivalence tests).  The request key is isomorphism
   stable, so a hit may come from a *differently named* copy of the

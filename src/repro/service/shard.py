@@ -66,7 +66,7 @@ from multiprocessing import connection as mp_connection
 from .. import __version__
 from ..obs import Telemetry
 from .faults import FaultInjector, FaultPlan
-from .fingerprint import SCHEDULE_KEY_VERSION, doc_digest
+from .fingerprint import doc_digest, is_current_key
 
 __all__ = ["ShardConfig", "ShardRouter", "DEFAULT_SHARDS"]
 
@@ -113,11 +113,10 @@ def _shard_main(idx: int, config: ShardConfig, conn) -> None:
     cache = None
     keylock = None
     if config.store is not None:
-        version_prefix = f"{SCHEDULE_KEY_VERSION}:"
         cache = ScheduleCache(
             config.store,
             capacity=config.cache_size,
-            retain=lambda key: key.startswith(version_prefix),
+            retain=is_current_key,
             shared=True,
         )
         keylock = StoreKeyLock(config.store)

@@ -6,7 +6,7 @@ Three layers of protection:
   produce an :class:`IndexedGraph` whose every array (ids, CSR
   adjacency, topo order, volumes, works, labels) matches
   ``freeze(graph_from_dict(doc))`` across the scenario families, and
-  whose cg2 fingerprint and scheduled documents are byte-identical;
+  whose cg3 fingerprint and scheduled documents are byte-identical;
 * **validation parity** — with ``validate=True`` the ingest raises the
   same exception types and messages as ``graph_from_dict`` for every
   malformed-document class;

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import find_isomorphism, graph_fingerprint, graph_to_dict, save_graph
+from repro.core.backend import HAVE_NUMPY, fallback_counts
 from repro.core.graph import CanonicalGraph
 from repro.core.node_types import NodeSpec
 from repro.graphs import random_canonical_graph
@@ -28,7 +29,19 @@ from repro.service import (
     run_portfolio,
     scheduler_names,
 )
+from repro.service import server as server_module
+from repro.service.cache import encode_record, record_crc
+from repro.service.fingerprint import is_current_key
 from repro.service.gcpolicy import YOUNG_GEN_THRESHOLD
+
+#: both array backends; numpy is an optional extra
+BACKEND_PARAMS = [
+    "python",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed"),
+    ),
+]
 
 
 def relabel(graph: CanonicalGraph, prefix: str = "r") -> CanonicalGraph:
@@ -88,6 +101,43 @@ class TestFingerprint:
         fan_in.add_edge("p", "r")
         fan_in.add_edge("q", "r")
         assert graph_fingerprint(fan_out) != graph_fingerprint(fan_in)
+
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_cg3_hex_pinned(self, backend):
+        # any change to the cg3 construction changes this hex and must
+        # come with a FINGERPRINT_VERSION bump
+        g = CanonicalGraph()
+        g.add_source("src", 8)
+        g.add_task("e", 8, 8)
+        g.add_task("d", 8, 2)
+        g.add_buffer("b", 2, 6)
+        g.add_task("u", 6, 12)
+        g.add_sink("out", 12)
+        g.add_task("f", 8, 8)
+        g.add_sink("out2", 8)
+        for u, v in [("src", "e"), ("e", "d"), ("d", "b"), ("b", "u"),
+                     ("u", "out"), ("e", "f"), ("f", "out2")]:
+            g.add_edge(u, v)
+        assert graph_fingerprint(g, backend=backend) == (
+            "731918d0690716cced89a2cee54db37d19db2c6ff74557cf815c8194ff8a7370"
+        )
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+    def test_huge_volumes_fingerprint_on_numpy_without_fallback(self):
+        # volumes enter only through the Python-hashed seed labels, so
+        # values past int64 need no guard on the array kernel
+        g = CanonicalGraph()
+        big = (1 << 63) + 5
+        g.add_source("s", big)
+        g.add_task("t", big, big)
+        g.add_task("w", big, 1 << 70)
+        g.add_sink("k", 1 << 70)
+        for u, v in [("s", "t"), ("t", "w"), ("w", "k")]:
+            g.add_edge(u, v)
+        before = dict(fallback_counts)
+        fp = graph_fingerprint(g, backend="numpy")
+        assert fallback_counts == before
+        assert fp == graph_fingerprint(g, backend="python")
 
     def test_request_key_composition(self):
         key = request_key("f" * 64, 8, "makespan", ("rlx", "nstr"))
@@ -321,6 +371,48 @@ class TestScheduleService:
         assert reopened.remapped == 1
         names = {t["name"] for t in response["schedule"]["tasks"]}
         assert names and names <= set(renamed_graph.nodes)
+
+    def test_fingerprint_collision_recomputes_never_serves_other_graph(
+        self, monkeypatch
+    ):
+        # force two non-isomorphic, equal-size documents onto one
+        # fingerprint: the witness check, not the hash, must keep the
+        # second request from receiving the first document's schedule
+        real = server_module.fingerprint_graph_doc
+
+        def colliding(doc, **kwargs):
+            graph, _ = real(doc, **kwargs)
+            return graph, "c" * 64
+
+        monkeypatch.setattr(server_module, "fingerprint_graph_doc", colliding)
+
+        def tasks(prefix, edges):
+            g = CanonicalGraph()
+            for i in range(6):
+                g.add_task(f"{prefix}{i}", 8, 8)
+            for u, v in edges:
+                g.add_edge(f"{prefix}{u}", f"{prefix}{v}")
+            return g
+
+        first_graph = tasks("a", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        second_graph = tasks("z", [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)])
+        assert len(first_graph) == len(second_graph)
+        assert first_graph.number_of_edges() == second_graph.number_of_edges()
+        assert find_isomorphism(first_graph, second_graph) is None
+        service = ScheduleService(cache=ScheduleCache(None, capacity=16))
+        first = service.handle({
+            "op": "schedule", "graph": graph_to_dict(first_graph), "num_pes": 8,
+        })
+        second = service.handle({
+            "op": "schedule", "graph": graph_to_dict(second_graph), "num_pes": 8,
+        })
+        assert first["ok"] and second["ok"]
+        assert first["key"] == second["key"]
+        assert second["cached"] is False
+        assert service.remapped == 0
+        names = {t["name"] for t in second["schedule"]["tasks"]}
+        assert names and names <= set(second_graph.nodes)
+        assert not names & set(first_graph.nodes)
 
     def test_responses_do_not_echo_the_graph_document(self):
         cold = self.service.handle(dict(self.doc))
@@ -838,6 +930,38 @@ def _permuted_copy(graph: CanonicalGraph, order_seed: int) -> CanonicalGraph:
     return clone
 
 
+@pytest.fixture(scope="module")
+def fingerprint_families() -> list[tuple[CanonicalGraph, CanonicalGraph, str]]:
+    """``(graph, renamed reordered copy, python cg3 hex)`` over layered
+    and serpar graphs from 5 to 10k nodes, the paper's topologies and
+    two ML graphs — built once for every backend."""
+    from conftest import build_fig9_graph1, build_fig9_graph2
+    from repro.ml import build_resnet50, build_transformer_encoder
+
+    graphs = [
+        random_canonical_graph(topo, size, seed=2)
+        for topo, size in (
+            ("layered", 5), ("layered", 64), ("serpar", 60),
+            ("layered", 1000), ("serpar", 1000),
+            ("layered", 10_000), ("serpar", 10_000),
+            ("fft", 16), ("gaussian", 8), ("cholesky", 6),
+        )
+    ]
+    graphs += [
+        build_fig9_graph1(),
+        build_fig9_graph2(),
+        build_resnet50(image_size=56, max_parallel=16),
+        build_transformer_encoder(
+            seq_len=16, d_model=64, num_heads=4, d_ff=128, max_parallel=16
+        ),
+    ]
+    return [
+        (g, relabel(_permuted_copy(g, 0)),
+         graph_fingerprint(g, backend="python"))
+        for g in graphs
+    ]
+
+
 def _verify_witness(src: CanonicalGraph, dst: CanonicalGraph, mapping) -> None:
     assert mapping is not None
     assert set(mapping) == set(src.nodes)
@@ -933,16 +1057,23 @@ class TestIsomorphismAutomorphismRich:
             for seed in range(4):
                 assert graph_fingerprint(_permuted_copy(base, seed)) == fp
 
-    def test_fingerprint_stable_under_permutation_random_families(self):
-        for topo, size in (("layered", 64), ("serpar", 60), ("fft", 16)):
-            g = random_canonical_graph(topo, size, seed=2)
-            fp = graph_fingerprint(g)
-            for seed in range(3):
-                assert graph_fingerprint(_permuted_copy(g, seed)) == fp
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_fingerprint_stable_under_permutation_random_families(
+        self, backend, fingerprint_families
+    ):
+        for g, renamed, fp in fingerprint_families:
+            # every backend computes the python hex, on the graph and on
+            # a renamed, reordered copy
+            assert graph_fingerprint(g, backend=backend) == fp
+            assert graph_fingerprint(renamed, backend=backend) == fp
+            if len(g) <= 1000:
+                for seed in range(1, 3):
+                    assert graph_fingerprint(
+                        _permuted_copy(g, seed), backend=backend) == fp
 
 
 class TestCacheCompaction:
-    def _fill(self, path, keys, prefix="sv2:", pad=3000):
+    def _fill(self, path, keys, prefix="sv3:", pad=3000):
         # lines are padded past ScheduleCache.COMPACT_MIN_BYTES so the
         # auto-compaction thresholds are exercised with realistic sizes
         cache = ScheduleCache(path, capacity=64)
@@ -958,7 +1089,7 @@ class TestCacheCompaction:
         with open(path, "ab") as fh:
             for k in ("a", "b", "c"):
                 fh.write(json.dumps(
-                    {"key": f"sv2:{k}", "entry": {"v": k + "2", "pad": "y" * 200}}
+                    {"key": f"sv3:{k}", "entry": {"v": k + "2", "pad": "y" * 200}}
                 ).encode() + b"\n")
         before = path.stat().st_size
         cache = ScheduleCache(path, capacity=64)
@@ -967,7 +1098,7 @@ class TestCacheCompaction:
         assert cache.counters()["compactions"] == 1
         assert path.stat().st_size < before
         for k in ("a", "b", "c"):
-            entry, tier = cache.get(f"sv2:{k}")
+            entry, tier = cache.get(f"sv3:{k}")
             assert entry["v"] == k + "2" and tier == "store"
 
     def test_explicit_compact_shrinks_and_hits_resolve(self, tmp_path):
@@ -984,24 +1115,44 @@ class TestCacheCompaction:
         assert reclaimed == dead
         assert path.stat().st_size == before - reclaimed
         assert cache.dead_bytes() == 0
-        assert cache.get("sv2:a")[0]["v"] == "a"
+        assert cache.get("sv3:a")[0]["v"] == "a"
         # a reload sees the compacted file
         reopened = ScheduleCache(path, capacity=64)
-        assert reopened.get("sv2:b")[0]["v"] == "b"
+        assert reopened.get("sv3:b")[0]["v"] == "b"
 
     def test_retain_drops_superseded_versions(self, tmp_path):
         path = tmp_path / "schedules.jsonl"
-        cache = self._fill(path, ["old1", "old2", "old3"], prefix="sv1:")
-        cache.put("sv2:new", {"v": "new", "pad": "z" * 200})
+        cache = self._fill(path, ["old1", "old2", "old3"], prefix="sv2:")
+        cache.put("sv3:new", {"v": "new", "pad": "z" * 200})
         before = path.stat().st_size
         reopened = ScheduleCache(
-            path, capacity=64, retain=lambda k: k.startswith("sv2:")
+            path, capacity=64, retain=lambda k: k.startswith("sv3:")
         )
-        # sv1 lines were never indexed -> dead -> auto-compacted away
+        # sv2 lines were never indexed -> dead -> auto-compacted away
         assert reopened.counters()["compactions"] == 1
         assert path.stat().st_size < before
-        assert reopened.get("sv2:new")[0]["v"] == "new"
-        assert reopened.get("sv1:old1") is None
+        assert reopened.get("sv3:new")[0]["v"] == "new"
+        assert reopened.get("sv2:old1") is None
+
+    def test_records_of_older_key_versions_are_unindexed_and_compacted(
+        self, tmp_path
+    ):
+        # an sv2 record (cg2-era fingerprint) next to a larger current
+        # one: dead, but below the auto-compaction ratio on load
+        path = tmp_path / "schedules.jsonl"
+        old = encode_record("sv2:" + "a" * 64, {"v": "old"})
+        live = encode_record(
+            f"{SCHEDULE_KEY_VERSION}:" + "b" * 64, {"v": "new", "pad": "x" * 6000}
+        )
+        path.write_bytes(old + live)
+        cache = ScheduleCache(path, capacity=8, retain=is_current_key)
+        assert cache.counters()["compactions"] == 0
+        assert len(cache) == 1
+        assert cache.get("sv2:" + "a" * 64) is None
+        assert cache.dead_bytes() == len(old)
+        assert cache.compact() == len(old)
+        assert path.read_bytes() == live
+        assert cache.get(f"{SCHEDULE_KEY_VERSION}:" + "b" * 64)[0]["v"] == "new"
 
     def test_puts_after_compaction_land_at_correct_offsets(self, tmp_path):
         path = tmp_path / "schedules.jsonl"
@@ -1010,9 +1161,45 @@ class TestCacheCompaction:
             fh.write(b"garbage\n" * 40)
         cache = ScheduleCache(path, capacity=1)  # tiny LRU: force store reads
         cache.compact()
-        cache.put("sv2:e", {"v": "e"})
+        cache.put("sv3:e", {"v": "e"})
         for k in ("a", "b", "c", "d", "e"):
-            assert cache.get(f"sv2:{k}")[0]["v"] == k
+            assert cache.get(f"sv3:{k}")[0]["v"] == k
+
+
+class TestStoreRecord:
+    ENTRIES = [
+        {},
+        {"names": ["é", "日本", "a\"b", "tab\t"], "none": None},
+        {"floats": [0.1, -0.0, 1e300, 2.5e-10, 3], "nested": [[1, [2, {}]], []]},
+        {"z": {"b": 1, "a": {"y": None, "x": [1.5]}}, "a": "ü"},
+    ]
+
+    @staticmethod
+    def _legacy_line(key: str, entry: dict) -> bytes:
+        # the two-dump formula the single-dump encoder replaced
+        return json.dumps(
+            {"crc": record_crc(key, entry), "entry": entry, "key": key},
+            sort_keys=True,
+        ).encode() + b"\n"
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_line_equals_legacy_two_dump_formula(self, entry):
+        for key in ("sv3:" + "f" * 64 + ":p8:makespan:rlx", "sv3:ключ"):
+            assert encode_record(key, entry) == self._legacy_line(key, entry)
+
+    def test_put_appends_the_legacy_bytes(self, tmp_path):
+        path = tmp_path / "schedules.jsonl"
+        cache = ScheduleCache(path, capacity=8)
+        for i, entry in enumerate(self.ENTRIES):
+            cache.put(f"sv3:k{i}", entry)
+        assert path.read_bytes() == b"".join(
+            self._legacy_line(f"sv3:k{i}", e)
+            for i, e in enumerate(self.ENTRIES)
+        )
+        reopened = ScheduleCache(path, capacity=1)
+        assert reopened.counters()["corrupt_records"] == 0
+        for i, entry in enumerate(self.ENTRIES):
+            assert reopened.get(f"sv3:k{i}")[0] == entry
 
 
 class TestQuantiles:
