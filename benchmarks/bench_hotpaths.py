@@ -334,7 +334,7 @@ def check_backend_gate(rows: list[dict], gate: float) -> list[str]:
 
 def bench_ingest(smoke: bool) -> list[dict]:
     """Wire→IndexedGraph split: parse, freeze, fingerprint, serialize."""
-    from repro.core.backend import HAVE_NUMPY
+    from repro.core.backend import HAVE_NUMPY, set_default_backend
     from repro.core.graph import graph_fingerprint
     from repro.core.indexed import freeze
     from repro.core.ingest import ingest_graph_doc
@@ -368,10 +368,14 @@ def bench_ingest(smoke: bool) -> list[dict]:
         fingerprint_s: dict[str, float] = {}
         hexes = set()
         for backend in ("python", "numpy") if HAVE_NUMPY else ("python",):
-            fingerprint_s[backend] = max(0.0, timed(
-                lambda: hexes.add(graph_fingerprint(
-                    ingest_graph_doc(doc, validate=False), backend=backend))
-            ) - trusted_s)
+            set_default_backend(backend)
+            try:
+                fingerprint_s[backend] = max(0.0, timed(
+                    lambda: hexes.add(graph_fingerprint(
+                        ingest_graph_doc(doc, validate=False)))
+                ) - trusted_s)
+            finally:
+                set_default_backend(None)
 
         ig = ingest_graph_doc(doc)
         schedule = schedule_streaming(ig, pes, variant)

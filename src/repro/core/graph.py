@@ -150,9 +150,7 @@ def _wl_digest_python(ig: IndexedGraph, labels: list[int]) -> str:
     return h.hexdigest()
 
 
-def graph_fingerprint(
-    graph: "CanonicalGraph | IndexedGraph", *, backend: str | None = None
-) -> str:
+def graph_fingerprint(graph: "CanonicalGraph | IndexedGraph") -> str:
     """Canonical, isomorphism-stable fingerprint of a task graph.
 
     Two graphs that differ only in node naming (or node insertion order)
@@ -182,25 +180,20 @@ def graph_fingerprint(
     different document is served only through a verified
     :func:`find_isomorphism` witness.
 
-    ``backend`` picks the array backend as
-    :func:`repro.core.backend.resolve_backend` does: the numpy kernel
-    runs the rounds and the final sort over the shared
-    :func:`repro.core.kernels.graph_arrays` mirror, the pure-Python twin
-    over the CSR lists.  Both produce the same hex on every graph
-    (volumes only enter through the seed labels, so no overflow guard
-    is needed).
+    Both the refinement and the digest run on the default array backend
+    (:func:`repro.core.backend.resolve_backend`): the numpy kernels over
+    the shared :func:`repro.core.kernels.graph_arrays` mirror, the
+    pure-Python twins over the CSR lists.  Both produce the same hex on
+    every graph (volumes only enter through the seed labels, so no
+    overflow guard is needed).
     """
     ig = freeze(graph)
-    seeds = _wl_seed_labels(ig)
-    if resolve_backend(backend) == "numpy":
-        from .kernels import wl_fingerprint_numpy
+    labels = _wl_stable_labels(ig)
+    if resolve_backend(None) == "numpy":
+        from .kernels import wl_digest_numpy
 
-        hexdigest, labels = wl_fingerprint_numpy(ig, seeds, _wl_header(ig))
-    else:
-        labels = _wl_refine_python(ig, seeds)
-        hexdigest = _wl_digest_python(ig, labels)
-    ig._wl_stable = labels
-    return hexdigest
+        return wl_digest_numpy(ig, labels, _wl_header(ig))
+    return _wl_digest_python(ig, labels)
 
 
 def find_isomorphism(

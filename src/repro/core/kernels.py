@@ -73,7 +73,7 @@ __all__ = [
     "graph_arrays",
     "levels_numpy",
     "wl_refine_numpy",
-    "wl_fingerprint_numpy",
+    "wl_digest_numpy",
     "schedule_sweep_numpy",
     "buffer_sizes_numpy",
 ]
@@ -386,16 +386,16 @@ def wl_refine_numpy(ig: "IndexedGraph", labels) -> np.ndarray:
     return L
 
 
-def wl_fingerprint_numpy(ig: "IndexedGraph", seeds: list[int],
-                         header: bytes) -> tuple[str, list[int]]:
-    """cg3 hex digest and stable labels of ``ig`` from its seed labels.
+def wl_digest_numpy(ig: "IndexedGraph", labels: list[int],
+                    header: bytes) -> str:
+    """cg3 hex digest of ``ig`` from its stable labels.
 
-    The digest layout matches :func:`repro.core.graph._wl_digest_python`:
+    The layout matches :func:`repro.core.graph._wl_digest_python`:
     ``header``, the sorted labels as big-endian 8-byte words, then the
     edge pairs sorted by ``(label(u), label(v))`` as 16-byte records.
     """
     A = graph_arrays(ig)
-    L = wl_refine_numpy(ig, seeds)
+    L = np.asarray(labels, dtype=_U64)
     h = hashlib.sha256(header)
     h.update(np.sort(L).astype(">u8").tobytes())
     lu, lv = L[A.e_src], L[A.succ_adj]
@@ -404,7 +404,7 @@ def wl_fingerprint_numpy(ig: "IndexedGraph", seeds: list[int],
     pairs[:, 0] = lu[order]
     pairs[:, 1] = lv[order]
     h.update(pairs.tobytes())
-    return h.hexdigest(), L.tolist()
+    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------

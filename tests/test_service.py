@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import find_isomorphism, graph_fingerprint, graph_to_dict, save_graph
-from repro.core.backend import HAVE_NUMPY, fallback_counts
+from repro.core.backend import HAVE_NUMPY, fallback_counts, set_default_backend
 from repro.core.graph import CanonicalGraph
 from repro.core.node_types import NodeSpec
 from repro.graphs import random_canonical_graph
@@ -42,6 +42,13 @@ BACKEND_PARAMS = [
         marks=pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed"),
     ),
 ]
+
+
+@pytest.fixture
+def pin_backend():
+    """Pins the process default array backend; restores auto afterwards."""
+    yield set_default_backend
+    set_default_backend(None)
 
 
 def relabel(graph: CanonicalGraph, prefix: str = "r") -> CanonicalGraph:
@@ -103,9 +110,10 @@ class TestFingerprint:
         assert graph_fingerprint(fan_out) != graph_fingerprint(fan_in)
 
     @pytest.mark.parametrize("backend", BACKEND_PARAMS)
-    def test_cg3_hex_pinned(self, backend):
+    def test_cg3_hex_pinned(self, backend, pin_backend):
         # any change to the cg3 construction changes this hex and must
         # come with a FINGERPRINT_VERSION bump
+        pin_backend(backend)
         g = CanonicalGraph()
         g.add_source("src", 8)
         g.add_task("e", 8, 8)
@@ -118,26 +126,33 @@ class TestFingerprint:
         for u, v in [("src", "e"), ("e", "d"), ("d", "b"), ("b", "u"),
                      ("u", "out"), ("e", "f"), ("f", "out2")]:
             g.add_edge(u, v)
-        assert graph_fingerprint(g, backend=backend) == (
+        assert graph_fingerprint(g) == (
             "731918d0690716cced89a2cee54db37d19db2c6ff74557cf815c8194ff8a7370"
         )
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_huge_volumes_fingerprint_on_numpy_without_fallback(self):
+    def test_huge_volumes_fingerprint_on_numpy_without_fallback(
+        self, pin_backend
+    ):
         # volumes enter only through the Python-hashed seed labels, so
         # values past int64 need no guard on the array kernel
-        g = CanonicalGraph()
-        big = (1 << 63) + 5
-        g.add_source("s", big)
-        g.add_task("t", big, big)
-        g.add_task("w", big, 1 << 70)
-        g.add_sink("k", 1 << 70)
-        for u, v in [("s", "t"), ("t", "w"), ("w", "k")]:
-            g.add_edge(u, v)
+        def build():
+            g = CanonicalGraph()
+            big = (1 << 63) + 5
+            g.add_source("s", big)
+            g.add_task("t", big, big)
+            g.add_task("w", big, 1 << 70)
+            g.add_sink("k", 1 << 70)
+            for u, v in [("s", "t"), ("t", "w"), ("w", "k")]:
+                g.add_edge(u, v)
+            return g
+
+        pin_backend("numpy")
         before = dict(fallback_counts)
-        fp = graph_fingerprint(g, backend="numpy")
+        fp = graph_fingerprint(build())
         assert fallback_counts == before
-        assert fp == graph_fingerprint(g, backend="python")
+        pin_backend("python")
+        assert fp == graph_fingerprint(build())
 
     def test_request_key_composition(self):
         key = request_key("f" * 64, 8, "makespan", ("rlx", "nstr"))
@@ -931,10 +946,11 @@ def _permuted_copy(graph: CanonicalGraph, order_seed: int) -> CanonicalGraph:
 
 
 @pytest.fixture(scope="module")
-def fingerprint_families() -> list[tuple[CanonicalGraph, CanonicalGraph, str]]:
-    """``(graph, renamed reversed copy, python cg3 hex)`` over layered
-    and serpar graphs from 5 to 10k nodes, the paper's topologies and
-    two ML graphs — built once for every backend."""
+def fingerprint_families() -> list[tuple[CanonicalGraph, str]]:
+    """``(graph, python cg3 hex)`` over layered and serpar graphs from 5
+    to 10k nodes, the paper's topologies and two ML graphs — built once
+    for every backend.  The hex is taken on a copy, so ``graph`` itself
+    carries no memoized labels."""
     from conftest import build_fig9_graph1, build_fig9_graph2
     from repro.ml import build_resnet50, build_transformer_encoder
 
@@ -955,10 +971,11 @@ def fingerprint_families() -> list[tuple[CanonicalGraph, CanonicalGraph, str]]:
             seq_len=16, d_model=64, num_heads=4, d_ff=128, max_parallel=16
         ),
     ]
-    return [
-        (g, relabel(g), graph_fingerprint(g, backend="python"))
-        for g in graphs
-    ]
+    set_default_backend("python")
+    try:
+        return [(g, graph_fingerprint(g.copy())) for g in graphs]
+    finally:
+        set_default_backend(None)
 
 
 def _verify_witness(src: CanonicalGraph, dst: CanonicalGraph, mapping) -> None:
@@ -1058,17 +1075,17 @@ class TestIsomorphismAutomorphismRich:
 
     @pytest.mark.parametrize("backend", BACKEND_PARAMS)
     def test_fingerprint_stable_under_permutation_random_families(
-        self, backend, fingerprint_families
+        self, backend, pin_backend, fingerprint_families
     ):
-        for g, renamed, fp in fingerprint_families:
-            # every backend computes the python hex, on the graph and on
-            # a renamed, reordered copy
-            assert graph_fingerprint(g, backend=backend) == fp
-            assert graph_fingerprint(renamed, backend=backend) == fp
+        pin_backend(backend)
+        for g, fp in fingerprint_families:
+            # every backend computes the python hex, on a fresh copy of
+            # the graph and on a renamed, reordered copy
+            assert graph_fingerprint(g.copy()) == fp
+            assert graph_fingerprint(relabel(g)) == fp
             if len(g) <= 1000:
                 for seed in range(1, 3):
-                    assert graph_fingerprint(
-                        _permuted_copy(g, seed), backend=backend) == fp
+                    assert graph_fingerprint(_permuted_copy(g, seed)) == fp
 
 
 class TestCacheCompaction:
