@@ -182,7 +182,7 @@ def run_profile(name: str, smoke: bool, seed: int = 0,
         "no_cache": no_cache.to_dict(),
         "cache_speedup": round(speedup, 2),
         "byte_identical": identical,
-        "fastpath_served": service.fastpath,
+        "fastpath_served": service.handle({"op": "stats"})["fastpath"],
     }
     if degraded:
         result["degraded"] = True

@@ -11,15 +11,7 @@ Measures the discrete-event validation substrate (Appendix B / Figure
   execute them under both engines and report elements/sec plus the
   indexed-over-reference speedup, verifying on every scenario that the
   two engines agree on makespan, per-task finish times and deadlock
-  verdicts (the golden differential contract).  When numpy is
-  installed the indexed engine is measured on **both array backends**
-  (the pure-Python scalar state machine and the timestamp-arena numpy
-  kernels of :mod:`repro.sim.kernels`), each verified against the
-  reference and each required to hold the anchor floor — the numpy
-  backend tracks the scalar engine at the paper-default volume band
-  (run lengths are FIFO/rate-bound there) and pulls ahead on
-  rate-skewed graphs, so the gate is vs the reference, not between
-  backends;
+  verdicts (the golden differential contract);
 * **deadlock detection** — the same sweep under a capacity-1 FIFO
   override (the Figure 9 failure mode): both engines must report the
   identical blocked sets, and the indexed engine must detect the
@@ -79,8 +71,6 @@ def _results_agree(a, b) -> bool:
 
 
 def bench_validation(repeats: int) -> list[dict]:
-    from repro.core.backend import HAVE_NUMPY
-
     rows = []
     for label, topo, size, pes, variant in SWEEP:
         graphs = [random_canonical_graph(topo, size, seed=r)
@@ -97,21 +87,6 @@ def bench_validation(repeats: int) -> list[dict]:
             simulate_schedule_indexed(s)
         indexed_s = time.perf_counter() - t0
 
-        numpy_s = None
-        numpy_identical = None
-        if HAVE_NUMPY:
-            from repro.sim.kernels import simulate_schedule_numpy
-
-            numpy_identical = all(
-                _results_agree(simulate_schedule_numpy(s),
-                               simulate_schedule_reference(s))
-                for s in schedules
-            )
-            t0 = time.perf_counter()
-            for s in schedules:
-                simulate_schedule_numpy(s)
-            numpy_s = time.perf_counter() - t0
-
         t0 = time.perf_counter()
         for s in schedules:
             simulate_schedule_reference(s)
@@ -126,16 +101,10 @@ def bench_validation(repeats: int) -> list[dict]:
             "nodes": sum(len(g) for g in graphs),
             "elements": elements,
             "indexed_s": round(indexed_s, 4),
-            "numpy_s": None if numpy_s is None else round(numpy_s, 4),
             "reference_s": round(reference_s, 4),
             "elements_per_sec": round(elements / indexed_s, 1),
             "speedup": round(reference_s / indexed_s, 2),
-            "numpy_speedup": (
-                None if numpy_s is None
-                else round(reference_s / numpy_s, 2)
-            ),
-            "identical": identical
-            and (numpy_identical is not False),
+            "identical": identical,
         })
     return rows
 
@@ -224,17 +193,12 @@ def main(argv: list[str] | None = None) -> int:
 
     print(format_table(
         ["scenario", "variant", "PEs", "nodes", "elements", "indexed s",
-         "numpy s", "reference s", "elem/s", "speedup", "np speedup",
-         "identical"],
+         "reference s", "elem/s", "speedup", "identical"],
         [
             [r["scenario"], r["variant"], r["num_pes"], r["nodes"],
              f"{r['elements']:,}", f"{r['indexed_s']:.3f}",
-             "-" if r["numpy_s"] is None else f"{r['numpy_s']:.3f}",
              f"{r['reference_s']:.3f}", f"{r['elements_per_sec']:,.0f}",
-             f"{r['speedup']:.1f}x",
-             "-" if r["numpy_speedup"] is None
-             else f"{r['numpy_speedup']:.1f}x",
-             r["identical"]]
+             f"{r['speedup']:.1f}x", r["identical"]]
             for r in validation
         ],
     ))
@@ -268,14 +232,13 @@ def main(argv: list[str] | None = None) -> int:
               f"{', '.join(r['scenario'] for r in bad)}", file=sys.stderr)
         return 1
     anchor = next(r for r in validation if r["scenario"] == ANCHOR)
-    for key, name in (("speedup", "python"), ("numpy_speedup", "numpy")):
-        if anchor[key] is not None and anchor[key] < args.min_anchor_speedup:
-            print(
-                f"FAIL: {ANCHOR} {name}-backend speedup {anchor[key]}x "
-                f"below the {args.min_anchor_speedup}x acceptance floor",
-                file=sys.stderr,
-            )
-            return 1
+    if anchor["speedup"] < args.min_anchor_speedup:
+        print(
+            f"FAIL: {ANCHOR} speedup {anchor['speedup']}x below the "
+            f"{args.min_anchor_speedup}x acceptance floor",
+            file=sys.stderr,
+        )
+        return 1
     if args.baseline:
         failures = check_baseline(doc, args.baseline, args.tolerance)
         if failures:

@@ -49,10 +49,10 @@ __all__ = ["main", "build_parser"]
 def _add_backend_arg(sp) -> None:
     sp.add_argument(
         "--backend", choices=["auto", "numpy", "python"], default=None,
-        help="array-kernel backend for the scheduling core and the "
-             "indexed simulator (auto = numpy when installed; results "
-             "are byte-identical either way); binds the process default "
-             "and REPRO_BACKEND so portfolio workers inherit it",
+        help="array-kernel backend for the scheduling core (auto = "
+             "numpy when installed; results are byte-identical either "
+             "way); binds the process default and REPRO_BACKEND so "
+             "portfolio workers inherit it",
     )
 
 
@@ -486,7 +486,7 @@ def _cmd_simulate(args) -> int:
     s = schedule_streaming(g, args.pes, args.scheduler, backend=args.backend)
     sim = simulate_schedule(
         s, capacity_override=args.capacity, pacing=args.pacing,
-        policy=args.policy, engine=args.engine, backend=args.backend,
+        policy=args.policy, engine=args.engine,
     )
     if args.output:
         with open(args.output, "w") as fh:

@@ -1,24 +1,25 @@
 """Array-kernel backend selection (``numpy`` vs ``python``).
 
-The scheduling core and the indexed simulator each have two
-implementations of their hot arithmetic:
+The scheduling core has two implementations of its hot arithmetic:
 
 * ``python`` — the exact-integer pure-Python sweeps introduced by the
-  indexed rewrite (:mod:`repro.core.indexed`, :mod:`repro.sim.indexed`).
-  Always available, retained verbatim as the reference semantics.
-* ``numpy`` — structure-of-arrays kernels (:mod:`repro.core.kernels`,
-  :mod:`repro.sim.kernels`) that batch the same integer arithmetic over
-  int64 arrays.  Requires the optional ``numpy`` extra
+  indexed rewrite (:mod:`repro.core.indexed`).  Always available,
+  retained verbatim as the reference semantics.
+* ``numpy`` — structure-of-arrays kernels (:mod:`repro.core.kernels`)
+  that batch the same integer arithmetic over int64 arrays.  Requires
+  the optional ``numpy`` extra
   (``pip install repro-streaming-scheduling[numpy]``).
+
+The simulator is not backend-selected: its one run-time engine,
+:mod:`repro.sim.indexed`, is pure Python on every install.
 
 Both backends are **byte-identical** by contract: every kernel computes
 in int64 with explicit overflow guards on the common-denominator
 products, and any guard trip falls back to the exact Fraction /
 pure-Python path for that unit of work (counted in
-``core.kernel_fallbacks``), so serialized schedules and simulation
-results never depend on the backend.  The golden parity suites in
-``tests/test_backend.py`` / ``tests/test_indexed.py`` /
-``tests/test_sim_indexed.py`` enforce this.
+``core.kernel_fallbacks``), so serialized schedules never depend on
+the backend.  The golden parity suites in ``tests/test_backend.py`` /
+``tests/test_indexed.py`` enforce this.
 
 Selection precedence, most specific wins:
 

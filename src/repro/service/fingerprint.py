@@ -14,10 +14,9 @@ import hashlib
 import json
 from typing import Mapping, Sequence
 
-from ..core.graph import CanonicalGraph, graph_fingerprint
+from ..core.graph import graph_fingerprint
 from ..core.indexed import IndexedGraph
 from ..core.ingest import ingest_graph_doc
-from ..core.serialize import graph_from_dict
 
 __all__ = [
     "SCHEDULE_KEY_VERSION",
@@ -61,25 +60,21 @@ def doc_digest(doc: Mapping) -> str:
 
 
 def fingerprint_graph_doc(
-    doc: Mapping, *, ingest: bool = True, validate: bool = True
-) -> tuple[CanonicalGraph | IndexedGraph, str]:
-    """Parse a graph document and fingerprint the result.
+    doc: Mapping, *, validate: bool = True
+) -> tuple[IndexedGraph, str]:
+    """Ingest a graph document and fingerprint the result.
 
-    With ``ingest`` (the default) the document goes straight to the
-    flat :class:`~repro.core.indexed.IndexedGraph` arrays and the cg3
-    1-WL fingerprint runs over them — no networkx graph is ever
-    built, so a cache hit never pays freeze cost.  ``ingest=False``
-    preserves the legacy ``graph_from_dict`` path (the golden tests
-    assert both produce identical fingerprints and schedules).
+    The document goes straight to the flat
+    :class:`~repro.core.indexed.IndexedGraph` arrays and the cg3 1-WL
+    fingerprint runs over them — no networkx graph is ever built, so a
+    cache hit never pays freeze cost.  The golden tests assert the
+    fingerprint equals ``graph_fingerprint(graph_from_dict(doc))``.
     ``validate=False`` is the trusted-input contract of
     :func:`~repro.core.ingest.ingest_graph_doc`.
     """
-    if ingest:
-        ig = ingest_graph_doc(doc if isinstance(doc, dict) else dict(doc),
-                              validate=validate)
-        return ig, graph_fingerprint(ig)
-    graph = graph_from_dict(dict(doc))
-    return graph, graph_fingerprint(graph)
+    ig = ingest_graph_doc(doc if isinstance(doc, dict) else dict(doc),
+                          validate=validate)
+    return ig, graph_fingerprint(ig)
 
 
 def request_key(

@@ -97,12 +97,11 @@ class _CollectionTimer:
 def _import_serving_stack() -> None:
     """Import what the first requests would otherwise import lazily, so
     it joins the frozen start-up heap instead of a request's."""
-    from .. import sim  # noqa: F401 - the simulate op's engines
+    from .. import sim  # noqa: F401 - the simulate op's engine
     from ..core.backend import resolve_backend
 
     if resolve_backend(None) == "numpy":
         from ..core import kernels  # noqa: F401
-        from ..sim import kernels as sim_kernels  # noqa: F401
 
 
 @contextmanager

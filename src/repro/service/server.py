@@ -14,14 +14,13 @@ Two layers, separately testable:
   (:mod:`repro.core.ingest`): straight to the flat
   :class:`~repro.core.indexed.IndexedGraph` arrays, with the cg3 1-WL
   fingerprint running over them — no networkx graph is built on the
-  request path at all (``use_ingest=False`` preserves the legacy path
-  for the golden equivalence tests).  The request key is isomorphism
-  stable, so a hit may come from a *differently named* copy of the
-  graph; before answering, the service remaps the cached schedule's
-  node names onto the requester's through an explicit, verified
-  isomorphism witness (``remapped`` in the stats) — and recomputes
-  instead of answering wrongly when no witness exists (a 1-WL
-  collision between non-isomorphic graphs).
+  request path at all.  The request key is isomorphism stable, so a
+  hit may come from a *differently named* copy of the graph; before
+  answering, the service remaps the cached schedule's node names onto
+  the requester's through an explicit, verified isomorphism witness
+  (``remapped`` in the stats) — and recomputes instead of answering
+  wrongly when no witness exists (a 1-WL collision between
+  non-isomorphic graphs).
 
   The wire path adds two memo layers on top of ``handle``:
 
@@ -97,7 +96,7 @@ from typing import Sequence
 from .. import __version__
 from ..core.graph import find_isomorphism
 from ..core.ingest import ingest_graph_doc
-from ..core.serialize import _name_from_json, _name_to_json, graph_from_dict
+from ..core.serialize import _name_from_json, _name_to_json
 from ..obs import NULL_SPAN, Telemetry
 from .cache import ScheduleCache
 from .faults import FaultInjector
@@ -118,10 +117,14 @@ from .portfolio import (
 
 __all__ = [
     "ScheduleService", "ScheduleServer", "DeadlineExceeded",
-    "DEFAULT_PORT", "SIM_SCHEDULERS",
+    "DEFAULT_PORT", "MAX_PES", "SIM_SCHEDULERS",
 ]
 
 DEFAULT_PORT = 7421
+
+#: largest ``num_pes`` a request may ask for: covers the largest
+#: dataflow devices, and bounds the per-PE state the schedulers allocate
+MAX_PES = 1 << 20
 
 #: schedulers whose output the DES substrate can execute (streaming
 #: variants only: list schedules carry no blocks/FIFOs to simulate)
@@ -145,6 +148,15 @@ class DeadlineExceeded(Exception):
     markers (requests are idempotent by fingerprint key, so clients may
     simply resend with a fresh deadline).
     """
+
+
+def _num_pes(doc: dict) -> int:
+    """The request's PE count: a JSON integer (not a bool) in
+    ``[1, MAX_PES]``, checked before any parse or compute."""
+    num_pes = doc.get("num_pes")
+    if type(num_pes) is not int or not 1 <= num_pes <= MAX_PES:
+        raise ValueError(f"num_pes must be an integer in [1, {MAX_PES}]")
+    return num_pes
 
 
 class _InFlight:
@@ -185,7 +197,6 @@ class ScheduleService:
         default_schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
         fingerprint_memo_size: int = 4096,
         portfolio_workers: int = 0,
-        use_ingest: bool = True,
         validate_graphs: bool = True,
         wire_memo_bytes: int = 32 << 20,
         telemetry: Telemetry | None = None,
@@ -221,9 +232,6 @@ class ScheduleService:
             cache.bind_flight(self.telemetry.flight)
             if faults is not None:
                 cache.bind_faults(faults)
-        #: parse wire documents through repro.core.ingest (no networkx);
-        #: False preserves the legacy graph_from_dict path bit for bit
-        self.use_ingest = use_ingest
         #: False engages the trusted-ingest contract (documents provably
         #: produced by graph_to_dict, e.g. behind a validating gateway)
         self.validate_graphs = validate_graphs
@@ -336,38 +344,6 @@ class ScheduleService:
         self._c_wins = c(
             "portfolio.wins", "races won, per scheduler", labels=("scheduler",)
         )
-
-    @property
-    def served(self) -> int:
-        return self._c_served.value
-
-    @property
-    def computed(self) -> int:
-        return self._c_computed.value
-
-    @property
-    def simulated(self) -> int:
-        return self._c_simulated.value
-
-    @property
-    def coalesced(self) -> int:
-        return self._c_coalesced.value
-
-    @property
-    def crossflight(self) -> int:
-        return self._c_crossflight.value
-
-    @property
-    def remapped(self) -> int:
-        return self._c_remapped.value
-
-    @property
-    def fastpath(self) -> int:
-        return self._c_fastpath.value
-
-    @property
-    def errors(self) -> int:
-        return self._c_errors.value
 
     #: op label values the request counter accepts; anything else a
     #: client invents is folded into "unknown" (bounded cardinality)
@@ -827,15 +803,14 @@ class ScheduleService:
             "version": __version__,
             "backend": backend_info(),
             "uptime_s": round(time.time() - self.started, 3),
-            "served": self.served,
-            "computed": self.computed,
-            "simulated": self.simulated,
-            "coalesced": self.coalesced,
-            "crossflight": self.crossflight,
-            "remapped": self.remapped,
-            "fastpath": self.fastpath,
-            "errors": self.errors,
-            "ingest": self.use_ingest,
+            "served": self._c_served.value,
+            "computed": self._c_computed.value,
+            "simulated": self._c_simulated.value,
+            "coalesced": self._c_coalesced.value,
+            "crossflight": self._c_crossflight.value,
+            "remapped": self._c_remapped.value,
+            "fastpath": self._c_fastpath.value,
+            "errors": self._c_errors.value,
             "validate_graphs": self.validate_graphs,
             "schedulers": scheduler_names(),
             "sim_schedulers": list(SIM_SCHEDULERS),
@@ -884,14 +859,12 @@ class ScheduleService:
     # ------------------------------------------------------------------
     def _parse_graph(self, graph_doc: dict, trusted: bool = False,
                      digest: str | None = None):
-        """Wire document → graph, on the configured ingest path.
+        """Wire document → ingested :class:`~repro.core.indexed.IndexedGraph`.
 
         With a ``digest`` the ingested view is memoized, so repeated
         documents (no-cache recompute traffic, witness lookups) skip
         the parse and share the view's memoized levels/labels.
         """
-        if not self.use_ingest:
-            return graph_from_dict(dict(graph_doc))
         if digest is not None:
             ig = self._ig_memo.get(digest)
             if ig is not None:
@@ -923,15 +896,14 @@ class ScheduleService:
         if fp is not None:
             return None, fp, digest  # graph parsed lazily only when needed
         graph, fp = fingerprint_graph_doc(
-            graph_doc, ingest=self.use_ingest, validate=self.validate_graphs
+            graph_doc, validate=self.validate_graphs
         )
         with self._lock:
             if len(self._fp_memo) >= self._fp_memo_size:
                 self._fp_memo.clear()
                 self._c_fp_clears.inc()
             self._fp_memo[digest] = fp
-        if self.use_ingest:
-            self._remember_ig(digest, graph)
+        self._remember_ig(digest, graph)
         return graph, fp, digest
 
     def _adapt(self, entry: dict, digest: str, graph, graph_doc: dict) -> dict | None:
@@ -993,8 +965,8 @@ class ScheduleService:
     def _schedule(self, doc: dict, slots, digest_hint: str | None = None,
                   span=NULL_SPAN) -> dict:
         t0 = time.perf_counter()
+        num_pes = _num_pes(doc)
         graph_doc = doc["graph"]
-        num_pes = int(doc["num_pes"])
         objective = doc.get("objective", "makespan")
         schedulers = tuple(doc.get("schedulers") or self.default_schedulers)
         budget_ms = doc.get("budget_ms")
@@ -1021,8 +993,8 @@ class ScheduleService:
     def _simulate(self, doc: dict, slots, digest_hint: str | None = None,
                   span=NULL_SPAN) -> dict:
         t0 = time.perf_counter()
+        num_pes = _num_pes(doc)
         graph_doc = doc["graph"]
-        num_pes = int(doc["num_pes"])
         scheduler = doc.get("scheduler", "lts")
         policy = doc.get("policy", "barrier")
         pacing = doc.get("pacing", "steady")

@@ -3,15 +3,16 @@
 This is the Appendix B validation harness front door: given a
 :class:`~repro.core.scheduler.StreamingSchedule`, execute it
 cycle-accurately and report simulated timing, channel statistics and
-deadlocks.  Two engines implement the identical semantics:
+deadlocks.  There is one run-time engine and one oracle:
 
 * ``engine="indexed"`` (default) — the array-state timestamp-dataflow
   engine of :mod:`repro.sim.indexed`: flat integer state, no generator
   processes, no per-element events; an order of magnitude faster at
-  validation-campaign scale;
+  validation-campaign scale.  It is pure Python on every install: the
+  array backend of :mod:`repro.core.backend` only affects scheduling;
 * ``engine="reference"`` — the original process/heap engine of
   :mod:`repro.sim.reference`, kept as the readable specification and
-  the differential-testing oracle.
+  the differential-testing oracle (tests and ``--engine reference``).
 
 Both produce the same makespans, per-task start/finish times, deadlock
 times and blocked sets (golden differential tests assert it); pick the
@@ -29,7 +30,7 @@ from .result import BlockPolicy, SimulationResult
 
 __all__ = ["SimulationResult", "simulate_schedule", "BlockPolicy", "SIM_ENGINES"]
 
-#: selectable simulation engines, fastest first
+#: selectable simulation engines: the run-time engine, then the oracle
 SIM_ENGINES = ("indexed", "reference")
 
 
@@ -41,7 +42,6 @@ def simulate_schedule(
     capacity_override: int | None = None,
     raise_on_deadlock: bool = False,
     engine: Literal["indexed", "reference"] = "indexed",
-    backend: str | None = None,
 ) -> SimulationResult:
     """Simulate ``schedule`` cycle-accurately; returns timing + stats.
 
@@ -68,20 +68,9 @@ def simulate_schedule(
     engine:
         ``"indexed"`` (default, fast) or ``"reference"`` (the legacy
         process-based oracle).
-    backend:
-        Array backend for the indexed engine: ``"numpy"`` swaps in the
-        timestamp-arena kernels of :mod:`repro.sim.kernels`,
-        ``"python"`` pins the scalar engine, ``None``/``"auto"`` uses
-        the process default (see :mod:`repro.core.backend`).  Results
-        are byte-identical either way; the reference engine ignores it.
     """
     if engine == "indexed":
-        from ..core.backend import resolve_backend
-
-        if resolve_backend(backend) == "numpy":
-            from .kernels import simulate_schedule_numpy as run
-        else:
-            run = simulate_schedule_indexed
+        run = simulate_schedule_indexed
     elif engine == "reference":
         run = simulate_schedule_reference
     else:

@@ -55,6 +55,11 @@ def build_elementwise_chain(n: int, k: int) -> CanonicalGraph:
     return g
 
 
+def service_stat(service, name: str):
+    """One field of a :class:`~repro.service.ScheduleService`'s ``stats``."""
+    return service.handle({"op": "stats"})[name]
+
+
 def build_diamond(k: int = 16) -> CanonicalGraph:
     """A 4-node diamond of element-wise tasks (undirected cycle)."""
     g = CanonicalGraph()

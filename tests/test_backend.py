@@ -1,10 +1,9 @@
 """Backend selection + numpy-kernel parity and fallback contracts.
 
 The ``numpy`` backend must be **byte-identical** to the pure-Python
-path everywhere: schedules serialize to the same documents, simulations
-report the same timings/deadlocks, and every int64 overflow guard falls
-back to the exact path while counting itself in
-``core.kernel_fallbacks``.
+path everywhere: schedules serialize to the same documents, and every
+int64 overflow guard falls back to the exact path while counting itself
+in ``core.kernel_fallbacks``.
 """
 
 import json
@@ -19,7 +18,6 @@ from repro.core import backend as BK
 from repro.core.indexed import freeze
 from repro.core.serialize import schedule_to_dict
 from repro.graphs import random_canonical_graph
-from repro.sim.runner import simulate_schedule
 
 needs_numpy = pytest.mark.skipif(
     not BK.HAVE_NUMPY, reason="numpy backend not installed"
@@ -38,16 +36,6 @@ def _reset_backend():
 def sdoc(g, pes, variant, backend):
     return json.dumps(schedule_to_dict(
         schedule_streaming(g, pes, variant, backend=backend)))
-
-
-def sim_equal(a, b):
-    assert a.makespan == b.makespan
-    assert a.finish_times == b.finish_times
-    assert a.start_times == b.start_times
-    assert a.deadlocked == b.deadlocked
-    assert a.blocked == b.blocked
-    assert a.channel_stats == b.channel_stats
-    assert a.deadlock_channels == b.deadlock_channels
 
 
 class TestSelectionPortable:
@@ -148,42 +136,6 @@ class TestScheduleParity:
             assert list(num) == list(ig._level_num)
 
 
-@needs_numpy
-class TestSimParity:
-    @pytest.mark.parametrize("topo", ["layered", "serpar"])
-    def test_policies_pacings_and_deadlocks(self, topo):
-        g = random_canonical_graph(topo, 200, seed=0)
-        s = schedule_streaming(g, 32, "lts", backend="python")
-        for policy in ("barrier", "pe", "dataflow"):
-            for pacing in ("steady", "greedy"):
-                sim_equal(
-                    simulate_schedule(s, policy=policy, pacing=pacing,
-                                      backend="python"),
-                    simulate_schedule(s, policy=policy, pacing=pacing,
-                                      backend="numpy"),
-                )
-        # undersized FIFOs: the deadlock verdict, horizon, blocked set
-        # and per-channel occupancies must agree exactly
-        sim_equal(
-            simulate_schedule(s, capacity_override=1, backend="python"),
-            simulate_schedule(s, capacity_override=1, backend="numpy"),
-        )
-
-    def test_rate_skewed_batches(self):
-        """Wide rate ratios + ample FIFOs drive the batched consume and
-        emit scans (the scalar path alone would never cover them)."""
-        g = random_canonical_graph("layered", 120, seed=2,
-                                   volume_choices=(8, 512))
-        s = schedule_streaming(g, 16, "rlx", backend="python")
-        for cap in (None, 64):
-            sim_equal(
-                simulate_schedule(s, capacity_override=cap,
-                                  backend="python"),
-                simulate_schedule(s, capacity_override=cap,
-                                  backend="numpy"),
-            )
-
-
 def _chain(volumes):
     """A canonical chain a0 -> a1 -> ... with the given volume pairs."""
     from repro import CanonicalGraph
@@ -231,32 +183,6 @@ class TestOverflowFallbacks:
         assert a == b
         assert delta.get("core.levels", 0) >= 1
         assert delta.get("core.block_sweep", 0) >= 1
-
-    def test_sim_horizon_guard_delegates_to_scalar(self, monkeypatch):
-        from repro.sim import kernels as sk
-
-        g = random_canonical_graph("layered", 80, seed=0)
-        s = schedule_streaming(g, 8, "lts", backend="python")
-        monkeypatch.setattr(sk, "_HORIZON_SAFE", 1)
-        (r_np, r_py), delta = _fallback_delta(lambda: (
-            sk.simulate_schedule_numpy(s),
-            simulate_schedule(s, backend="python"),
-        ))
-        sim_equal(r_np, r_py)
-        assert delta.get("sim.overflow", 0) == 1
-
-    def test_sim_pacing_guard_disables_batches(self, monkeypatch):
-        from repro.sim import kernels as sk
-
-        g = random_canonical_graph("layered", 80, seed=0)
-        s = schedule_streaming(g, 8, "lts", backend="python")
-        monkeypatch.setattr(sk, "_C31", 4)  # every volume now "unsafe"
-        (r_np, r_py), delta = _fallback_delta(lambda: (
-            sk.simulate_schedule_numpy(s),
-            simulate_schedule(s, backend="python"),
-        ))
-        sim_equal(r_np, r_py)
-        assert delta.get("sim.pacing", 0) == 1  # counted once per sim
 
 
 class TestFreezeLcm:

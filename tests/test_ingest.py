@@ -10,10 +10,10 @@ Three layers of protection:
 * **validation parity** — with ``validate=True`` the ingest raises the
   same exception types and messages as ``graph_from_dict`` for every
   malformed-document class;
-* **service equivalence** — a service on the ingest path answers
-  byte-identically (modulo timing fields) to one on the legacy
-  networkx path across the layered/serpar/paper/ML sweeps, and the
-  wire fast path returns the same bytes the slow path would.
+* **service equivalence** — the served fingerprint, request key and
+  winning schedule document equal those computed directly on
+  ``graph_from_dict(doc)`` across the layered/serpar/paper/ML sweeps,
+  and the wire fast path returns the same bytes the slow path would.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from repro.core.serialize import (
 )
 from repro.graphs import random_canonical_graph
 from repro.service import ScheduleCache, ScheduleServer, ScheduleService, ServiceClient
+from repro.service.fingerprint import request_key
+from repro.service.portfolio import DEFAULT_SCHEDULERS, run_portfolio
+
+from conftest import service_stat
 
 FAMILIES = [
     ("layered", 128, 64),
@@ -275,19 +279,26 @@ class TestValidationParity:
         assert ig.pred_adj == legacy.pred_adj
 
 
-def _strip_timing(response: dict) -> str:
-    doc = {
-        k: v for k, v in response.items() if k not in ("elapsed_ms", "candidates")
-    }
-    doc["candidate_names"] = [c["name"] for c in response.get("candidates", [])]
-    doc["candidate_makespans"] = [
-        c["makespan"] for c in response.get("candidates", [])
-    ]
-    return json.dumps(doc, sort_keys=True)
+def _assert_matches_networkx_path(response: dict, doc: dict) -> None:
+    """The served answer must equal the fingerprint and the portfolio
+    winner computed directly on ``graph_from_dict(doc)``, byte for byte."""
+    graph = graph_from_dict(json.loads(json.dumps(doc["graph"])))
+    fp = graph_fingerprint(graph)
+    result = run_portfolio(graph, doc["num_pes"])
+    assert response["ok"]
+    assert response["fingerprint"] == fp
+    assert response["key"] == request_key(
+        fp, doc["num_pes"], "makespan", DEFAULT_SCHEDULERS)
+    assert response["winner"] == result.winner.name
+    assert response["makespan"] == result.winner.makespan
+    assert [(c["name"], c["makespan"]) for c in response["candidates"]] == [
+        (c.name, c.makespan) for c in result.candidates]
+    assert json.dumps(response["schedule"], sort_keys=True) == \
+        json.dumps(result.schedule_doc(), sort_keys=True)
 
 
 class TestServiceEquivalence:
-    """Ingest-path service vs legacy networkx-path service."""
+    """Served answers vs the networkx path computed directly."""
 
     @pytest.mark.parametrize("topo,size,pes", [
         ("layered", 128, 64),
@@ -303,32 +314,16 @@ class TestServiceEquivalence:
             "graph": graph_to_dict(random_canonical_graph(topo, size, seed=7)),
             "num_pes": pes,
         }
-        with_ingest = ScheduleService(
-            cache=ScheduleCache(None, capacity=8), use_ingest=True
-        )
-        legacy = ScheduleService(
-            cache=ScheduleCache(None, capacity=8), use_ingest=False
-        )
-        a = with_ingest.handle(json.loads(json.dumps(doc)))
-        b = legacy.handle(json.loads(json.dumps(doc)))
-        assert a["ok"] and b["ok"]
-        assert a["fingerprint"] == b["fingerprint"]
-        assert a["key"] == b["key"]
-        assert json.dumps(a["schedule"], sort_keys=True) == \
-            json.dumps(b["schedule"], sort_keys=True)
-        assert _strip_timing(a) == _strip_timing(b)
+        service = ScheduleService(cache=ScheduleCache(None, capacity=8))
+        response = service.handle(json.loads(json.dumps(doc)))
+        _assert_matches_networkx_path(response, doc)
 
     def test_ml_responses_match(self):
         for graph, pes in _ml_graphs():
             doc = {"op": "schedule", "graph": graph_to_dict(graph),
                    "num_pes": pes}
-            a = ScheduleService(use_ingest=True).handle(
-                json.loads(json.dumps(doc)))
-            b = ScheduleService(use_ingest=False).handle(
-                json.loads(json.dumps(doc)))
-            assert a["ok"] and b["ok"]
-            assert json.dumps(a["schedule"], sort_keys=True) == \
-                json.dumps(b["schedule"], sort_keys=True)
+            response = ScheduleService().handle(json.loads(json.dumps(doc)))
+            _assert_matches_networkx_path(response, doc)
 
     def test_relabeled_hit_remaps_on_ingest_path(self):
         from tests.test_service import relabel
@@ -341,7 +336,7 @@ class TestServiceEquivalence:
         response = service.handle({
             "op": "schedule", "graph": graph_to_dict(renamed), "num_pes": 8,
         })
-        assert response["cached"] == "lru" and service.remapped == 1
+        assert response["cached"] == "lru" and service_stat(service, "remapped") == 1
         names = {t["name"] for t in response["schedule"]["tasks"]}
         assert names and names <= set(renamed.nodes)
 
@@ -373,7 +368,7 @@ class TestWireFastPath:
         assert cold_doc["cached"] is False
         assert normalize(fast) == normalize(slow)
         assert json.loads(fast)["cached"] == "lru"
-        assert service.fastpath == 1
+        assert service_stat(service, "fastpath") == 1
 
     def test_no_cache_lines_never_take_the_fast_path(self):
         service = ScheduleService(cache=ScheduleCache(None, capacity=8))
@@ -381,7 +376,7 @@ class TestWireFastPath:
         service.serve_line_slow(line)
         assert service.serve_line_fast(line) is None
         service.serve_line_slow(line)
-        assert service.computed == 2  # every replay recomputes
+        assert service_stat(service, "computed") == 2  # every replay recomputes
 
     def test_memo_budget_bounds_memory(self):
         service = ScheduleService(

@@ -34,6 +34,8 @@ from repro.service.cache import encode_record, record_crc
 from repro.service.fingerprint import is_current_key
 from repro.service.gcpolicy import YOUNG_GEN_THRESHOLD
 
+from conftest import service_stat
+
 #: both array backends; numpy is an optional extra
 BACKEND_PARAMS = [
     "python",
@@ -363,7 +365,7 @@ class TestScheduleService:
         assert response["cached"] == "lru"
         # the hit must be *applicable*: the served schedule names the
         # requester's nodes, not the original submitter's
-        assert self.service.remapped == 1
+        assert service_stat(self.service, "remapped") == 1
         assert response["makespan"] == cold["makespan"]
         names = {t["name"] for t in response["schedule"]["tasks"]}
         assert names and names <= set(renamed_graph.nodes)
@@ -383,7 +385,7 @@ class TestScheduleService:
             "num_pes": 8,
         })
         assert response["cached"] == "store"
-        assert reopened.remapped == 1
+        assert service_stat(reopened, "remapped") == 1
         names = {t["name"] for t in response["schedule"]["tasks"]}
         assert names and names <= set(renamed_graph.nodes)
 
@@ -424,7 +426,7 @@ class TestScheduleService:
         assert first["ok"] and second["ok"]
         assert first["key"] == second["key"]
         assert second["cached"] is False
-        assert service.remapped == 0
+        assert service_stat(service, "remapped") == 0
         names = {t["name"] for t in second["schedule"]["tasks"]}
         assert names and names <= set(second_graph.nodes)
         assert not names & set(first_graph.nodes)
@@ -438,7 +440,7 @@ class TestScheduleService:
         self.service.handle(dict(self.doc))
         forced = self.service.handle({**self.doc, "no_cache": True})
         assert forced["cached"] is False
-        assert self.service.computed == 2
+        assert service_stat(self.service, "computed") == 2
 
     def test_distinct_pes_do_not_collide(self):
         a = self.service.handle(dict(self.doc))
@@ -456,7 +458,21 @@ class TestScheduleService:
         assert not self.service.handle({"op": "schedule"})["ok"]
         bad_graph = {"op": "schedule", "graph": {"format": "x"}, "num_pes": 2}
         assert not self.service.handle(bad_graph)["ok"]
-        assert self.service.errors == 3
+        assert service_stat(self.service, "errors") == 3
+
+    @pytest.mark.parametrize("op", ["schedule", "simulate"])
+    @pytest.mark.parametrize("num_pes", [
+        10**30, 2**20 + 1, 1e30, 4.9, True, "8",
+    ], ids=["1e30-int", "max-plus-1", "1e30-float", "fraction", "bool", "str"])
+    def test_num_pes_outside_the_device_range_is_refused(self, op, num_pes):
+        """Only a JSON integer in [1, MAX_PES] is scheduled: anything
+        else is refused before any per-PE allocation."""
+        t0 = time.perf_counter()
+        refused = self.service.handle(
+            {**self.doc, "op": op, "num_pes": num_pes})
+        assert time.perf_counter() - t0 < 1.0
+        assert not refused["ok"] and "num_pes" in refused["error"]
+        assert self.service.handle({**self.doc, "op": op})["ok"]
 
     def test_stats_shape(self):
         self.service.handle(dict(self.doc))
@@ -489,8 +505,8 @@ class TestScheduleService:
         payloads = {json.dumps(r["schedule"], sort_keys=True) for r in responses}
         assert len(payloads) == 1
         # exactly one computation; everyone else waited or hit the cache
-        assert self.service.computed == 1
-        assert self.service.coalesced + 1 + sum(
+        assert service_stat(self.service, "computed") == 1
+        assert service_stat(self.service, "coalesced") + 1 + sum(
             1 for r in responses if r["cached"] == "lru"
         ) == n
 
@@ -534,7 +550,7 @@ class TestScheduleService:
             for t in followers:
                 t.join(10.0)
             assert len(responses) == 4 and all(r["ok"] for r in responses)
-            assert self.service.computed == 1
+            assert service_stat(self.service, "computed") == 1
         finally:
             release.set()
             portfolio_mod._SCHEDULERS.pop("slowtest", None)
@@ -560,7 +576,7 @@ class TestSimulateOp:
         assert cold["sim_makespan"] == warm["sim_makespan"]
         assert cold["makespan"] > 0 and not cold["deadlocked"]
         assert cold["error_pct"] is not None
-        assert self.service.simulated == 1  # one DES execution only
+        assert service_stat(self.service, "simulated") == 1  # one DES execution only
 
     def test_key_is_sim_tagged_and_distinct_from_schedule(self):
         sim = self.service.handle(dict(self.doc))
@@ -590,7 +606,7 @@ class TestSimulateOp:
         self.service.handle(dict(self.doc))
         forced = self.service.handle({**self.doc, "no_cache": True})
         assert forced["cached"] is False
-        assert self.service.simulated == 2
+        assert service_stat(self.service, "simulated") == 2
 
     def test_renamed_isomorphic_copy_recomputes(self):
         first = self.service.handle(dict(self.doc))
@@ -604,7 +620,7 @@ class TestSimulateOp:
         assert renamed["key"] == first["key"]
         assert renamed["cached"] is False
         assert renamed["sim_makespan"] == first["sim_makespan"]
-        assert self.service.simulated == 2
+        assert service_stat(self.service, "simulated") == 2
 
     def test_deadlock_reported_with_full_channels(self, fig9_graph1):
         response = self.service.handle({
@@ -628,7 +644,7 @@ class TestSimulateOp:
         warm = reopened.handle(dict(self.doc))
         assert warm["cached"] == "store"
         assert warm["sim_makespan"] == cold["sim_makespan"]
-        assert reopened.simulated == 0
+        assert service_stat(reopened, "simulated") == 0
 
     def test_invalid_parameters_rejected(self):
         for bad in ({"scheduler": "nstr"}, {"scheduler": "heft"},
@@ -655,7 +671,7 @@ class TestSimulateOp:
         for t in threads:
             t.join()
         assert all(r["ok"] for r in responses)
-        assert self.service.simulated == 1
+        assert service_stat(self.service, "simulated") == 1
         assert {r["sim_makespan"] for r in responses} == {
             responses[0]["sim_makespan"]
         }
@@ -1329,7 +1345,7 @@ class TestServiceTelemetry:
             t.start()
         for t in threads:
             t.join()
-        assert self.service.computed == 1
+        assert service_stat(self.service, "computed") == 1
         phases = self._phase_counts()
         # compute-side phases belong to the single leader: followers
         # coalesce or hit the cache, never re-record a portfolio race
@@ -1345,7 +1361,7 @@ class TestServiceTelemetry:
         assert phases["portfolio"] == 2
         snap = self.service.handle({"op": "metrics"})["snapshot"]
         assert snap["portfolio.races"]["series"][0]["value"] == 2
-        assert self.service.computed == 2
+        assert service_stat(self.service, "computed") == 2
 
     def test_trace_op_returns_spans_and_chrome(self):
         line = json.dumps(self.doc).encode()
@@ -1398,11 +1414,14 @@ class TestServiceTelemetry:
         assert stats["telemetry"] is True
 
     def test_legacy_counter_attributes_track_registry(self):
+        """The stats keys that replaced the legacy counter attributes
+        read the registry counters."""
         self.service.handle(dict(self.doc))
         self.service.handle(dict(self.doc))
         snap = self.service.handle({"op": "metrics"})["snapshot"]
-        assert self.service.served == snap["service.served"]["series"][0]["value"]
-        assert self.service.computed == 1
+        served = snap["service.served"]["series"][0]["value"]
+        assert service_stat(self.service, "served") == served
+        assert service_stat(self.service, "computed") == 1
 
     def test_metrics_and_trace_over_the_wire(self, live_server):
         g = random_canonical_graph("chain", 6, seed=0)

@@ -25,6 +25,8 @@ from repro.service import (
 )
 from repro.service.faults import FaultInjector, FaultPlan
 
+from conftest import service_stat
+
 
 def schedule_doc(topology="chain", size=6, seed=0, num_pes=4, **extra):
     doc = {
@@ -379,7 +381,7 @@ class TestSharedStore:
         assert response_a["ok"]
         assert response_a["cached"] == "store"
         assert response_a["winner"] == response_b["winner"]
-        assert service_a.crossflight == 1
+        assert service_stat(service_a, "crossflight") == 1
 
 
 # ----------------------------------------------------------------------

@@ -87,6 +87,15 @@ class TestGoldenDifferential:
         s = schedule_streaming(g, 16, "lts")
         assert_equivalent(s, pacing=pacing)
 
+    @pytest.mark.parametrize("capacity", [None, 64])
+    def test_rate_skewed_wide_ratios(self, capacity):
+        """Wide rate ratios (volumes 8 vs 512), schedule-sized and
+        ample FIFOs: long consume/emit runs between channel waits."""
+        g = random_canonical_graph("layered", 120, seed=2,
+                                   volume_choices=(8, 512))
+        s = schedule_streaming(g, 16, "rlx")
+        assert_equivalent(s, capacity_override=capacity)
+
     def test_work_variant(self):
         g = random_canonical_graph("gaussian", 8, seed=2)
         assert_equivalent(schedule_streaming(g, 8, "work"))
