@@ -83,7 +83,6 @@ class IndexedGraph:
         "exits",
         "num_tasks",
         "_specs",
-        "_names_json",
         "_np_cache",
         "_derived",
         "_level_num",
@@ -192,7 +191,6 @@ class IndexedGraph:
         self.entries = [i for i in range(self.n) if preds[i] == []]
         self.exits = [i for i in range(self.n) if succs[i] == []]
 
-        self._names_json = None
         self._np_cache = None  #: repro.core.kernels array mirror
         self._derived = None
         self._level_num = None

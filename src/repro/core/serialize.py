@@ -10,6 +10,7 @@ occupancy — convenient for eyeballing pipelining and block boundaries.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Hashable
 
 from .graph import CanonicalGraph
@@ -152,16 +153,16 @@ def schedule_to_dict(schedule) -> dict:
     }
 
 
-def _names_json(ig) -> list[str]:
-    """Per-node JSON encodings of the node names, memoized on the
-    frozen view (schedule serialization re-encodes the same names for
-    every candidate raced over one graph)."""
-    cached = ig._names_json
-    if cached is None:
-        cached = ig._names_json = [
-            json.dumps(_name_to_json(name)) for name in ig.names
-        ]
-    return cached
+def _name_json(name: Hashable) -> str:
+    """``json.dumps(_name_to_json(name))``.  Integer and string names,
+    what ingested documents carry, skip the general encoder.  Not
+    memoized on the frozen view: the service encodes one winner per
+    graph, and a memo would live as long as the view."""
+    if type(name) is int:
+        return str(name)
+    if type(name) is str:
+        return encode_basestring_ascii(name)
+    return json.dumps(_name_to_json(name))
 
 
 def schedule_doc_bytes(schedule, out: bytearray | None = None) -> bytes:
@@ -171,8 +172,6 @@ def schedule_doc_bytes(schedule, out: bytearray | None = None) -> bytes:
     (asserted by the golden tests), but assembled directly from the
     frozen :class:`~repro.core.indexed.IndexedGraph` arrays and the
     schedule's time/placement tables — no intermediate per-task dicts.
-    Node-name encodings are memoized on the frozen view, so racing
-    several schedulers over one graph pays them once.
 
     ``out`` is an optional preallocated ``bytearray`` to append to (the
     serving path reuses one buffer per response assembly); the returned
@@ -190,7 +189,7 @@ def schedule_doc_bytes(schedule, out: bytearray | None = None) -> bytes:
         ]
         parts.append(", ".join(
             '{"name": %s, "pe": %d, "start": %d, "finish": %d}' % (
-                json.dumps(_name_to_json(p.name)), p.pe, p.start, p.finish,
+                _name_json(p.name), p.pe, p.start, p.finish,
             )
             for p in schedule.placements.values()
         ))
@@ -201,7 +200,7 @@ def schedule_doc_bytes(schedule, out: bytearray | None = None) -> bytes:
         return blob
 
     ig = freeze(schedule.graph)
-    names_json = _names_json(ig)
+    names_json = [_name_json(name) for name in ig.names]
     times_idx = getattr(schedule, "times_idx", None)
     if times_idx is None:
         times = schedule.times

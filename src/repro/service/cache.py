@@ -2,9 +2,9 @@
 
 The memory tier is a capacity-bounded LRU of response entries; the disk
 tier (optional) is an append-only JSON-lines file — one
-``{"key": ..., "entry": ...}`` object per line, torn lines skipped on
-load, format-compatible with the campaign store — so a restarted server
-warms up from everything any previous instance computed.  In memory the
+``{"entry_crc": ..., "key": ..., "entry": ...}`` object per line, torn
+lines skipped on load — so a restarted server warms up from everything
+any previous instance computed.  In memory the
 disk tier is only a ``key → (byte offset, length)`` index: entries
 (which embed full graph documents and schedules) are re-read from the
 file on a store hit and promoted into the LRU, so ``capacity``
@@ -40,10 +40,20 @@ so that entries persisted by older code become unreachable here instead
 of being served forever — pass that tag's prefix check as ``retain`` to
 let compaction reclaim their bytes too.
 
-Crash safety.  Records written by this version carry a ``crc`` field
-(CRC-32 of the canonical ``[key, entry]`` serialization), verified both
-at load and on every store read; legacy records without one are still
-accepted.  Load distinguishes two failure shapes: a *torn tail* — the
+Crash safety.  Records written by this version carry an ``entry_crc``
+field: the CRC-32 of the entry bytes exactly as written, which are the
+tail of the line.  :func:`encode_record` and :func:`decode_record` are
+the only code that knows the layout.  Writing splices bytes the request
+already encoded (the graph's canonical dump, the answer's schedule
+document), and the check runs over the raw bytes before any parse, so
+neither an append, a load nor a store hit re-encodes an entry; load
+does not even parse one.  The entry keeps its insertion order, so a
+store-tier answer repeats the cold answer's bytes.  Records written
+before this layout still load: those with a ``crc`` field (CRC-32 of
+the canonical ``[key, entry]`` re-dump, :func:`record_crc`) are
+checked as before, and those without one are accepted.  Both checks
+run at load and on every store read.  Load distinguishes two failure
+shapes: a *torn tail* — the
 final line lacking its newline, the signature of a writer killed
 mid-append — is truncated away so subsequent appends cannot merge into
 it, while corrupt interior lines (unparseable, or failing their
@@ -79,6 +89,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 import zlib
@@ -93,36 +104,117 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..obs import MetricsRegistry
 from .faults import CircuitBreaker
+from .fingerprint import canonical_bytes
 
-__all__ = ["ScheduleCache", "StoreKeyLock", "encode_record", "record_crc"]
+__all__ = [
+    "ScheduleCache", "StoreKeyLock", "decode_record", "encode_record",
+    "record_crc",
+]
 
 
 def record_crc(key: str, entry: dict) -> int:
     """CRC-32 over the canonical ``[key, entry]`` serialization.
 
-    Computed over a re-dump of the parsed values (not the raw line), so
-    it survives whitespace and key-order differences between writers.
+    The checksum of the legacy ``crc`` layout, computed over a re-dump
+    of the parsed values (not the raw line); only :func:`decode_record`
+    calls it, for records written before the ``entry_crc`` layout.
     """
     return zlib.crc32(json.dumps([key, entry], sort_keys=True).encode())
 
 
-def encode_record(key: str, entry: dict) -> bytes:
+#: everything of an ``entry_crc`` record in front of its entry bytes
+_HEADER = re.compile(
+    rb'\{"entry_crc": (\d+), "key": ("(?:[^"\\]|\\.)*"), "entry": '
+)
+#: the fields a legacy record may carry
+_LEGACY_FIELDS = frozenset(("crc", "entry", "key"))
+
+
+def encode_record(
+    key: str,
+    entry: dict,
+    graph: bytes | bytearray | None = None,
+    schedule: bytes | bytearray | None = None,
+) -> bytes:
     """The store line for ``(key, entry)``, newline included.
 
-    Byte-identical to ``json.dumps({"crc": record_crc(key, entry),
-    "entry": entry, "key": key}, sort_keys=True)`` plus ``\n``, but
-    dumps ``entry`` (the bulk of the record) once instead of twice: the
-    CRC chains over ``[`` + key + ``, `` + body + ``]``, which is exactly
-    the canonical ``[key, entry]`` serialization, and the line splices
-    the same body between the sorted ``crc`` and ``key`` fields.
+    The line is ``{"entry_crc": C, "key": K, "entry": BODY}`` where BODY
+    is ``entry`` in insertion order and ``C`` is the CRC-32 of exactly
+    the BODY bytes.  Two fields are spliced rather than re-encoded:
+    ``graph`` is the canonical dump :func:`~repro.service.fingerprint.
+    doc_digest` hashed (so the record's graph bytes hash to the entry's
+    ``graph_digest``) and ``schedule`` is the document the wire answer
+    carries.  A caller without those bytes at hand omits them and the
+    same encodings are made here, so the line does not depend on who
+    supplied them.  Every other field is ``json.dumps``'d with default
+    separators, which makes BODY the exact bytes a cold answer carries.
     """
-    body = json.dumps(entry, sort_keys=True).encode()
-    key_json = json.dumps(key).encode()
-    crc = zlib.crc32(b"[" + key_json + b", ")
-    crc = zlib.crc32(b"]", zlib.crc32(body, crc))
-    return b"".join((
-        b'{"crc": %d, "entry": ' % crc, body, b', "key": ', key_json, b"}\n",
-    ))
+    # BODY stays in pieces, joined once into the line: the spliced
+    # fields are the bulk of a record, and copying them into a field
+    # and then a body would hold three copies at once
+    body = []
+    for name, value in entry.items():
+        body.append(b", " if body else b"{")
+        if name == "graph":
+            blob = canonical_bytes(value) if graph is None else graph
+        elif name == "schedule":
+            blob = json.dumps(value).encode() if schedule is None else schedule
+        else:
+            body.append(json.dumps({name: value})[1:-1].encode())
+            continue
+        body += (b'"%s": ' % name.encode(), blob)
+    body.append(b"}" if body else b"{}")
+    crc = 0
+    for piece in body:
+        crc = zlib.crc32(piece, crc)
+    head = b'{"entry_crc": %d, "key": %s, "entry": ' % (
+        crc, json.dumps(key).encode(),
+    )
+    return b"".join((head, *body, b"}\n"))
+
+
+def decode_record(
+    line: bytes, parse: bool = True
+) -> tuple[str, dict | None] | None:
+    """``(key, entry)`` of one store line, ``None`` for a foreign shape.
+
+    Raises :class:`ValueError` for a corrupt record: unparseable, or
+    failing its checksum.  An ``entry_crc`` record is checked by a
+    CRC-32 over its raw entry bytes before anything is parsed, and
+    ``parse=False`` stops there (``entry`` is then ``None``): indexing
+    a store never parses or re-encodes its entries.  The CRC does not
+    cover the key, so a parsed entry that names a key of its own (every
+    served entry does) must name the record's.  Lines in the legacy
+    layout are parsed whole; their ``crc``, when present, is checked
+    by :func:`record_crc`, and lines without one are accepted.
+    """
+    line = line.strip()
+    header = _HEADER.match(line)
+    if header is not None:
+        body = line[header.end():-1]
+        if not line.endswith(b"}") or zlib.crc32(body) != int(header[1]):
+            raise ValueError("entry_crc mismatch")
+        key = json.loads(header[2])
+        if not parse:
+            return key, None
+        entry = json.loads(body)
+        if not isinstance(entry, dict) or entry.get("key", key) != key:
+            raise ValueError("entry names another key")
+        return key, entry
+    doc = json.loads(line)
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("key"), str)
+        and isinstance(doc.get("entry"), dict)
+    ):
+        return None  # foreign shape: dead bytes, not corruption
+    # extra fields mean a damaged entry_crc header, not a legacy record
+    crc = doc.get("crc")
+    if not doc.keys() <= _LEGACY_FIELDS or (
+        crc is not None and crc != record_crc(doc["key"], doc["entry"])
+    ):
+        raise ValueError("crc mismatch")
+    return doc["key"], doc["entry"]
 
 
 class ScheduleCache:
@@ -337,26 +429,18 @@ class ScheduleCache:
                     # two records into one unreadable line — cut it off.
                     truncate_at = start
                     break
-                stripped = line.strip()
-                if not stripped:
+                if not line.strip():
                     continue
                 try:
-                    doc = json.loads(stripped)
+                    record = decode_record(line, parse=False)
                 except ValueError:
                     corrupt.append(line)
                     continue
-                if not (
-                    isinstance(doc, dict)
-                    and isinstance(doc.get("key"), str)
-                    and isinstance(doc.get("entry"), dict)
-                ):
+                if record is None:
                     continue  # foreign shape: dead bytes, not corruption
-                crc = doc.get("crc")
-                if crc is not None and crc != record_crc(doc["key"], doc["entry"]):
-                    corrupt.append(line)
-                    continue
-                if self.retain is None or self.retain(doc["key"]):
-                    self._disk[doc["key"]] = (start, len(line))
+                key = record[0]
+                if self.retain is None or self.retain(key):
+                    self._disk[key] = (start, len(line))
             if truncate_at is not None:
                 self.recovered_tail_bytes = offset - truncate_at
                 os.truncate(self.path, truncate_at)
@@ -549,18 +633,10 @@ class ScheduleCache:
                 return None
         self._io_success()
         try:
-            doc = json.loads(raw)
+            record = decode_record(raw)
         except ValueError:
-            doc = None
-        if (
-            not isinstance(doc, dict)
-            or doc.get("key") != key
-            or not isinstance(doc.get("entry"), dict)
-            or (
-                doc.get("crc") is not None
-                and doc["crc"] != record_crc(key, doc["entry"])
-            )
-        ):
+            record = None
+        if record is None or record[0] != key:
             # bit rot since load (or a raced rewrite): treat the record
             # as corrupt, forget the index slot so we recompute instead
             # of re-reading it forever
@@ -570,10 +646,20 @@ class ScheduleCache:
             if self._flight is not None:
                 self._flight.record("cache_corrupt", records=1, key=key[:48])
             return None
-        return doc["entry"]
+        return record[1]
 
-    def put(self, key: str, entry: dict) -> None:
-        """Insert into the LRU; appends to the JSONL file if backed."""
+    def put(
+        self,
+        key: str,
+        entry: dict,
+        graph: bytes | bytearray | None = None,
+        schedule: bytes | bytearray | None = None,
+    ) -> None:
+        """Insert into the LRU; appends to the JSONL file if backed.
+
+        ``graph`` and ``schedule`` are the already-encoded fields the
+        record splices (see :func:`encode_record`); the LRU keeps only
+        ``entry``."""
         with self._lock:
             self._c_puts.inc()
             self._insert(key, entry)
@@ -585,7 +671,7 @@ class ScheduleCache:
                 with self._lock:
                     if key in self._disk:  # a concurrent put won the race
                         return
-                line = encode_record(key, entry)
+                line = encode_record(key, entry, graph, schedule)
                 try:
                     rule = (
                         self._faults.fire("disk.write", key=key[:48])
@@ -665,20 +751,13 @@ class ScheduleCache:
                     offset = begin
                     break
                 try:
-                    doc = json.loads(line)
+                    record = decode_record(line, parse=False)
                 except ValueError:
                     continue
-                if not (
-                    isinstance(doc, dict)
-                    and isinstance(doc.get("key"), str)
-                    and isinstance(doc.get("entry"), dict)
+                if record is not None and (
+                    self.retain is None or self.retain(record[0])
                 ):
-                    continue
-                crc = doc.get("crc")
-                if crc is not None and crc != record_crc(doc["key"], doc["entry"]):
-                    continue
-                if self.retain is None or self.retain(doc["key"]):
-                    fresh[doc["key"]] = (begin, len(line))
+                    fresh[record[0]] = (begin, len(line))
             with self._lock:
                 added = sum(1 for key in fresh if key not in self._disk)
                 self._disk.update(fresh)

@@ -20,6 +20,7 @@ from ..core.ingest import ingest_graph_doc
 
 __all__ = [
     "SCHEDULE_KEY_VERSION",
+    "canonical_bytes",
     "graph_fingerprint",
     "is_current_key",
     "request_key",
@@ -48,15 +49,28 @@ def is_current_key(key: str) -> bool:
     return key.startswith(f"{SCHEDULE_KEY_VERSION}:")
 
 
-def doc_digest(doc: Mapping) -> str:
+def canonical_bytes(doc: Mapping) -> bytes:
+    """The canonical dump :func:`doc_digest` hashes: sorted keys,
+    compact separators."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def doc_digest(doc: Mapping, out: bytearray | None = None) -> str:
     """Cheap content hash of a JSON document (canonical dump, SHA-256).
 
     Not isomorphism-stable — two dumps of the *same* document collide,
     renamed nodes do not.  Used only to memoize the expensive WL
     fingerprint per wire-level graph document.
+
+    ``out`` is an optional ``bytearray`` the canonical dump is appended
+    to: the serving path keeps it for the rest of the request, so the
+    store record splices the hashed bytes instead of re-encoding the
+    graph (``sha256(out) == digest``).
     """
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    blob = canonical_bytes(doc)
+    if out is not None:
+        out += blob
+    return hashlib.sha256(blob).hexdigest()
 
 
 def fingerprint_graph_doc(

@@ -36,6 +36,7 @@ schedule either way.
 from __future__ import annotations
 
 import contextlib
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..baselines import schedule_heft, schedule_nonstreaming
-from ..core import schedule_streaming, total_work
+from ..core import schedule_streaming, serialize, total_work
 from ..core.graph import CanonicalGraph
 from ..core.indexed import IndexedGraph
 from ..core.ingest import ingest_graph_doc
@@ -173,6 +174,13 @@ class PortfolioResult:
         if isinstance(self.schedule, dict):
             return self.schedule
         return schedule_to_dict(self.schedule)
+
+    def schedule_bytes(self) -> bytes:
+        """``json.dumps(self.schedule_doc()).encode()``, built straight
+        from the schedule object when the race ran in-process."""
+        if isinstance(self.schedule, dict):
+            return json.dumps(self.schedule).encode()
+        return serialize.schedule_doc_bytes(self.schedule)
 
 
 def _warm_worker() -> None:  # pragma: no cover - runs in worker processes

@@ -175,8 +175,11 @@ def _remap_name(obj, mapping):
 
 def _remap_entry(entry: dict, mapping: dict, digest: str, graph_doc: dict) -> dict:
     """A deep copy of ``entry`` whose schedule names every node the way
-    the requester's graph document does (``mapping``: cached → requester)."""
-    remapped = json.loads(json.dumps(entry))
+    the requester's graph document does (``mapping``: cached → requester).
+    The cached graph document is replaced, so it is not copied."""
+    remapped = json.loads(json.dumps(
+        {k: v for k, v in entry.items() if k != "graph"}
+    ))
     remapped["graph_digest"] = digest
     remapped["graph"] = dict(graph_doc)
     schedule = remapped.get("schedule") or {}
@@ -680,16 +683,19 @@ class ScheduleService:
             self._charge_wire(added)
 
     @staticmethod
-    def _split_response(response: dict) -> tuple[bytes, bytes]:
+    def _split_response(response: dict,
+                        sched: bytes | None = None) -> tuple[bytes, bytes]:
         """(meta minus closing brace, schedule document bytes); the
         schedule rides last in the entry layout, so splicing the two
-        back together reproduces ``json.dumps`` of the whole dict."""
+        back together reproduces ``json.dumps`` of the whole dict.
+        ``sched`` is the schedule's encoding when already at hand."""
         meta_doc = {
             k: v for k, v in response.items()
             if k not in ("graph", "schedule", "cached", "elapsed_ms")
         }
         meta = json.dumps(meta_doc).encode()[:-1]
-        sched = json.dumps(response["schedule"]).encode()
+        if sched is None:
+            sched = json.dumps(response["schedule"]).encode()
         return meta, sched
 
     def _entry_prefix(self, key: str, digest: str,
@@ -888,13 +894,22 @@ class ScheduleService:
             self._ig_memo_nodes += ig.n
 
     def _fingerprint(self, graph_doc: dict, digest_hint: str | None = None):
-        # the wire layer memoizes line -> digest: replays of the same
-        # request bytes (including forced no_cache recomputes) skip the
-        # canonical re-dump of the whole graph document
-        digest = digest_hint if digest_hint is not None else doc_digest(graph_doc)
+        """``(graph, fingerprint, digest, graph bytes)``.
+
+        The graph bytes are the canonical dump the digest hashed, kept
+        for this request only (a cold miss splices them into its store
+        record); ``None`` when the digest came from the wire layer's
+        line → digest memo, whose replays skip the re-dump entirely."""
+        graph_bytes = None
+        if digest_hint is not None:
+            digest = digest_hint
+        else:
+            graph_bytes = bytearray()
+            digest = doc_digest(graph_doc, graph_bytes)
         fp = self._fp_memo.get(digest)
         if fp is not None:
-            return None, fp, digest  # graph parsed lazily only when needed
+            # graph parsed lazily only when needed
+            return None, fp, digest, graph_bytes
         graph, fp = fingerprint_graph_doc(
             graph_doc, validate=self.validate_graphs
         )
@@ -904,7 +919,7 @@ class ScheduleService:
                 self._c_fp_clears.inc()
             self._fp_memo[digest] = fp
         self._remember_ig(digest, graph)
-        return graph, fp, digest
+        return graph, fp, digest, graph_bytes
 
     def _adapt(self, entry: dict, digest: str, graph, graph_doc: dict) -> dict | None:
         """Make a cached or coalesced ``entry`` answer *this* request.
@@ -974,13 +989,16 @@ class ScheduleService:
         deadline = self._deadline(doc, t0)
 
         with span.phase("fingerprint"):
-            graph, fp, digest = self._fingerprint(graph_doc, digest_hint)
+            graph, fp, digest, graph_bytes = self._fingerprint(
+                graph_doc, digest_hint
+            )
             key = request_key(fp, num_pes, objective, schedulers)
 
         def compute() -> dict:
             return self._compute(
                 slots, graph, graph_doc, digest, fp, key, num_pes,
                 objective, schedulers, budget_ms, span, deadline,
+                graph_bytes,
             )
 
         def adapt(entry: dict) -> dict | None:
@@ -1029,7 +1047,7 @@ class ScheduleService:
                 return self._error("FIFO capacity must be at least 1")
 
         with span.phase("fingerprint"):
-            graph, fp, digest = self._fingerprint(graph_doc, digest_hint)
+            graph, fp, digest, _ = self._fingerprint(graph_doc, digest_hint)
             key = simulate_request_key(fp, num_pes, scheduler, policy,
                                        pacing, capacity)
 
@@ -1189,7 +1207,7 @@ class ScheduleService:
     def _compute(
         self, slots, graph, graph_doc, digest, fp, key, num_pes,
         objective, schedulers, budget_ms, span=NULL_SPAN,
-        deadline: float | None = None,
+        deadline: float | None = None, graph_bytes: bytearray | None = None,
     ) -> dict:
         budget_s = float(budget_ms) / 1000.0 if budget_ms is not None else None
         with slots:  # the CPU-bound part runs under a work slot
@@ -1229,6 +1247,11 @@ class ScheduleService:
                 wall_ms=1000.0 * c.elapsed,
                 cpu_ms=1000.0 * c.cpu,
             )
+        # the winner is encoded once: the store record and the wire
+        # answer splice these bytes instead of re-dumping the document
+        with span.phase("encode"):
+            schedule = result.schedule_doc()
+            schedule_bytes = result.schedule_bytes()
         entry = {
             "ok": True,
             "op": "schedule",
@@ -1247,12 +1270,18 @@ class ScheduleService:
             "fifo_total": result.winner.fifo_total,
             "truncated": result.truncated,
             "candidates": [c.to_dict() for c in result.candidates],
-            "schedule": result.schedule_doc(),
+            "schedule": schedule,
         }
         self._c_computed.inc()
         # a budget-truncated race is not reproducible: never cache it
-        if self.cache is not None and not result.truncated:
-            self.cache.put(key, entry)
+        # (nor memoize its answer bytes)
+        if not result.truncated:
+            self._remember_parts(
+                key, digest, self._split_response(entry, schedule_bytes)
+            )
+            if self.cache is not None:
+                with span.phase("store"):
+                    self.cache.put(key, entry, graph_bytes, schedule_bytes)
         return entry
 
     def _compute_sim(
@@ -1338,7 +1367,8 @@ class ScheduleService:
         }
         self._c_simulated.inc()
         if self.cache is not None:
-            self.cache.put(key, entry)
+            with span.phase("store"):
+                self.cache.put(key, entry)
         return entry
 
     def _respond(self, entry: dict, tier, t0: float) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import CanonicalGraph
@@ -58,6 +60,23 @@ def build_elementwise_chain(n: int, k: int) -> CanonicalGraph:
 def service_stat(service, name: str):
     """One field of a :class:`~repro.service.ScheduleService`'s ``stats``."""
     return service.handle({"op": "stats"})[name]
+
+
+#: the schedule store's line layouts: ``entry_crc`` (what a put writes)
+#: and the ``crc`` layout of stores written before it (still read)
+STORE_LAYOUTS = ("entry_crc", "legacy")
+
+
+def store_line(key: str, entry: dict, layout: str = "entry_crc") -> bytes:
+    """One schedule-store record for ``(key, entry)`` in ``layout``."""
+    from repro.service.cache import encode_record, record_crc
+
+    if layout == "entry_crc":
+        return encode_record(key, entry)
+    return json.dumps(
+        {"crc": record_crc(key, entry), "entry": entry, "key": key},
+        sort_keys=True,
+    ).encode() + b"\n"
 
 
 def build_diamond(k: int = 16) -> CanonicalGraph:

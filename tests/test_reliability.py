@@ -12,6 +12,7 @@ import socket
 import struct
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.service import (
     run_loadgen,
     run_portfolio,
 )
+from repro.service.cache import decode_record
 from repro.service.cache import record_crc as cache_record_crc
 from repro.service.portfolio import (
     PortfolioPool,
@@ -41,6 +43,8 @@ from repro.service.portfolio import (
     WorkerCrashError,
     WorkerHangError,
 )
+
+from conftest import STORE_LAYOUTS, store_line
 
 
 def schedule_doc(topology="chain", size=6, seed=0, num_pes=4, **extra):
@@ -386,30 +390,47 @@ def fill_cache(path, n=6, capacity=64):
     return cache
 
 
+def write_store(path, n, layout):
+    """``n`` records ``k<i>`` in one of the store's line layouts (the
+    ``entry_crc`` layout through ``put``, as a server writes it)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if layout == "entry_crc":
+        fill_cache(path, n=n)
+        return
+    path.write_bytes(b"".join(
+        store_line(f"k{i}", {"value": i, "pad": "x" * 20}, layout)
+        for i in range(n)
+    ))
+
+
 class TestCrashSafeCache:
     def test_records_carry_verifiable_checksums(self, tmp_path):
         path = tmp_path / "store.jsonl"
         fill_cache(path, n=3)
         lines = path.read_bytes().splitlines()
         assert len(lines) == 3
-        for line in lines:
+        for i, line in enumerate(lines):
             doc = json.loads(line)
-            assert doc["crc"] == cache_record_crc(doc["key"], doc["entry"])
+            # the checksum covers the entry bytes, the tail of the line
+            body = line.split(b', "entry": ', 1)[1][:-1]
+            assert doc["entry_crc"] == zlib.crc32(body)
+            assert decode_record(line) == (f"k{i}", doc["entry"])
 
     def test_corrupt_interior_record_is_quarantined_at_load(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        fill_cache(path, n=5)
-        lines = path.read_bytes().splitlines(keepends=True)
-        # flip a digit inside k2's entry: still JSON, but the crc lies
-        lines[2] = lines[2].replace(b'"value": 2', b'"value": 7')
-        path.write_bytes(b"".join(lines))
-        cache = ScheduleCache(path, capacity=64)
-        assert cache.corrupt_records == 1
-        assert cache.get("k2") is None  # quarantined, never served wrong
-        assert path.with_name("store.jsonl.quarantine").exists()
-        for i in (0, 1, 3, 4):
-            entry, tier = cache.get(f"k{i}")
-            assert entry["value"] == i and tier == "store"
+        for layout in STORE_LAYOUTS:
+            path = tmp_path / layout / "store.jsonl"
+            write_store(path, 5, layout)
+            lines = path.read_bytes().splitlines(keepends=True)
+            # flip a digit inside k2's entry: still JSON, but the crc lies
+            lines[2] = lines[2].replace(b'"value": 2', b'"value": 7')
+            path.write_bytes(b"".join(lines))
+            cache = ScheduleCache(path, capacity=64)
+            assert cache.corrupt_records == 1
+            assert cache.get("k2") is None  # quarantined, never served wrong
+            assert path.with_name("store.jsonl.quarantine").exists()
+            for i in (0, 1, 3, 4):
+                entry, tier = cache.get(f"k{i}")
+                assert entry["value"] == i and tier == "store"
 
     def test_unparseable_line_is_quarantined_not_fatal(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -482,18 +503,19 @@ class TestCrashSafeCache:
         assert reopened.corrupt_records == 0
 
     def test_bit_rot_detected_on_store_read(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        fill_cache(path, n=4)
-        cache = ScheduleCache(path, capacity=64)  # index built, LRU empty
-        raw = path.read_bytes()
-        # same-length in-place mangle of k1's entry, after the index load
-        rotted = raw.replace(b'"value": 1', b'"value": 8')
-        assert len(rotted) == len(raw)
-        path.write_bytes(rotted)
-        assert cache.get("k1") is None
-        assert cache.corrupt_records == 1
-        assert cache.get("k1", count_miss=False) is None  # slot forgotten
-        assert cache.get("k0")[0]["value"] == 0
+        for layout in STORE_LAYOUTS:
+            path = tmp_path / layout / "store.jsonl"
+            write_store(path, 4, layout)
+            cache = ScheduleCache(path, capacity=64)  # index built, LRU empty
+            raw = path.read_bytes()
+            # same-length in-place mangle of k1's entry, after the index load
+            rotted = raw.replace(b'"value": 1', b'"value": 8')
+            assert len(rotted) == len(raw)
+            path.write_bytes(rotted)
+            assert cache.get("k1") is None
+            assert cache.corrupt_records == 1
+            assert cache.get("k1", count_miss=False) is None  # slot forgotten
+            assert cache.get("k0")[0]["value"] == 0
 
     def test_injected_write_faults_trip_the_disk_tier(self, tmp_path):
         inj = FaultInjector(

@@ -2,9 +2,11 @@
 server/client wire protocol, load generator and CLI wiring."""
 
 import gc
+import hashlib
 import json
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -30,11 +32,11 @@ from repro.service import (
     scheduler_names,
 )
 from repro.service import server as server_module
-from repro.service.cache import encode_record, record_crc
-from repro.service.fingerprint import is_current_key
+from repro.service.cache import decode_record, encode_record
+from repro.service.fingerprint import canonical_bytes, is_current_key
 from repro.service.gcpolicy import YOUNG_GEN_THRESHOLD
 
-from conftest import service_stat
+from conftest import service_stat, store_line
 
 #: both array backends; numpy is an optional extra
 BACKEND_PARAMS = [
@@ -1205,33 +1207,132 @@ class TestStoreRecord:
         {"floats": [0.1, -0.0, 1e300, 2.5e-10, 3], "nested": [[1, [2, {}]], []]},
         {"z": {"b": 1, "a": {"y": None, "x": [1.5]}}, "a": "ü"},
     ]
+    KEYS = ("sv3:" + "f" * 64 + ":p8:makespan:rlx", "sv3:ключ")
 
     @staticmethod
-    def _legacy_line(key: str, entry: dict) -> bytes:
-        # the two-dump formula the single-dump encoder replaced
-        return json.dumps(
-            {"crc": record_crc(key, entry), "entry": entry, "key": key},
-            sort_keys=True,
-        ).encode() + b"\n"
+    def _lines(service) -> list[bytes]:
+        return service.cache.path.read_bytes().splitlines(keepends=True)
+
+    @staticmethod
+    def _service(path) -> ScheduleService:
+        return ScheduleService(cache=ScheduleCache(path, capacity=8))
+
+    @staticmethod
+    def _request_lines() -> list[bytes]:
+        graph = graph_to_dict(random_canonical_graph("fft", 8, seed=1))
+        return [
+            json.dumps({"op": op, "graph": graph, "num_pes": 8}).encode()
+            for op in ("schedule", "simulate")
+        ]
 
     @pytest.mark.parametrize("entry", ENTRIES)
-    def test_line_equals_legacy_two_dump_formula(self, entry):
-        for key in ("sv3:" + "f" * 64 + ":p8:makespan:rlx", "sv3:ключ"):
-            assert encode_record(key, entry) == self._legacy_line(key, entry)
+    def test_record_round_trips_with_crc_over_the_entry_bytes(self, entry):
+        for key in self.KEYS:
+            line = encode_record(key, entry)
+            assert decode_record(line) == (key, entry)
+            assert decode_record(line, parse=False) == (key, None)
+            doc = json.loads(line)
+            assert list(doc) == ["entry_crc", "key", "entry"]
+            # the entry bytes are the tail of the line, in insertion order
+            body = line.split(b', "entry": ', 1)[1][:-2]
+            assert body == json.dumps(entry).encode()
+            assert doc["entry_crc"] == zlib.crc32(body)
 
-    def test_put_appends_the_legacy_bytes(self, tmp_path):
-        path = tmp_path / "schedules.jsonl"
-        cache = ScheduleCache(path, capacity=8)
-        for i, entry in enumerate(self.ENTRIES):
-            cache.put(f"sv3:k{i}", entry)
-        assert path.read_bytes() == b"".join(
-            self._legacy_line(f"sv3:k{i}", e)
-            for i, e in enumerate(self.ENTRIES)
+    def test_spliced_fields_give_the_same_line(self):
+        graph = {"nodes": [{"name": "b", "kind": "x"}], "edges": []}
+        schedule = {"tasks": [{"name": "b", "pe": 0}], "format": "s"}
+        entry = {"key": "sv3:k", "graph": graph, "schedule": schedule}
+        line = encode_record(
+            "sv3:k", entry,
+            graph=canonical_bytes(graph),
+            schedule=json.dumps(schedule).encode(),
         )
-        reopened = ScheduleCache(path, capacity=1)
-        assert reopened.counters()["corrupt_records"] == 0
-        for i, entry in enumerate(self.ENTRIES):
-            assert reopened.get(f"sv3:k{i}")[0] == entry
+        assert line == encode_record("sv3:k", entry)
+        assert decode_record(line) == ("sv3:k", entry)
+
+    def test_served_record_graph_bytes_hash_to_the_digest(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import cache as cache_module
+
+        def refuse(doc):
+            raise AssertionError("the cold path re-encoded the graph")
+
+        # the store append splices the digest's bytes, never re-dumps
+        monkeypatch.setattr(cache_module, "canonical_bytes", refuse)
+        service = self._service(tmp_path / "schedules.jsonl")
+        sched_line = self._request_lines()[0]
+        service.serve_line_slow(sched_line)
+        (line,) = self._lines(service)
+        key, entry = decode_record(line)
+        graph = canonical_bytes(json.loads(sched_line)["graph"])
+        assert b', "graph": ' + graph + b', "num_pes": ' in line
+        assert hashlib.sha256(graph).hexdigest() == entry["graph_digest"]
+
+    def test_store_tier_answer_repeats_the_cold_bytes(self, tmp_path):
+        path = tmp_path / "schedules.jsonl"
+        first = self._service(path)
+        cold = [first.serve_line_slow(line)[0] for line in self._request_lines()]
+        second = self._service(path)
+        for line, before in zip(self._request_lines(), cold):
+            after = second.serve_line_slow(line)[0]
+            assert json.loads(after)["cached"] == "store"
+            head = before.split(b', "cached": ')[0]
+            assert after.split(b', "cached": ')[0] == head
+        assert service_stat(second, "computed") == 0
+        assert service_stat(second, "simulated") == 0
+
+    def test_legacy_layout_store_serves_without_recompute(self, tmp_path):
+        path = tmp_path / "schedules.jsonl"
+        first = self._service(path)
+        cold = [first.handle(json.loads(line)) for line in self._request_lines()]
+        path.write_bytes(b"".join(
+            store_line(*decode_record(line), layout="legacy")
+            for line in self._lines(first)
+        ))
+        reopened = self._service(path)
+        assert reopened.cache.counters()["corrupt_records"] == 0
+        for line, before in zip(self._request_lines(), cold):
+            after = reopened.handle(json.loads(line))
+            assert after["cached"] == "store"
+            assert after["key"] == before["key"]
+        assert service_stat(reopened, "computed") == 0
+        assert service_stat(reopened, "simulated") == 0
+
+    def test_one_flipped_byte_in_meta_graph_or_schedule_is_caught(
+        self, tmp_path
+    ):
+        path = tmp_path / "schedules.jsonl"
+        self._service(path).serve_line_slow(self._request_lines()[0])
+        (line,) = path.read_bytes().splitlines(keepends=True)
+        key = decode_record(line)[0]
+        for marker in (b'"makespan": ', b'"graph": ', b'"schedule": '):
+            at = line.index(marker) + len(marker) + 1
+            rotted = line[:at] + bytes([line[at] ^ 0x04]) + line[at + 1:]
+            with pytest.raises(ValueError):
+                decode_record(rotted)
+            # at load: quarantined, never indexed
+            path.write_bytes(rotted)
+            cache = ScheduleCache(path, capacity=8)
+            assert cache.corrupt_records == 1 and cache.get(key) is None
+            # after load: dropped on the store read
+            path.write_bytes(line)
+            cache = ScheduleCache(path, capacity=8)
+            path.write_bytes(rotted)
+            assert cache.get(key) is None and cache.corrupt_records == 1
+            path.with_name(path.name + ".quarantine").unlink()
+        # a rotted header must not pass for a legacy line without a CRC
+        with pytest.raises(ValueError):
+            decode_record(line.replace(b'"entry_crc"', b'"entry_crd"', 1))
+        # the CRC does not cover the key: a rotted key indexes the record
+        # under a key no request names, and the entry's own key refuses it
+        at = line.index(b":p8:") + 2
+        rotted = line[:at] + b"9" + line[at + 1:]
+        path.write_bytes(rotted)
+        cache = ScheduleCache(path, capacity=8)
+        assert cache.get(key) is None
+        assert cache.get(key.replace(":p8:", ":p9:")) is None
+        assert cache.corrupt_records == 1
 
 
 class TestQuantiles:
@@ -1378,6 +1479,15 @@ class TestServiceTelemetry:
         assert warm["meta"]["tier"] == "lru"
         assert all(e["ph"] == "X" and e["pid"] == 1 for e in trace["chrome"])
         json.dumps(trace["chrome"])  # viewer-loadable
+        # the winner's single encoding and the store append are phases
+        # of the cold miss; a cold simulate records its store append too
+        assert "encode" in cold_phases and "store" in cold_phases
+        assert "store" not in [p["phase"] for p in warm["phases"]]
+        self.service.serve_line_slow(
+            json.dumps({**self.doc, "op": "simulate"}).encode()
+        )
+        (sim,) = self.service.handle({"op": "trace", "n": 1})["spans"]
+        assert "store" in [p["phase"] for p in sim["phases"]]
 
     def test_trace_op_validates_n(self):
         assert not self.service.handle({"op": "trace", "n": 0})["ok"]

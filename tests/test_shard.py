@@ -25,7 +25,7 @@ from repro.service import (
 )
 from repro.service.faults import FaultInjector, FaultPlan
 
-from conftest import service_stat
+from conftest import STORE_LAYOUTS, service_stat, store_line
 
 
 def schedule_doc(topology="chain", size=6, seed=0, num_pes=4, **extra):
@@ -97,6 +97,12 @@ class TestRouting:
     def test_distinct_graphs_spread_over_shards(self, tmp_path):
         router = make_router(tmp_path, shards=2)
         try:
+            # routing puts "ok" shards before ones no health poll has
+            # reached yet: a shard that came up just after a poll would
+            # otherwise miss every request until the next one
+            assert wait_until(lambda: all(
+                s.health_status == "ok" for s in router.shards
+            ))
             with ServiceClient(port=router.port) as client:
                 for seed in range(10):
                     client.request_with_retry(schedule_doc(seed=seed, size=4))
@@ -272,28 +278,47 @@ class TestShardKillFault:
 # shared store: refresh visibility and cross-shard single-flight
 # ----------------------------------------------------------------------
 class TestSharedStore:
+    @staticmethod
+    def _append(path, key, value, layout):
+        with open(path, "ab") as fh:
+            fh.write(store_line(key, {"value": value}, layout))
+
     def test_refresh_sees_a_sibling_writers_appends(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        writer = ScheduleCache(path, capacity=8, shared=True)
-        reader = ScheduleCache(path, capacity=8, shared=True)
-        assert reader.get("k0") is None
-        writer.put("k0", {"value": 0})
-        assert reader.get("k0") is None  # not yet refreshed
-        assert reader.refresh() == 1
-        entry, tier = reader.get("k0")
-        assert entry["value"] == 0 and tier == "store"
+        for layout in STORE_LAYOUTS:
+            path = tmp_path / layout / "store.jsonl"
+            path.parent.mkdir()
+            writer = ScheduleCache(path, capacity=8, shared=True)
+            reader = ScheduleCache(path, capacity=8, shared=True)
+            assert reader.get("k0") is None
+            if layout == "entry_crc":
+                writer.put("k0", {"value": 0})
+            else:  # a sibling still on the legacy layout
+                self._append(path, "k0", 0, layout)
+            # a corrupt sibling record is skipped, never indexed
+            self._append(path, "k1", 1, layout)
+            path.write_bytes(
+                path.read_bytes().replace(b'"value": 1', b'"value": 7')
+            )
+            assert reader.get("k0") is None  # not yet refreshed
+            assert reader.refresh() == 1
+            entry, tier = reader.get("k0")
+            assert entry["value"] == 0 and tier == "store"
+            assert reader.get("k1") is None
 
     def test_refresh_skips_torn_tail_without_truncating(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        writer = ScheduleCache(path, capacity=8, shared=True)
-        reader = ScheduleCache(path, capacity=8, shared=True)
-        writer.put("k0", {"value": 0})
-        with open(path, "ab") as fh:
-            fh.write(b'{"key": "torn')  # a sibling mid-append
-        size_before = path.stat().st_size
-        assert reader.refresh() == 1
-        assert path.stat().st_size == size_before  # reader never truncates
-        assert reader.get("k0") is not None
+        for layout in STORE_LAYOUTS:
+            path = tmp_path / layout / "store.jsonl"
+            path.parent.mkdir()
+            writer = ScheduleCache(path, capacity=8, shared=True)
+            reader = ScheduleCache(path, capacity=8, shared=True)
+            writer.put("k0", {"value": 0})
+            with open(path, "ab") as fh:
+                # a sibling mid-append
+                fh.write(store_line("torn", {"value": 1}, layout)[:12])
+            size_before = path.stat().st_size
+            assert reader.refresh() == 1
+            assert path.stat().st_size == size_before  # reader never truncates
+            assert reader.get("k0") is not None
 
     def test_shared_mode_refuses_compaction(self, tmp_path):
         path = tmp_path / "store.jsonl"
