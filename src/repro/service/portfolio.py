@@ -38,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import json
 import multiprocessing
-import multiprocessing.connection
 import os
 import threading
 import time
@@ -52,6 +51,7 @@ from ..core.graph import CanonicalGraph
 from ..core.indexed import IndexedGraph
 from ..core.ingest import ingest_graph_doc
 from ..core.serialize import graph_to_dict, schedule_to_dict
+from .supervisor import Slot, Supervisor, start_child
 
 __all__ = [
     "CandidateResult",
@@ -273,18 +273,19 @@ class _PoolTask:
         self.event.set()
 
 
-class _WorkerSlot:
-    """One supervised worker process (or the hole where one respawns)."""
+class _WorkerSlot(Slot):
+    __slots__ = ("task", "started_at")
 
-    __slots__ = ("proc", "conn", "task", "started_at", "backoff_s", "respawn_at")
-
-    def __init__(self):
-        self.proc = None
-        self.conn = None
+    def __init__(self, idx: int):
+        super().__init__(idx)
         self.task: _PoolTask | None = None
         self.started_at = 0.0
-        self.backoff_s = 0.0  # 0 = respawn immediately
-        self.respawn_at = 0.0
+
+
+#: a candidate running longer than this on the pool's clock is killed
+HANG_TIMEOUT_S = 60.0
+#: a task key that crashed or hung this many workers is refused entry
+QUARANTINE_AFTER = 2
 
 
 class PortfolioPool:
@@ -292,25 +293,22 @@ class PortfolioPool:
 
     Unlike ``multiprocessing.Pool`` — which silently respawns a dead
     worker while the in-flight task's future hangs forever — this pool
-    *owns* its workers and supervises them from a dispatcher thread:
+    *owns* its workers through a
+    :class:`~repro.service.supervisor.Supervisor` stepped from one
+    dispatcher thread.  The supervisor detects a death within one tick
+    (the task fails with :class:`WorkerCrashError`; its waiter
+    recomputes in-process) and respawns the worker after its one
+    backoff rule, reset by the next completed task.  The pool adds:
 
-    * **crash detection** — each worker's process sentinel rides in the
-      dispatcher's ``connection.wait`` set, so a worker dying
-      mid-candidate fails that task with :class:`WorkerCrashError`
-      within one tick instead of stalling until a timeout;
-    * **respawn with backoff** — a replacement worker is forked
-      immediately after a first failure, then with exponentially
-      growing delay (``respawn_backoff_s`` … ``max_backoff_s``) while
-      failures persist, so a crash loop cannot busy-spin the host;
-      backoff resets on the next successful task;
     * **hung-candidate cutoff** — a candidate running longer than
-      ``hang_timeout_s`` gets its worker killed (:class:`WorkerHangError`
-      to the waiter, who recomputes in-process) rather than occupying a
-      slot forever;
+      :data:`HANG_TIMEOUT_S` on the supervisor's clock gets its worker
+      killed (:class:`WorkerHangError` to the waiter) rather than
+      occupying a slot forever;
     * **poison-task quarantine** — a task key that has crashed or hung
-      workers ``quarantine_after`` times is refused at :meth:`submit`
-      (:class:`QuarantinedError`), so one pathological graph cannot
-      kill the pool repeatedly while everything else degrades.
+      workers :data:`QUARANTINE_AFTER` times is refused at
+      :meth:`submit` (:class:`QuarantinedError`), so one pathological
+      graph cannot kill the pool repeatedly while everything else
+      degrades.
 
     Recovery is observable: ``pool.respawns`` / ``pool.crashes`` /
     ``pool.hangs`` counters and a ``pool.quarantined`` gauge after
@@ -319,24 +317,14 @@ class PortfolioPool:
     Created once (eagerly, from the owning thread — forking lazily from
     a server worker thread risks inheriting held locks) and reused for
     every miss until :meth:`close`.  Safe for concurrent submission
-    from multiple server threads.
+    from multiple server threads.  ``clock`` is the supervisor's time
+    source (a test seam).
     """
 
-    def __init__(
-        self,
-        workers: int = 4,
-        hang_timeout_s: float = 60.0,
-        quarantine_after: int = 2,
-        respawn_backoff_s: float = 0.05,
-        max_backoff_s: float = 2.0,
-    ):
+    def __init__(self, workers: int = 4, clock=time.monotonic):
         if workers < 2:
             raise ValueError("a portfolio pool needs at least two workers")
         self.workers = workers
-        self.hang_timeout_s = hang_timeout_s
-        self.quarantine_after = quarantine_after
-        self.respawn_backoff_s = respawn_backoff_s
-        self.max_backoff_s = max_backoff_s
         self._lock = threading.Lock()
         self._closed = False
         self._queue: deque[_PoolTask] = deque()
@@ -349,9 +337,15 @@ class PortfolioPool:
         self._c_hangs = None
         self._flight = None
         self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
-        self._slots = [_WorkerSlot() for _ in range(workers)]
-        for slot in self._slots:
-            self._spawn(slot)
+        self._slots = [_WorkerSlot(i) for i in range(workers)]
+        self._sup = Supervisor(
+            self._slots, self._start_worker, on_message=self._on_message,
+            on_exit=lambda slot, code: self._fail_worker(slot, (
+                WorkerCrashError(f"portfolio worker died (exit {code})")
+            ), "crash"),
+            clock=clock,
+        )
+        self._sup.spawn_due()
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="portfolio-pool", daemon=True
         )
@@ -360,10 +354,6 @@ class PortfolioPool:
     #: bounded-wait cap per candidate: even if supervision itself fails,
     #: a waiter must degrade to an in-process recompute, never hang
     task_timeout_s = 300.0
-
-    #: dispatcher tick: the upper bound on crash/hang detection latency
-    #: when no pipe becomes readable (sentinels usually wake it sooner)
-    _TICK_S = 0.1
 
     @property
     def closed(self) -> bool:
@@ -399,19 +389,14 @@ class PortfolioPool:
         with self._lock:
             return [
                 key for key, n in self._poison.items()
-                if n >= self.quarantine_after
+                if n >= QUARANTINE_AFTER
             ]
 
     def snapshot(self) -> dict:
         """Status document for the ``health`` op."""
-        with self._lock:
-            alive = sum(
-                1 for s in self._slots
-                if s.proc is not None and s.proc.is_alive()
-            )
         return {
             "workers": self.workers,
-            "alive": alive,
+            "alive": self._sup.alive_count(),
             "closed": self._closed,
             "respawns": self.respawns,
             "crashes": self.crashes,
@@ -431,7 +416,7 @@ class PortfolioPool:
                 raise RuntimeError("portfolio pool is closed")
             if (
                 task_key is not None
-                and self._poison.get(task_key, 0) >= self.quarantine_after
+                and self._poison.get(task_key, 0) >= QUARANTINE_AFTER
             ):
                 raise QuarantinedError(
                     f"task {task_key!r} is quarantined after repeated "
@@ -452,23 +437,17 @@ class PortfolioPool:
         and ``multiprocessing.TimeoutError`` when ``deadline`` passes
         first (the caller treats the race as truncated).
         """
-        cap = time.perf_counter() + self.task_timeout_s
-        while True:
-            if task.event.is_set():
-                if task.error is not None:
-                    raise task.error
-                return task.result
-            if self._closed:
-                raise RuntimeError("portfolio pool closed while waiting")
-            now = time.perf_counter()
-            if deadline is not None and now >= deadline:
+        timeout = self.task_timeout_s
+        if deadline is not None:
+            timeout = min(timeout, deadline - time.perf_counter())
+        # close() finishes every queued and running task: one wait will do
+        if not task.event.wait(max(0.0, timeout)):
+            if deadline is not None and time.perf_counter() >= deadline:
                 raise multiprocessing.TimeoutError
-            if now >= cap:
-                raise RuntimeError("portfolio pool task timed out")
-            step = min(cap, now + 0.05)
-            if deadline is not None:
-                step = min(step, deadline)
-            task.event.wait(max(0.0, step - now))
+            raise RuntimeError("portfolio pool task timed out")
+        if task.error is not None:
+            raise task.error
+        return task.result
 
     def close(self) -> None:
         with self._lock:
@@ -485,7 +464,7 @@ class PortfolioPool:
         self.close()
 
     # ------------------------------------------------------------------
-    # dispatcher thread: owns every worker process
+    # dispatcher thread: steps the supervisor that owns every worker
     # ------------------------------------------------------------------
     def _wake(self) -> None:
         try:
@@ -493,21 +472,26 @@ class PortfolioPool:
         except (OSError, ValueError):  # closed during shutdown
             pass
 
-    def _spawn(self, slot: _WorkerSlot) -> None:
-        parent, child = multiprocessing.Pipe()
-        proc = multiprocessing.Process(
-            target=_pool_worker, args=(child,), daemon=True
-        )
-        proc.start()
-        child.close()
-        slot.proc, slot.conn, slot.task = proc, parent, None
+    def _start_worker(self, idx: int):
+        if self._slots[idx].spawns:
+            # counted before the worker becomes visible, so a snapshot
+            # never shows it alive with respawns unset
+            self.respawns += 1
+            if self._c_respawns is not None:
+                self._c_respawns.inc()
+            if self._flight is not None:
+                self._flight.record("pool_respawn")
+        return start_child(_pool_worker)
 
     def _fail_worker(self, slot: _WorkerSlot, error: RuntimeError,
                      kind: str) -> None:
-        """A worker crashed or was killed: note poison, count it, tear
-        the slot down and schedule the respawn — and only then fail its
-        task, so a woken waiter sees every counter already settled."""
-        task = slot.task
+        """A worker crashed or was killed: have the supervisor tear it
+        down (unless it already did) and schedule the respawn, note
+        poison, count it — and only then fail its task, so a woken
+        waiter sees every counter already settled."""
+        if slot.proc is not None:
+            self._sup.lose(slot)
+        task, slot.task = slot.task, None
         if task is not None and task.key is not None:
             with self._lock:
                 self._poison[task.key] = self._poison.get(task.key, 0) + 1
@@ -524,25 +508,19 @@ class PortfolioPool:
                 "pool_worker_lost", reason=kind,
                 task_key=(task.key if task is not None else None),
             )
-        if slot.proc is not None:
-            if slot.proc.is_alive():
-                slot.proc.kill()
-            slot.proc.join(timeout=1.0)
-            if slot.conn is not None:
-                slot.conn.close()
-        slot.proc, slot.conn, slot.task = None, None, None
-        slot.respawn_at = time.monotonic() + slot.backoff_s
-        slot.backoff_s = min(
-            self.max_backoff_s,
-            slot.backoff_s * 2 if slot.backoff_s else self.respawn_backoff_s,
-        )
         if task is not None:
             task.finish(error=error)
 
-    def _complete(self, slot: _WorkerSlot, out: dict) -> None:
-        task = slot.task
-        slot.task = None
-        slot.backoff_s = 0.0  # a healthy round-trip ends any crash loop
+    def _on_message(self, slot: _WorkerSlot) -> None:
+        try:
+            out = slot.conn.recv()
+        except (EOFError, OSError):
+            self._fail_worker(
+                slot, WorkerCrashError("worker connection lost"), "crash"
+            )
+            return
+        task, slot.task = slot.task, None
+        self._sup.healthy(slot)
         if task is None:
             return
         if "ok" in out:
@@ -561,7 +539,7 @@ class PortfolioPool:
                     return
                 task = self._queue.popleft()
             slot.task = task
-            slot.started_at = time.monotonic()
+            slot.started_at = self._sup.clock()
             try:
                 slot.conn.send({"payload": task.payload, "fault": task.fault})
             except (OSError, ValueError):
@@ -570,97 +548,27 @@ class PortfolioPool:
                     "crash",
                 )
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            if self._closed:
-                break
-            now = time.monotonic()
-            for slot in self._slots:
-                if slot.proc is None and now >= slot.respawn_at:
-                    # counted before the worker becomes visible, so a
-                    # snapshot never shows it alive with respawns unset
-                    self.respawns += 1
-                    if self._c_respawns is not None:
-                        self._c_respawns.inc()
-                    if self._flight is not None:
-                        self._flight.record("pool_respawn")
-                    self._spawn(slot)
-            self._assign()
-            now = time.monotonic()
-            for slot in self._slots:
-                if (
-                    slot.task is not None
-                    and now - slot.started_at > self.hang_timeout_s
-                ):
-                    self._fail_worker(
-                        slot,
-                        WorkerHangError(
-                            f"candidate exceeded hang cutoff "
-                            f"({self.hang_timeout_s}s)"
-                        ),
-                        "hang",
-                    )
-            waitables = [self._wake_r]
-            by_conn, by_sentinel = {}, {}
-            for slot in self._slots:
-                if slot.proc is not None:
-                    waitables.append(slot.conn)
-                    by_conn[slot.conn] = slot
-                    waitables.append(slot.proc.sentinel)
-                    by_sentinel[slot.proc.sentinel] = slot
-            try:
-                ready = multiprocessing.connection.wait(
-                    waitables, timeout=self._TICK_S
-                )
-            except OSError:
-                continue  # a pipe died mid-wait; re-derive the set
-            for r in ready:
-                if r is self._wake_r:
-                    with contextlib.suppress(EOFError, OSError):
-                        while self._wake_r.poll(0):
-                            self._wake_r.recv_bytes()
-                    continue
-                slot = by_conn.get(r)
-                if slot is not None:
-                    try:
-                        out = slot.conn.recv()
-                    except (EOFError, OSError):
-                        self._fail_worker(
-                            slot, WorkerCrashError("worker connection lost"),
-                            "crash",
-                        )
-                    else:
-                        self._complete(slot, out)
-                    continue
-                slot = by_sentinel.get(r)
-                if slot is not None and slot.proc is not None:
-                    # a result may have landed just before death
-                    if slot.conn.poll(0):
-                        continue  # the conn branch picks it up next tick
-                    slot.proc.join(timeout=0.2)  # reap, so exitcode is real
-                    self._fail_worker(
-                        slot,
-                        WorkerCrashError(
-                            f"portfolio worker died (exit "
-                            f"{slot.proc.exitcode})"
-                        ),
-                        "crash",
-                    )
-        # shutdown: kill workers, fail everything still pending
+    def _cut_hangs(self) -> None:
+        cutoff = self._sup.clock() - HANG_TIMEOUT_S
         for slot in self._slots:
-            if slot.proc is not None:
-                if slot.proc.is_alive():
-                    slot.proc.kill()
-                slot.proc.join(timeout=1.0)
-                if slot.conn is not None:
-                    slot.conn.close()
-            if slot.task is not None:
-                slot.task.finish(
-                    error=RuntimeError("portfolio pool is closed")
-                )
-                slot.task = None
+            if slot.task is not None and slot.started_at < cutoff:
+                self._fail_worker(slot, WorkerHangError(
+                    f"candidate exceeded hang cutoff ({HANG_TIMEOUT_S}s)"
+                ), "hang")
+
+    def _dispatch_loop(self) -> None:
+        while not self._closed:
+            self._assign()
+            self._cut_hangs()
+            self._sup.step(extra=(self._wake_r,))
+            with contextlib.suppress(EOFError, OSError):
+                while self._wake_r.poll(0):
+                    self._wake_r.recv_bytes()
+        # shutdown: kill workers, fail everything still pending
+        self._sup.close()
         with self._lock:
-            pending = list(self._queue)
+            pending = [s.task for s in self._slots if s.task is not None]
+            pending += self._queue
             self._queue.clear()
         for task in pending:
             task.finish(error=RuntimeError("portfolio pool is closed"))

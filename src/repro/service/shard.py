@@ -17,16 +17,16 @@ the router itself — ``stats`` and ``health`` aggregate the shards and
 carry a per-shard row for ``repro top``; anything else is relayed to a
 healthy shard.
 
-Supervision.  The router watches shard process sentinels the way
-:class:`~repro.service.portfolio.PortfolioPool` watches its workers: a
-crash (SIGKILL included — the ``shard.kill`` fault site does exactly
-that) is detected within one tick and the shard respawned with
-exponential backoff, reset once it answers a health probe.  In-flight
-requests to a dead shard fail over: every request is idempotent, so the
-router replays the line once against the next shard in the rendezvous
-order (``router.failovers``).  Shards whose own ``health`` op reports
-``draining`` or ``degraded`` (a tripped breaker) are demoted in the
-routing order (``router.rerouted``).
+Supervision.  Shards run under the same
+:class:`~repro.service.supervisor.Supervisor` as the portfolio pool's
+workers: a crash (SIGKILL included — the ``shard.kill`` fault site does
+exactly that) is detected within one tick and the shard respawned after
+its one backoff rule, reset once it answers a health probe ``ok``.
+In-flight requests to a dead shard fail over: every request is
+idempotent, so the router replays the line once against the next shard
+in the rendezvous order (``router.failovers``).  Shards whose own
+``health`` op reports ``draining`` or ``degraded`` (a tripped breaker)
+are demoted in the routing order (``router.rerouted``).
 
 Shared store.  All shards open the same JSONL store in ``shared`` mode
 (flock'd appends, no compaction — see :mod:`repro.service.cache`) and
@@ -53,7 +53,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import signal
@@ -61,19 +60,22 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 
 from .. import __version__
 from ..obs import Telemetry
 from .faults import FaultInjector, FaultPlan
 from .fingerprint import doc_digest, is_current_key
+from .supervisor import Slot, Supervisor, start_child
 
 __all__ = ["ShardConfig", "ShardRouter", "DEFAULT_SHARDS"]
 
 DEFAULT_SHARDS = 2
 
-#: supervision tick: crash detection latency upper bound (seconds)
-_TICK_S = 0.1
+#: how long a reloaded shard gets to answer health ``ok`` before the
+#: rolling restart moves on without it
+RESTART_TIMEOUT_S = 30.0
+#: socket timeout on the router's connection to a shard
+UPSTREAM_TIMEOUT_S = 60.0
 _COMPUTE_OPS = ("schedule", "simulate")
 _LOOPBACK = "127.0.0.1"
 
@@ -167,27 +169,19 @@ def _shard_main(idx: int, config: ShardConfig, conn) -> None:
             telemetry.close()
 
 
-class _Shard:
-    """Supervision state of one shard slot (router-side)."""
+class _Shard(Slot):
+    """Router-side state of one shard slot."""
 
-    __slots__ = (
-        "idx", "proc", "conn", "port", "pid", "state", "health_status",
-        "expected_exit", "backoff_s", "respawn_at", "started_at",
-        "crashes", "restarts",
-    )
+    __slots__ = ("port", "pid", "state", "health_status", "started_at",
+                 "crashes", "restarts")
 
-    def __init__(self, idx: int, backoff_s: float) -> None:
-        self.idx = idx
-        self.proc = None
-        self.conn = None
+    def __init__(self, idx: int) -> None:
+        super().__init__(idx)
         self.port: int | None = None
         self.pid: int | None = None
         #: "starting" -> "up" -> ("down" | "restarting") -> "starting"
         self.state = "down"
         self.health_status = "unknown"
-        self.expected_exit = False
-        self.backoff_s = backoff_s
-        self.respawn_at = 0.0
         self.started_at = 0.0
         self.crashes = 0
         self.restarts = 0
@@ -237,11 +231,8 @@ class ShardRouter:
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
         allow_remote_shutdown: bool = False,
-        respawn_backoff_s: float = 0.05,
-        max_backoff_s: float = 2.0,
         health_interval_s: float = 0.25,
-        restart_timeout_s: float = 30.0,
-        upstream_timeout_s: float = 60.0,
+        clock=time.monotonic,
     ) -> None:
         if shards < 1:
             raise ValueError("need at least one shard")
@@ -251,11 +242,7 @@ class ShardRouter:
         self.config = config if config is not None else ShardConfig()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.allow_remote_shutdown = allow_remote_shutdown
-        self.respawn_backoff_s = respawn_backoff_s
-        self.max_backoff_s = max_backoff_s
         self.health_interval_s = health_interval_s
-        self.restart_timeout_s = restart_timeout_s
-        self.upstream_timeout_s = upstream_timeout_s
         #: router-side fault injector (the ``shard.kill`` site); shards
         #: build their own injector from the same plan for their sites
         self.faults = faults
@@ -268,11 +255,12 @@ class ShardRouter:
         # victim choice is its own seeded stream so the fire/no-fire
         # decisions at shard.kill replay identically either way
         self._kill_rng = random.Random(f"{seed}:shard.kill:victim")
-        self.shards = [_Shard(i, respawn_backoff_s) for i in range(shards)]
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platform
-            self._ctx = multiprocessing.get_context()
+        self.shards = [_Shard(i) for i in range(shards)]
+        #: ``clock`` is the supervisor's time source (a test seam)
+        self._sup = Supervisor(
+            self.shards, self._start_shard, on_message=self._on_announce,
+            on_exit=self._on_exit, clock=clock,
+        )
         self.started = time.time()
         self._sock: socket.socket | None = None
         self._stop = threading.Event()
@@ -329,10 +317,7 @@ class ShardRouter:
         sock.listen(128)
         self.port = sock.getsockname()[1]
         self._sock = sock
-        now = time.monotonic()
-        for shard in self.shards:
-            shard.respawn_at = now
-            self._spawn(shard)
+        self._sup.spawn_due()
         for target, name in (
             (self._accept_loop, "repro-router-accept"),
             (self._supervise_loop, "repro-router-supervise"),
@@ -373,20 +358,12 @@ class ShardRouter:
                 self._sock.close()
             except OSError:
                 pass
-        for shard in self.shards:
-            shard.expected_exit = True
-            proc = shard.proc
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-        deadline = time.monotonic() + self.config.drain_grace + 5.0
-        for shard in self.shards:
-            proc = shard.proc
-            if proc is None:
-                continue
-            proc.join(max(0.1, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.kill()
-                proc.join(1.0)
+        for thread in self._threads:
+            if thread.name == "repro-router-supervise":
+                # it exits within one tick; joining it first means no
+                # respawn races the teardown
+                thread.join(2.0)
+        self._sup.close(self.config.drain_grace + 5.0)
         self._stopped.set()
 
     def drain(self, grace_s: float | None = None) -> None:
@@ -398,56 +375,46 @@ class ShardRouter:
                          name="repro-router-drain").start()
 
     # ------------------------------------------------------------------
-    # supervision (PortfolioPool's pattern, one process per shard)
+    # supervision: the shared Supervisor, one process per shard
     # ------------------------------------------------------------------
-    def _spawn(self, shard: _Shard) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_shard_main,
-            args=(shard.idx, self.config, child_conn),
-            daemon=True,
-            name=f"repro-shard-{shard.idx}",
+    def _start_shard(self, idx: int):
+        shard = self.shards[idx]
+        proc, conn = start_child(
+            _shard_main, idx, self.config, name=f"repro-shard-{idx}"
         )
-        proc.start()
-        child_conn.close()
-        first_boot = shard.crashes == 0 and shard.restarts == 0
-        shard.proc = proc
-        shard.conn = parent_conn
-        shard.port = None
         shard.pid = proc.pid
         shard.state = "starting"
         shard.health_status = "unknown"
         shard.started_at = time.monotonic()
-        if not first_boot:
+        if shard.spawns:
             self._c_respawns.inc()
             self.telemetry.flight.record(
-                "respawn", shard=shard.idx, pid=proc.pid,
+                "respawn", shard=idx, pid=proc.pid,
                 backoff_s=round(shard.backoff_s, 3),
             )
+        return proc, conn
 
-    def _on_exit(self, shard: _Shard) -> None:
-        proc = shard.proc
-        exitcode = None
-        if proc is not None:
-            proc.join(1.0)
-            exitcode = proc.exitcode
-        if shard.conn is not None:
-            try:
-                shard.conn.close()
-            except OSError:
-                pass
-        shard.proc = None
+    def _on_announce(self, shard: _Shard) -> None:
+        """A starting shard reports its bound port (or died trying)."""
+        conn = shard.conn
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            msg = None  # died before announcing; the supervisor reaps it
+        if isinstance(msg, dict) and msg.get("port"):
+            shard.port = int(msg["port"])
+            shard.state = "up"
+        conn.close()
         shard.conn = None
+
+    def _on_exit(self, shard: _Shard, exitcode: int | None) -> None:
         shard.port = None
         shard.state = "down"
         shard.health_status = "down"
-        now = time.monotonic()
         if shard.expected_exit:
-            # drain-initiated (rolling restart / shutdown): respawn
-            # immediately, no backoff, not a crash
-            shard.expected_exit = False
+            # drain-initiated (rolling restart / shutdown): respawned at
+            # once, not a crash
             shard.restarts += 1
-            shard.respawn_at = now
             self.telemetry.flight.record(
                 "shard_exit", shard=shard.idx, exitcode=exitcode,
             )
@@ -457,56 +424,10 @@ class ShardRouter:
             self.telemetry.flight.record(
                 "shard_crash", shard=shard.idx, exitcode=exitcode,
             )
-            shard.respawn_at = now + shard.backoff_s
-            shard.backoff_s = min(shard.backoff_s * 2.0, self.max_backoff_s)
 
     def _supervise_loop(self) -> None:
         while not self._stop.is_set():
-            waitables = []
-            for shard in self.shards:
-                proc = shard.proc
-                if proc is not None:
-                    waitables.append(proc.sentinel)
-                if shard.conn is not None and shard.state == "starting":
-                    waitables.append(shard.conn)
-            if waitables:
-                try:
-                    ready = mp_connection.wait(waitables, timeout=_TICK_S)
-                except OSError:
-                    ready = []
-            else:
-                time.sleep(_TICK_S)
-                ready = []
-            ready_set = set(ready)
-            for shard in self.shards:
-                conn = shard.conn
-                if conn is not None and conn in ready_set:
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        msg = None  # died before announcing; sentinel next
-                    if isinstance(msg, dict) and msg.get("port"):
-                        shard.port = int(msg["port"])
-                        shard.state = "up"
-                        shard.health_status = "unknown"
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                    shard.conn = None
-            for shard in self.shards:
-                proc = shard.proc
-                if proc is not None and not proc.is_alive():
-                    self._on_exit(shard)
-            now = time.monotonic()
-            for shard in self.shards:
-                if (
-                    shard.proc is None
-                    and shard.state == "down"
-                    and now >= shard.respawn_at
-                    and not self._stop.is_set()
-                ):
-                    self._spawn(shard)
+            self._sup.step()
 
     def _health_loop(self) -> None:
         while not self._stop.wait(self.health_interval_s):
@@ -519,9 +440,7 @@ class ShardRouter:
                     continue
                 shard.health_status = doc.get("status", "unknown")
                 if shard.health_status == "ok":
-                    # a healthy round trip resets the crash backoff,
-                    # mirroring PortfolioPool's reset-on-success
-                    shard.backoff_s = self.respawn_backoff_s
+                    self._sup.healthy(shard)
 
     def _control(self, shard: _Shard, doc: dict,
                  timeout: float = 2.0) -> dict | None:
@@ -811,7 +730,7 @@ class ShardRouter:
             if sock is None:
                 try:
                     sock = socket.create_connection(
-                        (_LOOPBACK, port), timeout=self.upstream_timeout_s
+                        (_LOOPBACK, port), timeout=UPSTREAM_TIMEOUT_S
                     )
                     sock.setsockopt(
                         socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
@@ -851,18 +770,14 @@ class ShardRouter:
         rule = self.faults.fire("shard.kill")
         if rule is None:
             return
-        live = [s for s in self.shards if s.proc is not None
-                and s.proc.is_alive()]
+        live = self._sup.live()
         if not live:
             return
         victim = self._kill_rng.choice(live)
         self.telemetry.flight.record(
             "shard_kill", shard=victim.idx, pid=victim.pid
         )
-        try:
-            os.kill(victim.proc.pid, signal.SIGKILL)
-        except (OSError, TypeError):
-            pass
+        self._sup.kill(victim.idx)
 
     # ------------------------------------------------------------------
     # aggregate control ops
@@ -995,21 +910,12 @@ class ShardRouter:
                 self.telemetry.flight.record(
                     "reload_shard", shard=shard.idx
                 )
-                proc = shard.proc
-                if proc is not None and proc.is_alive():
-                    shard.expected_exit = True
-                    shard.state = "restarting"  # routing skips us now
-                    proc.terminate()  # SIGTERM -> the shard's drain path
-                    exit_deadline = (
-                        time.monotonic() + self.config.drain_grace + 10.0
-                    )
-                    while proc.is_alive() and time.monotonic() < exit_deadline:
-                        time.sleep(0.02)
-                    if proc.is_alive():
-                        proc.kill()
-                # the supervisor notices the exit and respawns with no
-                # backoff; gate on the replacement answering health ok
-                gate = time.monotonic() + self.restart_timeout_s
+                shard.state = "restarting"  # routing skips us now
+                # SIGTERM -> the shard's drain path; the supervisor reaps
+                # the expected exit and respawns at once
+                self._sup.retire([shard], self.config.drain_grace + 10.0)
+                # gate on the replacement answering health ok
+                gate = time.monotonic() + RESTART_TIMEOUT_S
                 while time.monotonic() < gate and not self._stop.is_set():
                     if shard.attemptable:
                         doc = self._control(

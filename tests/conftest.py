@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -79,6 +81,33 @@ def store_line(key: str, entry: dict, layout: str = "entry_crc") -> bytes:
     ).encode() + b"\n"
 
 
+def wait_until(predicate, timeout=10.0, interval=0.02):
+    """Poll ``predicate`` until it holds or ``timeout`` real seconds pass;
+    returns its last value."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+class FakeClock:
+    """A monotonic clock that moves only when a test calls
+    :meth:`advance` (the supervisor's ``clock=`` seam)."""
+
+    def __init__(self, start: float = 1000.0) -> None:
+        self._now = start
+        self._lock = threading.Lock()
+
+    def __call__(self) -> float:
+        return self._now
+
+    def advance(self, seconds: float) -> None:
+        with self._lock:
+            self._now += seconds
+
+
 def build_diamond(k: int = 16) -> CanonicalGraph:
     """A 4-node diamond of element-wise tasks (undirected cycle)."""
     g = CanonicalGraph()
@@ -107,3 +136,8 @@ def ew_chain() -> CanonicalGraph:
 @pytest.fixture
 def diamond() -> CanonicalGraph:
     return build_diamond()
+
+
+@pytest.fixture
+def clock() -> FakeClock:
+    return FakeClock()

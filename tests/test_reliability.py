@@ -38,13 +38,15 @@ from repro.service import (
 from repro.service.cache import decode_record
 from repro.service.cache import record_crc as cache_record_crc
 from repro.service.portfolio import (
+    HANG_TIMEOUT_S,
     PortfolioPool,
     QuarantinedError,
     WorkerCrashError,
     WorkerHangError,
 )
+from repro.service.supervisor import BACKOFF_MAX_S, BACKOFF_MIN_S, TICK_S
 
-from conftest import STORE_LAYOUTS, store_line
+from conftest import STORE_LAYOUTS, store_line, wait_until
 
 
 def schedule_doc(topology="chain", size=6, seed=0, num_pes=4, **extra):
@@ -737,22 +739,14 @@ class TestCampaignStoreCrc:
 GRAPH_DOC = graph_to_dict(random_canonical_graph("chain", 6, seed=0))
 
 
-def wait_until(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.05)
-    return predicate()
-
-
 class TestPortfolioPool:
-    def test_crash_is_detected_and_worker_respawned(self):
-        with PortfolioPool(workers=2, respawn_backoff_s=0.01) as pool:
+    def test_crash_is_detected_and_worker_respawned(self, clock):
+        with PortfolioPool(workers=2, clock=clock) as pool:
             task = pool.submit(GRAPH_DOC, 2, "lts", fault={"kind": "crash"})
             with pytest.raises(WorkerCrashError):
                 pool.wait(task, None)
             assert pool.crashes == 1
+            clock.advance(BACKOFF_MIN_S)
             assert wait_until(lambda: pool.respawns >= 1)
             assert wait_until(lambda: pool.snapshot()["alive"] == 2)
             # the pool keeps serving after the respawn
@@ -760,25 +754,30 @@ class TestPortfolioPool:
             result = pool.wait(healthy, None)
             assert result["name"] == "lts" and result["makespan"] > 0
 
-    def test_hung_candidate_is_cut_off(self):
-        with PortfolioPool(workers=2, hang_timeout_s=0.3,
-                           respawn_backoff_s=0.01) as pool:
+    def test_hung_candidate_is_cut_off(self, clock):
+        with PortfolioPool(workers=2, clock=clock) as pool:
             task = pool.submit(
                 GRAPH_DOC, 2, "lts", fault={"kind": "hang", "seconds": 30.0}
             )
+            # the cutoff counts from the dispatch, on the pool's clock
+            assert wait_until(
+                lambda: any(s.task is task for s in pool._slots)
+            )
+            clock.advance(HANG_TIMEOUT_S + 1.0)
             with pytest.raises(WorkerHangError):
                 pool.wait(task, None)
             assert pool.hangs == 1
+            clock.advance(BACKOFF_MIN_S)
             assert wait_until(lambda: pool.snapshot()["alive"] == 2)
 
-    def test_poison_task_quarantined_after_repeated_crashes(self):
-        with PortfolioPool(workers=2, quarantine_after=2,
-                           respawn_backoff_s=0.01) as pool:
+    def test_poison_task_quarantined_after_repeated_crashes(self, clock):
+        with PortfolioPool(workers=2, clock=clock) as pool:
             for _ in range(2):
                 task = pool.submit(GRAPH_DOC, 2, "lts", task_key="poison",
                                    fault={"kind": "crash"})
                 with pytest.raises(WorkerCrashError):
                     pool.wait(task, None)
+                clock.advance(BACKOFF_MAX_S)
                 wait_until(lambda: pool.snapshot()["alive"] == 2)
             with pytest.raises(QuarantinedError):
                 pool.submit(GRAPH_DOC, 2, "lts", task_key="poison")
@@ -787,14 +786,14 @@ class TestPortfolioPool:
             ok = pool.submit(GRAPH_DOC, 2, "lts", task_key="fine")
             assert pool.wait(ok, None)["makespan"] > 0
 
-    def test_faulted_race_still_returns_the_right_answer(self):
+    def test_faulted_race_still_returns_the_right_answer(self, clock):
         g = random_canonical_graph("fft", 8, seed=1)
         baseline = run_portfolio(g, 4)
         inj = FaultInjector(
             FaultPlan([FaultRule(site="worker.crash", rate=1.0, count=1)],
                       seed=0)
         )
-        with PortfolioPool(workers=2, respawn_backoff_s=0.01) as pool:
+        with PortfolioPool(workers=2, clock=clock) as pool:
             faulted = run_portfolio(g, 4, pool=pool, faults=inj,
                                     task_key="t")
             assert pool.crashes == 1
@@ -802,6 +801,48 @@ class TestPortfolioPool:
         assert faulted.winner.name == baseline.winner.name
         assert faulted.winner.makespan == baseline.winner.makespan
         assert faulted.schedule_doc() == baseline.schedule_doc()
+
+    def test_backoff_doubles_per_crash_and_a_task_resets_it(self, clock):
+        with PortfolioPool(workers=2, clock=clock) as pool:
+            slot = pool._slots[0]
+            for delay in (0.05, 0.1, 0.2):
+                # both workers idle: the dispatcher hands slot 0 the task
+                task = pool.submit(GRAPH_DOC, 2, "lts",
+                                   fault={"kind": "crash"})
+                with pytest.raises(WorkerCrashError):
+                    pool.wait(task, None)
+                assert slot.respawn_at - clock() == pytest.approx(delay)
+                # the slot stays down while the clock stands still
+                time.sleep(3 * TICK_S)
+                assert pool.snapshot()["alive"] == 1
+                clock.advance(delay)
+                assert wait_until(lambda: pool.snapshot()["alive"] == 2)
+            assert slot.backoff_s == pytest.approx(0.4)
+            ok = pool.submit(GRAPH_DOC, 2, "lts")
+            assert pool.wait(ok, None)["makespan"] > 0
+            assert slot.backoff_s == pytest.approx(BACKOFF_MIN_S)
+
+    def test_snapshot_reads_each_slot_once(self):
+        # the dispatcher tears slots down without the snapshot's lock; a
+        # slot cleared right after the observer's first read of it must
+        # count as what that read saw, never raise
+        class Stub:
+            def is_alive(self):
+                return True
+
+        class VanishingSlot:
+            def __init__(self):
+                self._proc = Stub()
+
+            @property
+            def proc(self):
+                proc, self._proc = self._proc, None
+                return proc
+
+        pool = PortfolioPool(workers=2)
+        pool.close()
+        pool._slots[0] = VanishingSlot()
+        assert pool.snapshot()["alive"] == 1
 
     def test_snapshot_shape(self):
         with PortfolioPool(workers=2) as pool:

@@ -24,8 +24,9 @@ from repro.service import (
     StoreKeyLock,
 )
 from repro.service.faults import FaultInjector, FaultPlan
+from repro.service.supervisor import BACKOFF_MIN_S, TICK_S
 
-from conftest import STORE_LAYOUTS, service_stat, store_line
+from conftest import STORE_LAYOUTS, service_stat, store_line, wait_until
 
 
 def schedule_doc(topology="chain", size=6, seed=0, num_pes=4, **extra):
@@ -50,15 +51,6 @@ def make_router(tmp_path, shards=2, store=True, **kwargs):
     router.start()
     assert router.wait_ready(30.0), [s.row() for s in router.shards]
     return router
-
-
-def wait_until(predicate, timeout=10.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 # ----------------------------------------------------------------------
@@ -170,15 +162,20 @@ class TestSupervision:
         finally:
             router.stop()
 
-    def test_repeated_crashes_back_off_exponentially(self, tmp_path):
-        router = make_router(tmp_path, shards=1, store=False,
-                             respawn_backoff_s=0.05, health_interval_s=30.0)
+    def test_repeated_crashes_back_off_exponentially(self, tmp_path, clock):
+        router = make_router(tmp_path, shards=1, store=False, clock=clock,
+                             health_interval_s=30.0)
         try:
             victim = router.shards[0]
-            for expected in (1, 2, 3):
+            for expected, delay in ((1, 0.05), (2, 0.1), (3, 0.2)):
                 pid = victim.pid
                 os.kill(pid, signal.SIGKILL)
                 assert wait_until(lambda: victim.crashes == expected)
+                assert victim.respawn_at - clock() == pytest.approx(delay)
+                # the shard stays down while the clock stands still
+                time.sleep(3 * TICK_S)
+                assert victim.state == "down" and victim.proc is None
+                clock.advance(delay)
                 assert wait_until(lambda: victim.state == "up")
             # no health poll ran (interval 30s), so nothing reset the
             # doubling: 0.05 -> 0.1 -> 0.2 -> 0.4 pending
@@ -186,22 +183,24 @@ class TestSupervision:
         finally:
             router.stop()
 
-    def test_healthy_round_trip_resets_the_backoff(self, tmp_path):
-        router = make_router(tmp_path, shards=1, store=False,
-                             respawn_backoff_s=0.05, health_interval_s=0.05)
+    def test_healthy_round_trip_resets_the_backoff(self, tmp_path, clock):
+        router = make_router(tmp_path, shards=1, store=False, clock=clock,
+                             health_interval_s=0.05)
         try:
             victim = router.shards[0]
             os.kill(victim.pid, signal.SIGKILL)
             assert wait_until(lambda: victim.crashes == 1)
+            assert victim.backoff_s == pytest.approx(2 * BACKOFF_MIN_S)
+            clock.advance(BACKOFF_MIN_S)
             assert wait_until(
                 lambda: victim.backoff_s == pytest.approx(0.05), timeout=15.0
             )
         finally:
             router.stop()
 
-    def test_request_fails_over_when_home_shard_dies(self, tmp_path):
-        router = make_router(tmp_path, shards=2,
-                             respawn_backoff_s=5.0)  # keep the victim down
+    def test_request_fails_over_when_home_shard_dies(self, tmp_path, clock):
+        # the clock never advances: the victim stays down
+        router = make_router(tmp_path, shards=2, clock=clock)
         try:
             with ServiceClient(port=router.port) as client:
                 doc = schedule_doc(seed=1)
@@ -213,7 +212,7 @@ class TestSupervision:
                 victim = router.shards[home]
                 os.kill(victim.pid, signal.SIGKILL)
                 wait_until(lambda: victim.state != "up", timeout=5.0)
-                # the home shard is down and stays down (long backoff):
+                # the home shard is down and stays down (clock stopped):
                 # the sibling must answer, correctly, from the shared store
                 again = client.request_with_retry(doc)
                 assert again["ok"]
@@ -223,9 +222,8 @@ class TestSupervision:
         finally:
             router.stop()
 
-    def test_no_shard_available_is_a_retryable_refusal(self, tmp_path):
-        router = make_router(tmp_path, shards=1, store=False,
-                             respawn_backoff_s=30.0)
+    def test_no_shard_available_is_a_retryable_refusal(self, tmp_path, clock):
+        router = make_router(tmp_path, shards=1, store=False, clock=clock)
         router.NO_SHARD_GRACE_S = 0.2
         try:
             os.kill(router.shards[0].pid, signal.SIGKILL)
@@ -272,6 +270,25 @@ class TestShardKillFault:
             assert "shard_kill" in kinds and "shard_crash" in kinds
         finally:
             router.stop()
+
+    def test_victim_reaped_between_choice_and_kill(self):
+        # the supervise thread may reap the victim between the live
+        # filter and the kill: the kill must find the hole, not raise
+        plan = FaultPlan.from_dict(
+            {"seed": 0, "rules": [{"site": "shard.kill", "rate": 1.0}]}
+        )
+        router = ShardRouter(shards=1, faults=FaultInjector(plan))
+        shard = router.shards[0]
+
+        class Stub:  # no pid: nothing real can be signalled
+            def is_alive(self):
+                shard.proc = None
+                return True
+
+        shard.proc = Stub()
+        router._maybe_kill_shard()
+        kinds = [e["kind"] for e in router.telemetry.flight.last(10)]
+        assert "shard_kill" in kinds
 
 
 # ----------------------------------------------------------------------
