@@ -19,19 +19,22 @@ Two measurements, both against the original implementation preserved in
   :class:`~repro.service.portfolio.PortfolioPool`) vs the pre-indexed
   sequential in-process race;
 * a **backend** section splitting the indexed scheduling core by array
-  backend — the pure-Python sweeps vs the numpy structure-of-arrays
-  kernels of :mod:`repro.core.kernels` — on the same scenarios with the
-  same pre-computed partition (warm re-analysis throughput: freeze and
-  partitioning amortized, the regime a service's re-analysis and
-  what-if paths run in), verifying byte-identical schedule documents
-  between the two.  ``--backend-gate R`` fails the run when the numpy
-  backend's speedup over python drops below ``R`` on any 10k-node
-  scenario (the PR acceptance floor is 3x);
+  implementation — :func:`repro.core.scheduler.schedule_sweep_python`
+  vs the numpy structure-of-arrays
+  :func:`repro.core.kernels.schedule_sweep_numpy`, each called directly
+  — on the same scenarios with the same pre-computed partition (warm
+  re-analysis throughput: freeze and partitioning amortized, the regime
+  a service's re-analysis and what-if paths run in), verifying
+  byte-identical schedule documents between the two.
+  ``--backend-gate R`` fails the run when the numpy kernels' speedup
+  over python drops below ``R`` on any 10k-node scenario (the PR
+  acceptance floor is 3x);
 * an **ingest** section reporting the wire→graph split — legacy
   ``graph_from_dict`` (+freeze) vs the zero-copy
   :func:`repro.core.ingest.ingest_graph_doc` path (validated and
-  trusted), the cg3 fingerprint on each available array backend (the
-  run fails when their hexes differ), and schedule serialization
+  trusted), the cg3 fingerprint on each available implementation,
+  called directly (the run fails when their hexes differ), and
+  schedule serialization
   (dict+dumps vs :func:`repro.core.serialize.schedule_doc_bytes`) — at
   1k and 10k nodes.
 
@@ -251,12 +254,21 @@ def bench_backend(smoke: bool) -> list[dict]:
     Warm re-analysis throughput: the graph is frozen and the spatial
     partition computed once, then ``schedule_streaming`` re-runs the
     analysis pipeline (levels, block sweeps, intervals, buffer sizing)
-    per backend — min of ``reps`` rounds, the steady state a service's
-    re-analysis / what-if paths hit.  Byte-identity of the schedule
-    documents is asserted per scenario.
+    per implementation — min of ``reps`` rounds, the steady state a
+    service's re-analysis / what-if paths hit.  Byte-identity of the
+    schedule documents is asserted per scenario.
     """
     from repro.core.backend import HAVE_NUMPY
+    from repro.core.indexed import freeze
     from repro.core.partition import compute_spatial_blocks
+    from repro.core.scheduler import schedule_sweep_python
+
+    sweeps = {"python": lambda g, ig, part, pes: schedule_sweep_python(
+        g, part, pes)}
+    if HAVE_NUMPY:
+        from repro.core.kernels import schedule_sweep_numpy
+
+        sweeps["numpy"] = schedule_sweep_numpy
 
     cases = [("layered-1k", "layered", 1000, 64, "rlx", 3 if smoke else 5)]
     for label, topo, size, pes, variant in SWEEP_10K:
@@ -271,8 +283,7 @@ def bench_backend(smoke: bool) -> list[dict]:
             best = float("inf")
             for _ in range(reps):
                 t0 = time.perf_counter()
-                schedule_streaming(g, pes, variant, backend=backend,
-                                   partition=part)
+                sweeps[backend](g, freeze(g), part, pes)
                 best = min(best, time.perf_counter() - t0)
             return best
 
@@ -290,10 +301,10 @@ def bench_backend(smoke: bool) -> list[dict]:
         }
         if HAVE_NUMPY:
             np_s = timed("numpy")
-            a = json.dumps(schedule_to_dict(schedule_streaming(
-                g, pes, variant, backend="python", partition=part)))
-            b = json.dumps(schedule_to_dict(schedule_streaming(
-                g, pes, variant, backend="numpy", partition=part)))
+            a = json.dumps(schedule_to_dict(
+                sweeps["python"](g, freeze(g), part, pes)))
+            b = json.dumps(schedule_to_dict(
+                sweeps["numpy"](g, freeze(g), part, pes)))
             row.update({
                 "numpy_s": round(np_s, 4),
                 "speedup": round(py_s / np_s, 2),
@@ -334,8 +345,13 @@ def check_backend_gate(rows: list[dict], gate: float) -> list[str]:
 
 def bench_ingest(smoke: bool) -> list[dict]:
     """Wire→IndexedGraph split: parse, freeze, fingerprint, serialize."""
-    from repro.core.backend import HAVE_NUMPY, set_default_backend
-    from repro.core.graph import graph_fingerprint
+    from repro.core.backend import HAVE_NUMPY
+    from repro.core.graph import (
+        _wl_digest_python,
+        _wl_header,
+        _wl_refine_python,
+        _wl_seed_labels,
+    )
     from repro.core.indexed import freeze
     from repro.core.ingest import ingest_graph_doc
     from repro.core.serialize import (
@@ -343,6 +359,16 @@ def bench_ingest(smoke: bool) -> list[dict]:
         graph_to_dict,
         schedule_doc_bytes,
     )
+
+    # the cg3 fingerprint on each implementation, by direct call
+    fingerprints = {"python": lambda ig: _wl_digest_python(
+        ig, _wl_refine_python(ig, _wl_seed_labels(ig)))}
+    if HAVE_NUMPY:
+        from repro.core.kernels import wl_digest_numpy, wl_refine_numpy
+
+        fingerprints["numpy"] = lambda ig: wl_digest_numpy(
+            ig, wl_refine_numpy(ig, _wl_seed_labels(ig)).tolist(),
+            _wl_header(ig))
 
     cases = [("layered-1k", "layered", 1000, 64, "rlx", 5 if smoke else 10)]
     for label, topo, size, pes, variant in SWEEP_10K:
@@ -367,15 +393,11 @@ def bench_ingest(smoke: bool) -> list[dict]:
         # includes the CSR mirror the streaming candidates then reuse)
         fingerprint_s: dict[str, float] = {}
         hexes = set()
-        for backend in ("python", "numpy") if HAVE_NUMPY else ("python",):
-            set_default_backend(backend)
-            try:
-                fingerprint_s[backend] = max(0.0, timed(
-                    lambda: hexes.add(graph_fingerprint(
-                        ingest_graph_doc(doc, validate=False)))
-                ) - trusted_s)
-            finally:
-                set_default_backend(None)
+        for backend, fingerprint in fingerprints.items():
+            fingerprint_s[backend] = max(0.0, timed(
+                lambda: hexes.add(fingerprint(
+                    ingest_graph_doc(doc, validate=False)))
+            ) - trusted_s)
 
         ig = ingest_graph_doc(doc)
         schedule = schedule_streaming(ig, pes, variant)

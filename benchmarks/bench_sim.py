@@ -44,7 +44,8 @@ from repro import __version__
 from repro.core import schedule_streaming, total_work
 from repro.core.tabulate import format_table
 from repro.graphs import random_canonical_graph
-from repro.sim import simulate_schedule_indexed, simulate_schedule_reference
+from repro.sim import simulate_schedule
+from repro.sim.reference import simulate_schedule_reference
 
 #: (label, topology, size, PEs, variant); the 1k-node layered scenario
 #: is the acceptance anchor and stays in the smoke sweep
@@ -77,14 +78,14 @@ def bench_validation(repeats: int) -> list[dict]:
                   for r in range(repeats)]
         schedules = [schedule_streaming(g, pes, variant) for g in graphs]
         identical = all(
-            _results_agree(simulate_schedule_indexed(s),
+            _results_agree(simulate_schedule(s),
                            simulate_schedule_reference(s))
             for s in schedules
         )
 
         t0 = time.perf_counter()
         for s in schedules:
-            simulate_schedule_indexed(s)
+            simulate_schedule(s)
         indexed_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -118,7 +119,7 @@ def bench_deadlock(repeats: int) -> list[dict]:
         graphs = [random_canonical_graph(topo, size, seed=r)
                   for r in range(repeats)]
         schedules = [schedule_streaming(g, pes, variant) for g in graphs]
-        indexed = [simulate_schedule_indexed(s, capacity_override=1)
+        indexed = [simulate_schedule(s, capacity_override=1)
                    for s in schedules]
         reference = [simulate_schedule_reference(s, capacity_override=1)
                      for s in schedules]
@@ -130,7 +131,7 @@ def bench_deadlock(repeats: int) -> list[dict]:
 
         t0 = time.perf_counter()
         for s in schedules:
-            simulate_schedule_indexed(s, capacity_override=1)
+            simulate_schedule(s, capacity_override=1)
         indexed_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         for s in schedules:

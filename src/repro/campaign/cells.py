@@ -91,20 +91,13 @@ def eval_csdf(spec: CellSpec) -> dict[str, float]:
     }
 
 
-def _sim_engine(spec: CellSpec) -> str:
-    """Simulation engine for a validation cell; the flat array engine by
-    default, ``params={"engine": "reference"}`` pins the legacy oracle
-    (e.g. to difference the two across a whole campaign)."""
-    return str(spec.param("engine", "indexed"))
-
-
 def eval_validation(spec: CellSpec) -> dict[str, float]:
     """Figure 13 family: relative error of analysis vs DES, + deadlocks."""
     from ..sim import simulate_schedule
 
     g = _graph(spec)
     s = schedule_streaming(g, _resolve_pes(spec, g), spec.variant)
-    sim = simulate_schedule(s, engine=_sim_engine(spec))
+    sim = simulate_schedule(s)
     if sim.deadlocked:
         return {"error_pct": NAN, "deadlock": 1.0}
     return {"error_pct": 100.0 * sim.relative_error(s.makespan), "deadlock": 0.0}
@@ -145,11 +138,10 @@ def eval_ablation_buffer(spec: CellSpec) -> dict[str, float]:
 
     g = _graph(spec)
     s = schedule_streaming(g, _resolve_pes(spec, g), spec.variant)
-    engine = _sim_engine(spec)
     return {
-        "deadlock_sized": float(simulate_schedule(s, engine=engine).deadlocked),
+        "deadlock_sized": float(simulate_schedule(s).deadlocked),
         "deadlock_cap1": float(
-            simulate_schedule(s, capacity_override=1, engine=engine).deadlocked
+            simulate_schedule(s, capacity_override=1).deadlocked
         ),
     }
 
@@ -172,9 +164,8 @@ def eval_ablation_pacing(spec: CellSpec) -> dict[str, float]:
 
     g = _graph(spec)
     s = schedule_streaming(g, _resolve_pes(spec, g), spec.variant)
-    engine = _sim_engine(spec)
-    steady = simulate_schedule(s, pacing="steady", engine=engine)
-    greedy = simulate_schedule(s, pacing="greedy", engine=engine)
+    steady = simulate_schedule(s, pacing="steady")
+    greedy = simulate_schedule(s, pacing="greedy")
     if steady.deadlocked or greedy.deadlocked:
         return {"gain_pct": NAN, "deadlock": 1.0}
     gain = 100.0 * (steady.makespan - greedy.makespan) / steady.makespan

@@ -46,16 +46,6 @@ from .graphs import DEFAULT_SIZES, random_canonical_graph
 __all__ = ["main", "build_parser"]
 
 
-def _add_backend_arg(sp) -> None:
-    sp.add_argument(
-        "--backend", choices=["auto", "numpy", "python"], default=None,
-        help="array-kernel backend for the scheduling core (auto = "
-             "numpy when installed; results are byte-identical either "
-             "way); binds the process default and REPRO_BACKEND so "
-             "portfolio workers inherit it",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -82,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("-o", "--output", help="write the schedule JSON here")
     sch.add_argument("--trace", help="write a chrome://tracing JSON here")
     sch.add_argument("--gantt", action="store_true", help="print an ASCII Gantt")
-    _add_backend_arg(sch)
 
     sim = sub.add_parser("simulate", help="schedule + DES validation")
     sim.add_argument("graph", help="graph JSON path")
@@ -97,17 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="temporal multiplexing of the spatial blocks",
     )
     sim.add_argument(
-        "--engine", choices=["indexed", "reference"], default="indexed",
-        help="array-state engine (default) or the legacy process engine",
-    )
-    sim.add_argument(
         "-o", "--output", help="write the simulated timeline JSON here"
     )
     sim.add_argument(
         "--trace",
         help="write a chrome://tracing JSON of the simulated execution here",
     )
-    _add_backend_arg(sim)
 
     prof = sub.add_parser(
         "profile", help="cProfile the end-to-end pipeline of a scenario"
@@ -132,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", dest="json_out", default=None,
         help="also write the profile rows (and run metadata) as JSON here",
     )
-    _add_backend_arg(prof)
 
     exp = sub.add_parser("experiment", help="run a paper harness (serial)")
     exp.add_argument(
@@ -254,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="on SIGTERM, stop accepting and flush in-flight responses "
              "for up to this many seconds before exiting",
     )
-    _add_backend_arg(srv)
 
     req = sub.add_parser("request", help="submit one graph to a service")
     req.add_argument("graph", help="graph JSON path")
@@ -286,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     req.add_argument(
         "--capacity", type=int, default=None,
         help="override every FIFO capacity (with --simulate)",
-    )
-    req.add_argument(
-        "--engine", choices=["indexed", "reference"], default=None,
-        help="simulation engine (with --simulate; server default: indexed)",
     )
 
     lg = sub.add_parser("loadgen", help="drive a running service with traffic")
@@ -459,7 +437,7 @@ def _cmd_schedule(args) -> int:
         print(f"NSTR-SCH on {args.pes} PEs: makespan {s.makespan:,}, "
               f"speedup {speedup(g, s.makespan):.2f}x")
     else:
-        s = schedule_streaming(g, args.pes, args.scheduler, backend=args.backend)
+        s = schedule_streaming(g, args.pes, args.scheduler)
         print(
             f"STR-SCH ({args.scheduler}) on {args.pes} PEs: makespan "
             f"{s.makespan:,}, speedup {speedup(g, s.makespan):.2f}x, "
@@ -483,10 +461,10 @@ def _cmd_simulate(args) -> int:
     from .sim import simulation_to_dict
 
     g = load_graph(args.graph)
-    s = schedule_streaming(g, args.pes, args.scheduler, backend=args.backend)
+    s = schedule_streaming(g, args.pes, args.scheduler)
     sim = simulate_schedule(
         s, capacity_override=args.capacity, pacing=args.pacing,
-        policy=args.policy, engine=args.engine,
+        policy=args.policy,
     )
     if args.output:
         with open(args.output, "w") as fh:
@@ -916,7 +894,6 @@ def _cmd_request(args) -> int:
                     policy=args.policy,
                     pacing=args.pacing,
                     capacity=args.capacity,
-                    engine=args.engine,
                     no_cache=args.no_cache,
                 )
             else:
@@ -1234,18 +1211,6 @@ def _cmd_bench_report(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "backend", None):
-        import os
-
-        from .core.backend import set_default_backend
-
-        try:
-            resolved = set_default_backend(args.backend)
-        except (RuntimeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # worker processes (portfolio pool, shards) inherit the choice
-        os.environ["REPRO_BACKEND"] = resolved
     handlers = {
         "generate": _cmd_generate,
         "info": _cmd_info,

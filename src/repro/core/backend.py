@@ -1,57 +1,37 @@
-"""Array-kernel backend selection (``numpy`` vs ``python``).
+"""Which array kernels the scheduling core runs on this install.
 
-The scheduling core has two implementations of its hot arithmetic:
+The hot arithmetic has two implementations: the exact-integer
+pure-Python sweeps (:mod:`repro.core.indexed`,
+:func:`repro.core.scheduler.schedule_sweep_python`,
+:func:`repro.core.buffer_sizing.buffer_sizes_python`), always available
+and the reference semantics; and the int64 structure-of-arrays kernels
+of :mod:`repro.core.kernels`, which need the optional ``numpy`` extra
+(``pip install repro-streaming-scheduling[numpy]``).
 
-* ``python`` — the exact-integer pure-Python sweeps introduced by the
-  indexed rewrite (:mod:`repro.core.indexed`).  Always available,
-  retained verbatim as the reference semantics.
-* ``numpy`` — structure-of-arrays kernels (:mod:`repro.core.kernels`)
-  that batch the same integer arithmetic over int64 arrays.  Requires
-  the optional ``numpy`` extra
-  (``pip install repro-streaming-scheduling[numpy]``).
-
-The simulator is not backend-selected: its one run-time engine,
+The platform decides: the NumPy kernels run if and only if ``numpy``
+imports.  No option, flag or environment variable selects an
+implementation.  Every selection site reads :data:`HAVE_NUMPY` through
+this module at call time, so a test can force the pure-Python path
+with one ``monkeypatch.setattr``.  The simulator's one engine,
 :mod:`repro.sim.indexed`, is pure Python on every install.
 
-Both backends are **byte-identical** by contract: every kernel computes
-in int64 with explicit overflow guards on the common-denominator
-products, and any guard trip falls back to the exact Fraction /
+Both implementations are **byte-identical** by contract: every kernel
+guards its int64 products against overflow and falls back to the exact
 pure-Python path for that unit of work (counted in
-``core.kernel_fallbacks``), so serialized schedules never depend on
-the backend.  The golden parity suites in ``tests/test_backend.py`` /
-``tests/test_indexed.py`` enforce this.
-
-Selection precedence, most specific wins:
-
-1. an explicit ``backend=`` argument (``--backend`` on the CLI);
-2. a process-wide override set via :func:`set_default_backend`
-   (``repro serve --backend`` binds this so portfolio workers inherit);
-3. the ``REPRO_BACKEND`` environment variable;
-4. ``auto``: numpy when importable, else python.
-
-``resolve_backend("numpy")`` raises when numpy is not installed —
-an explicit request must not silently degrade; ``auto`` degrades
-silently by design.
+``core.kernel_fallbacks``).  The parity suites in
+``tests/test_backend.py`` / ``tests/test_indexed.py`` enforce this.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 __all__ = [
-    "BACKENDS",
     "HAVE_NUMPY",
-    "resolve_backend",
-    "set_default_backend",
-    "default_backend",
     "backend_info",
     "count_fallback",
     "fallback_counts",
 ]
-
-#: accepted spellings for ``--backend`` / ``REPRO_BACKEND``
-BACKENDS = ("auto", "numpy", "python")
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
     import numpy  # noqa: F401
@@ -63,60 +43,10 @@ except Exception:  # pragma: no cover - import error shape varies
     _NUMPY_VERSION = None
 
 _lock = threading.Lock()
-_override: str | None = None  #: process-wide default set by set_default_backend
 
 #: per-kernel overflow-guard fallback counts (process-wide; mirrored to
 #: the metrics registry as ``core.kernel_fallbacks{kernel}``)
 fallback_counts: dict[str, int] = {}
-
-
-def resolve_backend(choice: str | None = None) -> str:
-    """Resolve a backend request to ``"numpy"`` or ``"python"``.
-
-    ``None`` and ``"auto"`` follow the precedence chain documented in
-    the module docstring.  An explicit ``"numpy"`` raises
-    :class:`RuntimeError` when numpy is missing.
-    """
-    if choice in (None, "", "auto"):
-        choice = _override or os.environ.get("REPRO_BACKEND", "").strip() or "auto"
-    if choice == "auto":
-        return "numpy" if HAVE_NUMPY else "python"
-    if choice == "python":
-        return "python"
-    if choice == "numpy":
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "backend 'numpy' requested but numpy is not installed "
-                "(pip install repro-streaming-scheduling[numpy], or use "
-                "--backend auto/python)"
-            )
-        return "numpy"
-    raise ValueError(
-        f"unknown backend {choice!r} (known: {', '.join(BACKENDS)})"
-    )
-
-
-def set_default_backend(choice: str | None) -> str:
-    """Set the process-wide default backend; returns the resolved name.
-
-    ``None``/``"auto"`` clears the override back to environment/auto
-    selection.  Validation happens eagerly so a misconfigured deploy
-    fails at startup, not on the first request.
-    """
-    global _override
-    if choice in (None, "", "auto"):
-        with _lock:
-            _override = None
-        return resolve_backend(None)
-    resolved = resolve_backend(choice)  # raises on unknown/unavailable
-    with _lock:
-        _override = resolved
-    return resolved
-
-
-def default_backend() -> str:
-    """The backend used when no explicit choice is given."""
-    return resolve_backend(None)
 
 
 def count_fallback(kernel: str, n: int = 1) -> None:
@@ -142,9 +72,9 @@ def count_fallback(kernel: str, n: int = 1) -> None:
 
 
 def backend_info() -> dict:
-    """Active backend + fallback counts, for stats/profile surfaces."""
+    """Active kernels + fallback counts, for stats/profile surfaces."""
     return {
-        "backend": default_backend(),
+        "backend": "numpy" if HAVE_NUMPY else "python",
         "numpy": _NUMPY_VERSION,
         "kernel_fallbacks": dict(fallback_counts),
     }

@@ -23,11 +23,15 @@ Every streaming edge not involved in an undirected cycle keeps the
 minimal capacity of 1: a deadlock needs a cycle in the blocked-on
 relation, which is a subgraph of the undirected channel topology.
 
-The pass runs over the :class:`~repro.core.indexed.IndexedGraph` CSR
-arrays with an iterative bridge-finding DFS and exact integer ceiling
-divisions (``S_o(u) = C/O(u)`` is rational, so ``ceil(slack / S_o)`` is
-``ceil(slack * den / num)``); the original networkx implementation is
-kept in :mod:`repro.core.reference`.
+:func:`buffer_sizes_python` runs over the
+:class:`~repro.core.indexed.IndexedGraph` CSR arrays with an iterative
+bridge-finding DFS and exact integer ceiling divisions (``S_o(u) =
+C/O(u)`` is rational, so ``ceil(slack / S_o)`` is ``ceil(slack * den /
+num)``).  :func:`compute_buffer_sizes` runs the batched NumPy twin
+(:func:`repro.core.kernels.buffer_sizes_numpy`) instead when ``numpy``
+imports, and falls back to the pure-Python pass when its overflow guard
+trips; there is no selector.  The original networkx implementation is
+kept in :mod:`repro.core.reference` as a test oracle.
 """
 
 from __future__ import annotations
@@ -36,13 +40,14 @@ from typing import TYPE_CHECKING, Hashable, Iterable
 
 import networkx as nx
 
+from . import backend
 from .indexed import freeze
 from .node_types import NodeKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .scheduler import StreamingSchedule
 
-__all__ = ["compute_buffer_sizes", "cycle_nodes_of_block"]
+__all__ = ["buffer_sizes_python", "compute_buffer_sizes", "cycle_nodes_of_block"]
 
 
 def cycle_nodes_of_block(
@@ -117,26 +122,33 @@ def _cycle_nodes_flat(
 def compute_buffer_sizes(
     schedule: "StreamingSchedule",
     default_capacity: int = 1,
-    backend: str | None = None,
 ) -> dict[tuple[Hashable, Hashable], int]:
     """Capacity (in elements) of every streaming FIFO channel.
 
     Returns a mapping from streaming edge to capacity; non-streaming
-    edges are absent (they go through global memory).  ``backend``
-    selects the array-kernel implementation (byte-identical results;
-    see :mod:`repro.core.backend`).
+    edges are absent (they go through global memory).  Runs on the
+    NumPy kernel when ``numpy`` imports and on
+    :func:`buffer_sizes_python` otherwise (byte-identical results; see
+    :mod:`repro.core.backend`).
     """
-    graph = schedule.graph
-    ig = freeze(graph)
-    from .backend import resolve_backend
-
-    if resolve_backend(backend) == "numpy":
+    if backend.HAVE_NUMPY:
         from .kernels import buffer_sizes_numpy
 
-        sizes = buffer_sizes_numpy(schedule, ig, default_capacity)
+        sizes = buffer_sizes_numpy(
+            schedule, freeze(schedule.graph), default_capacity)
         if sizes is not None:
             return sizes
-        # overflow guard tripped (counted): exact path below
+        # overflow guard tripped (counted): the exact path
+    return buffer_sizes_python(schedule, default_capacity)
+
+
+def buffer_sizes_python(
+    schedule: "StreamingSchedule",
+    default_capacity: int = 1,
+) -> dict[tuple[Hashable, Hashable], int]:
+    """:func:`compute_buffer_sizes` in exact pure-Python integers: the
+    no-numpy path, the overflow fallback and the kernel-parity oracle."""
+    ig = freeze(schedule.graph)
     names, index = ig.names, ig.index
     comp, kinds, out_vol = ig.comp, ig.kinds, ig.out_vol
     sp, sa = ig.succ_ptr, ig.succ_adj

@@ -21,7 +21,7 @@ from typing import Hashable, Iterable, Iterator
 
 import networkx as nx
 
-from .backend import resolve_backend
+from . import backend
 from .indexed import IndexedGraph, freeze
 from .node_types import NodeKind, NodeSpec, classify_rate
 
@@ -116,8 +116,8 @@ def _wl_refine_python(ig: IndexedGraph, labels: list[int]) -> list[int]:
 
 
 def _wl_refine(ig: IndexedGraph, labels: list[int]) -> list[int]:
-    """:func:`_wl_refine_python` on the default array backend."""
-    if resolve_backend(None) == "numpy":
+    """:func:`_wl_refine_python`, on the NumPy kernel when installed."""
+    if backend.HAVE_NUMPY:
         from .kernels import wl_refine_numpy
 
         return wl_refine_numpy(ig, labels).tolist()
@@ -180,8 +180,8 @@ def graph_fingerprint(graph: "CanonicalGraph | IndexedGraph") -> str:
     different document is served only through a verified
     :func:`find_isomorphism` witness.
 
-    Both the refinement and the digest run on the default array backend
-    (:func:`repro.core.backend.resolve_backend`): the numpy kernels over
+    Both the refinement and the digest run on the NumPy kernels when
+    ``numpy`` imports (:mod:`repro.core.backend`): the kernels over
     the shared :func:`repro.core.kernels.graph_arrays` mirror, the
     pure-Python twins over the CSR lists.  Both produce the same hex on
     every graph (volumes only enter through the seed labels, so no
@@ -189,7 +189,7 @@ def graph_fingerprint(graph: "CanonicalGraph | IndexedGraph") -> str:
     """
     ig = freeze(graph)
     labels = _wl_stable_labels(ig)
-    if resolve_backend(None) == "numpy":
+    if backend.HAVE_NUMPY:
         from .kernels import wl_digest_numpy
 
         return wl_digest_numpy(ig, labels, _wl_header(ig))

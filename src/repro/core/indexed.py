@@ -51,6 +51,7 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Hashable, Iterator
 
+from . import backend
 from .node_types import NodeKind, NodeSpec, PASSIVE_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -359,8 +360,8 @@ class IndexedGraph:
         volumes first and reduces over that set — for the common case of
         graphs with no upsampling rates (every ``R <= 1``, e.g. the
         layered/serpar campaign families) the lcm is never called and
-        the per-node term recomputation is skipped entirely.  When the
-        numpy backend is active the topo recurrence itself runs as
+        the per-node term recomputation is skipped entirely.  When numpy
+        is installed the topo recurrence itself runs as
         per-generation array sweeps (:func:`repro.core.kernels
         .levels_numpy`); the float tie-break keys are always derived by
         python int/int division so they stay bit-identical either way.
@@ -379,9 +380,7 @@ class IndexedGraph:
             den = lcm(den, v)
 
         num = None
-        from .backend import resolve_backend
-
-        if resolve_backend(None) == "numpy":
+        if backend.HAVE_NUMPY:
             from .kernels import levels_numpy
 
             num = levels_numpy(self, den)

@@ -42,7 +42,7 @@ backend-parity suites assert.  The fingerprint kernel needs no guard:
 it computes mod 2^64 by definition and never reads a volume.
 
 This module imports numpy at module load; callers must only import it
-after :func:`repro.core.backend.resolve_backend` returned ``"numpy"``.
+when :data:`repro.core.backend.HAVE_NUMPY` is true.
 """
 
 from __future__ import annotations
@@ -884,9 +884,9 @@ def schedule_sweep_numpy(
             _shared=(P, SC, fo_l, lo_l, st_l),
         )
         if sizes is None:  # guard tripped (counted): exact path
-            from .buffer_sizing import compute_buffer_sizes
+            from .buffer_sizing import buffer_sizes_python
 
-            sizes = compute_buffer_sizes(schedule, backend="python")
+            sizes = buffer_sizes_python(schedule)
         schedule.buffer_sizes = sizes
     return schedule
 

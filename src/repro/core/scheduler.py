@@ -13,6 +13,11 @@
 The resulting :class:`StreamingSchedule` carries everything downstream
 consumers need: times, per-block intervals, task-to-PE assignment, FIFO
 capacities and the derived metrics inputs (makespan, busy times).
+
+Steps 2-3 run on the NumPy kernels (:mod:`repro.core.kernels`) when
+``numpy`` imports and on :func:`schedule_sweep_python` otherwise; the
+platform decides, no option selects, and the documents are
+byte-identical (:mod:`repro.core.backend`).
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ from .block_schedule import (
     TaskTimes,
     _schedule_block_indexed,
 )
-from .buffer_sizing import compute_buffer_sizes
+from . import backend
+from .buffer_sizing import buffer_sizes_python
 from .graph import CanonicalGraph
 from .indexed import IndexedGraph, freeze
 from .node_types import NodeKind
 from .partition import Partition, Variant, compute_spatial_blocks, partition_by_work
 
-__all__ = ["StreamingSchedule", "schedule_streaming"]
+__all__ = ["StreamingSchedule", "schedule_streaming", "schedule_sweep_python"]
 
 
 @dataclass
@@ -116,7 +122,6 @@ def schedule_streaming(
     *,
     sequential_blocks: bool = True,
     size_buffers: bool = True,
-    backend: str | None = None,
     partition: Partition | None = None,
 ) -> StreamingSchedule:
     """Produce a streaming schedule of ``graph`` on ``num_pes`` PEs.
@@ -132,15 +137,10 @@ def schedule_streaming(
         to obtain the bare dependency-driven recurrences.
     size_buffers:
         Run the Section 6 FIFO sizing pass on every streaming edge.
-    backend:
-        Array-kernel backend for the analysis passes: ``"numpy"``,
-        ``"python"`` or ``None``/``"auto"`` (process default, see
-        :mod:`repro.core.backend`).  Results are byte-identical either
-        way; the partitioner is scalar on both backends.
     partition:
         Reuse a precomputed partition of ``graph`` instead of running
-        the partitioner (it is backend-independent, so benchmarks and
-        portfolio re-analyses can share it across backends).  Must have
+        the partitioner (it is the same on both kernel sets, so
+        benchmarks and portfolio re-analyses can share it).  Must have
         been produced by the same ``variant``.
     """
     if partition is None:
@@ -149,20 +149,36 @@ def schedule_streaming(
         else:
             partition = compute_spatial_blocks(graph, num_pes, variant)
 
-    ig = freeze(graph)
-    from .backend import resolve_backend
-
-    if resolve_backend(backend) == "numpy":
+    if backend.HAVE_NUMPY:
         from .kernels import schedule_sweep_numpy
 
         sched = schedule_sweep_numpy(
-            graph, ig, partition, num_pes,
+            graph, freeze(graph), partition, num_pes,
             sequential_blocks=sequential_blocks,
             size_buffers=size_buffers,
         )
         if sched is not None:
             return sched
-        # volumes beyond int64 (counted fallback): reference path below
+        # volumes beyond int64 (counted fallback): the exact sweep
+    return schedule_sweep_python(
+        graph, partition, num_pes,
+        sequential_blocks=sequential_blocks,
+        size_buffers=size_buffers,
+    )
+
+
+def schedule_sweep_python(
+    graph: "CanonicalGraph | IndexedGraph",
+    partition: Partition,
+    num_pes: int,
+    *,
+    sequential_blocks: bool = True,
+    size_buffers: bool = True,
+) -> StreamingSchedule:
+    """Steps 2-3 over ``partition`` in exact pure-Python integers: the
+    no-numpy path, the fallback for volumes beyond int64, and the
+    kernel-parity oracle."""
+    ig = freeze(graph)
     names, index = ig.names, ig.index
     kinds, comp = ig.kinds, ig.comp
     topo_pos = ig.topo_pos
@@ -236,8 +252,5 @@ def schedule_streaming(
         const_idx=const_idx,
     )
     if size_buffers:
-        # this branch IS the python backend: keep the sizing pass on the
-        # reference implementation too
-        schedule.buffer_sizes = compute_buffer_sizes(
-            schedule, backend="python")
+        schedule.buffer_sizes = buffer_sizes_python(schedule)
     return schedule

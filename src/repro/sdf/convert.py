@@ -9,7 +9,7 @@ represent downsamplers and upsamplers."
 Every computational node with per-edge volumes ``(I, O)`` becomes an
 actor with ``W = max(I, O)`` unit-duration phases whose per-phase rate
 patterns mirror the one-element-per-cycle dataflow loop of
-:mod:`repro.sim.runner` exactly (consume-cycles and emit-cycles
+:mod:`repro.sim.indexed` exactly (consume-cycles and emit-cycles
 interleaved by the rational rate ``O/I``).  Entry nodes get an auxiliary
 single-phase source actor injecting one token per firing, fired ``I``
 times per graph iteration by the balance equations.

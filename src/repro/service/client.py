@@ -256,7 +256,6 @@ class ServiceClient:
         policy: str = "barrier",
         pacing: str = "steady",
         capacity: int | None = None,
-        engine: str | None = None,
         no_cache: bool = False,
         deadline_ms: float | None = None,
         retries: int = 0,
@@ -277,8 +276,6 @@ class ServiceClient:
         }
         if capacity is not None:
             doc["capacity"] = capacity
-        if engine is not None:
-            doc["engine"] = engine
         if no_cache:
             doc["no_cache"] = True
         if deadline_ms is not None:

@@ -124,10 +124,9 @@ def simulate_request_key(
 
     Same shape and version tag as :func:`request_key` with a ``sim``
     marker, so schedule and simulation entries share the sv-versioned
-    cache without ever colliding.  The simulation *engine* is
-    deliberately absent: both engines are semantically identical
-    (golden-tested), so their results are interchangeable cache-wise.
-    ``capacity`` is the FIFO override (``c0`` = the schedule's own
+    cache without ever colliding.  There is no engine component: the
+    simulator has one engine, and the wire's optional ``engine`` field
+    may only name it.  ``capacity`` is the FIFO override (``c0`` = the schedule's own
     Section 6 sizes).
     """
     return (

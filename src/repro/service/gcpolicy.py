@@ -98,9 +98,9 @@ def _import_serving_stack() -> None:
     """Import what the first requests would otherwise import lazily, so
     it joins the frozen start-up heap instead of a request's."""
     from .. import sim  # noqa: F401 - the simulate op's engine
-    from ..core.backend import resolve_backend
+    from ..core import backend
 
-    if resolve_backend(None) == "numpy":
+    if backend.HAVE_NUMPY:
         from ..core import kernels  # noqa: F401
 
 

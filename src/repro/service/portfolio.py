@@ -189,7 +189,7 @@ def _warm_worker() -> None:  # pragma: no cover - runs in worker processes
     worker-seeding idea as the campaign executor's chunked dispatch:
     amortize per-process setup once, not per task)."""
     from .. import baselines, core  # noqa: F401
-    from ..core import indexed, ingest, reference  # noqa: F401
+    from ..core import indexed, ingest  # noqa: F401
 
 
 def _race_candidate(payload: tuple) -> dict:

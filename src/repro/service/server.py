@@ -73,7 +73,9 @@ scheduler, per-candidate metrics and the full schedule document.
 cycle-accurate DES substrate (:mod:`repro.sim`) and reports the
 simulated vs analytic makespan, the relative error and — on a deadlock
 (undersized FIFOs, Figure 9) — the blocked tasks and the full
-channels.  Simulation requests are fingerprint-keyed exactly like
+channels.  ``engine`` is optional and may only be ``"indexed"``, the
+simulator's one engine; ``capacity`` is ``null`` or an integer >= 1.
+Simulation requests are fingerprint-keyed exactly like
 schedules (:func:`~repro.service.fingerprint.simulate_request_key`,
 same sv-versioned cache, same single-flight coalescing) and the
 simulation itself runs under the same worker semaphore as scheduling
@@ -132,6 +134,8 @@ SIM_SCHEDULERS = ("lts", "rlx", "work")
 
 _SIM_POLICIES = ("barrier", "pe", "dataflow")
 _SIM_PACINGS = ("steady", "greedy")
+#: the simulator's one engine; wire requests may name it, nothing else
+_SIM_ENGINE = "indexed"
 
 _SHUTDOWN_REFUSED = (
     "shutdown refused: not a loopback peer "
@@ -157,6 +161,16 @@ def _num_pes(doc: dict) -> int:
     if type(num_pes) is not int or not 1 <= num_pes <= MAX_PES:
         raise ValueError(f"num_pes must be an integer in [1, {MAX_PES}]")
     return num_pes
+
+
+def _capacity(doc: dict) -> int | None:
+    """The simulate request's FIFO capacity override: absent/``null``, or
+    a JSON integer (not a bool) of at least 1, checked before any parse
+    or compute."""
+    capacity = doc.get("capacity")
+    if capacity is not None and (type(capacity) is not int or capacity < 1):
+        raise ValueError("FIFO capacity must be an integer of at least 1")
+    return capacity
 
 
 class _InFlight:
@@ -1016,8 +1030,7 @@ class ScheduleService:
         scheduler = doc.get("scheduler", "lts")
         policy = doc.get("policy", "barrier")
         pacing = doc.get("pacing", "steady")
-        capacity = doc.get("capacity")
-        engine = doc.get("engine", "indexed")
+        capacity = _capacity(doc)
         no_cache = bool(doc.get("no_cache", False))
         deadline = self._deadline(doc, t0)
         if scheduler not in SIM_SCHEDULERS:
@@ -1034,17 +1047,11 @@ class ScheduleService:
             return self._error(
                 f"unknown pacing {pacing!r} (known: {', '.join(_SIM_PACINGS)})"
             )
-        from ..sim import SIM_ENGINES
-
-        if engine not in SIM_ENGINES:
+        if doc.get("engine", _SIM_ENGINE) != _SIM_ENGINE:
             return self._error(
-                f"unknown simulation engine {engine!r} "
-                f"(known: {', '.join(SIM_ENGINES)})"
+                f"unknown simulation engine {doc['engine']!r} "
+                f"(the one engine is {_SIM_ENGINE!r})"
             )
-        if capacity is not None:
-            capacity = int(capacity)
-            if capacity < 1:
-                return self._error("FIFO capacity must be at least 1")
 
         with span.phase("fingerprint"):
             graph, fp, digest, _ = self._fingerprint(graph_doc, digest_hint)
@@ -1054,7 +1061,7 @@ class ScheduleService:
         def compute() -> dict:
             return self._compute_sim(
                 slots, graph, graph_doc, digest, fp, key, num_pes,
-                scheduler, policy, pacing, capacity, engine, span, deadline,
+                scheduler, policy, pacing, capacity, span, deadline,
             )
 
         def adapt(entry: dict) -> dict | None:
@@ -1286,7 +1293,7 @@ class ScheduleService:
 
     def _compute_sim(
         self, slots, graph, graph_doc, digest, fp, key, num_pes,
-        scheduler, policy, pacing, capacity, engine, span=NULL_SPAN,
+        scheduler, policy, pacing, capacity, span=NULL_SPAN,
         deadline: float | None = None,
     ) -> dict:
         from ..core import schedule_streaming
@@ -1304,8 +1311,7 @@ class ScheduleService:
                 try:
                     sim = simulate_schedule(
                         schedule, policy=policy, pacing=pacing,
-                        capacity_override=capacity, engine=engine,
-                        raise_on_deadlock=True,
+                        capacity_override=capacity, raise_on_deadlock=True,
                     )
                     deadlocked = False
                     sim_makespan = sim.makespan
@@ -1350,7 +1356,7 @@ class ScheduleService:
             "policy": policy,
             "pacing": pacing,
             "capacity": capacity,
-            "engine": engine,
+            "engine": _SIM_ENGINE,
             "makespan": schedule.makespan,
             "sim_makespan": sim_makespan,
             "error_pct": error_pct,

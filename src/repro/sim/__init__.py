@@ -1,42 +1,33 @@
 """Discrete-event simulation substrate (Appendix B validation).
 
-Two engines with identical execution semantics behind one front door
-(:func:`simulate_schedule`):
+:func:`simulate_schedule` is the one run-time entry point: the
+array-state engine of :mod:`repro.sim.indexed` (flat integer
+task/channel state over the frozen
+:class:`~repro.core.indexed.IndexedGraph`, timestamp-dataflow
+evaluation, no generators and no per-element events).  There is no
+engine selector.
 
-* :mod:`repro.sim.indexed` — the default array-state engine: flat
-  integer task/channel state over the frozen
-  :class:`~repro.core.indexed.IndexedGraph`, timestamp-dataflow
-  evaluation, no generators and no per-element events;
-* :mod:`repro.sim.reference` — the original simpy-like process engine
-  (:mod:`repro.sim.engine` + :mod:`repro.sim.channel`), kept as the
-  readable specification and the differential-testing oracle.
+The original simpy-like process engine, :mod:`repro.sim.reference`
+(over :mod:`repro.sim.engine` + :mod:`repro.sim.channel`), is kept as
+the readable specification and the differential-testing oracle; tests
+and benchmarks import it from its submodule, and importing this package
+does not load it.
 
 :mod:`repro.sim.trace` exports simulated timelines in the same JSON /
 Chrome-trace schemas the analytic schedule serializers use.
 """
 
-from .channel import FifoChannel, MemoryStream
-from .engine import DeadlockError, Environment, Event, Process, SimulationError
-from .indexed import simulate_schedule_indexed
-from .reference import simulate_schedule_reference
+from .engine import DeadlockError, SimulationError
+from .indexed import simulate_schedule
 from .result import BlockPolicy, SimulationResult
-from .runner import SIM_ENGINES, simulate_schedule
 from .trace import simulation_to_chrome_trace, simulation_to_dict
 
 __all__ = [
     "BlockPolicy",
     "DeadlockError",
-    "Environment",
-    "Event",
-    "FifoChannel",
-    "MemoryStream",
-    "Process",
-    "SIM_ENGINES",
     "SimulationError",
     "SimulationResult",
     "simulate_schedule",
-    "simulate_schedule_indexed",
-    "simulate_schedule_reference",
     "simulation_to_chrome_trace",
     "simulation_to_dict",
 ]

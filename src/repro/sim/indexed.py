@@ -1,4 +1,9 @@
-"""Array-state schedule simulation — the production validation engine.
+"""Array-state schedule simulation — the simulator's one engine.
+
+:func:`simulate_schedule` is the Appendix B validation harness front
+door: given a :class:`~repro.core.scheduler.StreamingSchedule`, execute
+it cycle-accurately and report simulated timing, channel statistics and
+deadlocks.  It is pure Python on every install.
 
 The reference engine (:mod:`repro.sim.reference`) drives one Python
 generator per task and one heap :class:`~repro.sim.engine.Event` per
@@ -55,13 +60,13 @@ from ..core.node_types import NodeKind
 from .engine import DeadlockError
 from .result import BlockPolicy, SimulationResult
 
-__all__ = ["simulate_schedule_indexed"]
+__all__ = ["simulate_schedule"]
 
 #: task state-machine phases
 _GATE, _LOOP, _EMIT, _DONE = 0, 1, 2, 3
 
 
-def simulate_schedule_indexed(
+def simulate_schedule(
     schedule,
     *,
     policy: BlockPolicy = "barrier",
@@ -69,12 +74,31 @@ def simulate_schedule_indexed(
     capacity_override: int | None = None,
     raise_on_deadlock: bool = False,
 ) -> SimulationResult:
-    """Simulate ``schedule`` on the array-state engine.
+    """Simulate ``schedule`` cycle-accurately; returns timing + stats.
 
-    Same signature and semantics as
-    :func:`repro.sim.reference.simulate_schedule_reference`; see
-    :func:`repro.sim.runner.simulate_schedule` for the dispatching
-    front door.
+    Same signature and semantics as the test oracle
+    :func:`repro.sim.reference.simulate_schedule_reference`.
+
+    Parameters
+    ----------
+    policy:
+        ``"barrier"`` — a spatial block starts only after the previous
+        one fully completed (the paper's gang-scheduled temporal
+        multiplexing); ``"pe"`` — a task waits only for the previous
+        task mapped to the same PE; ``"dataflow"`` — dependencies only.
+    pacing:
+        ``"steady"`` — tasks read and write at their steady-state
+        streaming intervals, the regime the analysis models (default,
+        used by the Figure 13 validation); ``"greedy"`` — tasks free-run
+        at one element per cycle, paced only by data availability and
+        backpressure (a lower bound on execution time).
+    capacity_override:
+        Force every streaming FIFO to this capacity instead of the
+        schedule's Section 6 sizes (ablation / deadlock demonstrations).
+    raise_on_deadlock:
+        Re-raise :class:`~repro.sim.engine.DeadlockError` instead of
+        reporting it in the result; the error carries per-channel
+        occupancy/capacity diagnostics.
     """
     ig = freeze(schedule.graph)
     n = ig.n

@@ -8,8 +8,8 @@ ablations), memory streams for the buffered edges, and a heap-driven
 event loop.  The production path is the array-state engine in
 :mod:`repro.sim.indexed`, which reproduces this engine's makespans,
 per-task start/finish times and deadlock sets exactly (asserted by the
-golden differential tests); select this one explicitly with
-``simulate_schedule(..., engine="reference")``.
+golden differential tests); tests and benchmarks call this one directly
+as :func:`simulate_schedule_reference`.
 
 The simulation respects:
 

@@ -3,8 +3,8 @@
 Both the generator-based reference engine (:mod:`repro.sim.reference`)
 and the flat array-state engine (:mod:`repro.sim.indexed`) report their
 outcome through :class:`SimulationResult`; keeping the type (and the
-:data:`BlockPolicy` literal) in its own module lets the two engines and
-the :mod:`repro.sim.runner` dispatcher import it without cycles.
+:data:`BlockPolicy` literal) in its own module lets both engines import
+it without cycles.
 """
 
 from __future__ import annotations

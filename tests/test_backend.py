@@ -1,9 +1,12 @@
-"""Backend selection + numpy-kernel parity and fallback contracts.
+"""The selection rule + numpy-kernel parity and fallback contracts.
 
-The ``numpy`` backend must be **byte-identical** to the pure-Python
-path everywhere: schedules serialize to the same documents, and every
-int64 overflow guard falls back to the exact path while counting itself
-in ``core.kernel_fallbacks``.
+The NumPy kernels run if and only if ``numpy`` imports
+(``repro.core.backend.HAVE_NUMPY``); nothing else selects them.  They
+must be **byte-identical** to the pure-Python path everywhere: schedules
+serialize to the same documents, and every int64 overflow guard falls
+back to the exact path while counting itself in
+``core.kernel_fallbacks``.  The parity tests call the pure-Python sweep
+(:func:`repro.core.scheduler.schedule_sweep_python`) directly.
 """
 
 import json
@@ -13,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import schedule_streaming
+from repro.core import compute_spatial_blocks, schedule_streaming
 from repro.core import backend as BK
 from repro.core.indexed import freeze
+from repro.core.scheduler import schedule_sweep_python
 from repro.core.serialize import schedule_to_dict
 from repro.graphs import random_canonical_graph
 
@@ -26,31 +30,53 @@ needs_numpy = pytest.mark.skipif(
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    """Tests may pin the process default; always restore auto."""
-    yield
-    BK.set_default_backend(None)
+def sdoc(g, pes, variant):
+    """The installed path's document (the NumPy kernels when present)."""
+    return json.dumps(schedule_to_dict(schedule_streaming(g, pes, variant)))
 
 
-def sdoc(g, pes, variant, backend):
-    return json.dumps(schedule_to_dict(
-        schedule_streaming(g, pes, variant, backend=backend)))
+def sdoc_python(g, pes, variant):
+    """The pure-Python sweep's document, by direct call."""
+    part = compute_spatial_blocks(g, pes, variant)
+    return json.dumps(schedule_to_dict(schedule_sweep_python(g, part, pes)))
 
 
 class TestSelectionPortable:
-    """Selection semantics that hold with or without numpy installed."""
+    """The selection rule and its reporting, with or without numpy."""
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            BK.resolve_backend("fortran")
+        """No call takes an implementation choice any more."""
+        g = random_canonical_graph("chain", 4, seed=0)
+        with pytest.raises(TypeError, match="backend"):
+            schedule_streaming(g, 2, backend="fortran")
 
-    def test_explicit_numpy_raises_without_numpy(self, monkeypatch):
+    def test_patched_off_reports_python(self, monkeypatch):
         monkeypatch.setattr(BK, "HAVE_NUMPY", False)
-        with pytest.raises(RuntimeError):
-            BK.resolve_backend("numpy")
-        # auto degrades silently by design
-        assert BK.resolve_backend("auto") == "python"
+        assert BK.backend_info()["backend"] == "python"
+
+    def test_patched_off_never_reaches_the_kernels(self, monkeypatch):
+        """Every selection site reads HAVE_NUMPY at call time: with it
+        off, no kernel runs and the answers are the installed path's."""
+        from repro.core import compute_buffer_sizes, graph_fingerprint
+
+        g = random_canonical_graph("layered", 200, seed=5)
+        want = (sdoc(g, 16, "rlx"), graph_fingerprint(g.copy()))
+        if BK.HAVE_NUMPY:
+            from repro.core import kernels
+
+            def boom(*args, **kwargs):
+                raise AssertionError("a numpy kernel ran")
+
+            for name in ("schedule_sweep_numpy", "buffer_sizes_numpy",
+                         "levels_numpy", "wl_refine_numpy",
+                         "wl_digest_numpy"):
+                monkeypatch.setattr(kernels, name, boom)
+        monkeypatch.setattr(BK, "HAVE_NUMPY", False)
+        fresh = g.copy()  # no memoized levels or labels
+        s = schedule_streaming(fresh, 16, "rlx")
+        assert json.dumps(schedule_to_dict(s)) == want[0]
+        assert graph_fingerprint(fresh) == want[1]
+        assert compute_buffer_sizes(s) == s.buffer_sizes
 
     def test_backend_info_shape(self):
         info = BK.backend_info()
@@ -72,26 +98,17 @@ class TestSelectionPortable:
 
 @needs_numpy
 class TestSelection:
-    def test_auto_prefers_numpy_when_installed(self):
-        assert BK.resolve_backend(None) == "numpy"
-        assert BK.resolve_backend("auto") == "numpy"
+    def test_auto_prefers_numpy_when_installed(self, monkeypatch):
+        from repro.core import kernels
 
-    def test_explicit_choice_wins(self):
-        assert BK.resolve_backend("python") == "python"
-        assert BK.resolve_backend("numpy") == "numpy"
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert BK.resolve_backend(None) == "python"
-        # an explicit argument still beats the environment
-        assert BK.resolve_backend("numpy") == "numpy"
-
-    def test_process_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        BK.set_default_backend("python")
-        assert BK.resolve_backend(None) == "python"
-        BK.set_default_backend(None)
-        assert BK.resolve_backend(None) == "numpy"
+        calls = []
+        real = kernels.schedule_sweep_numpy
+        monkeypatch.setattr(
+            kernels, "schedule_sweep_numpy",
+            lambda *a, **k: calls.append(1) or real(*a, **k))
+        schedule_streaming(random_canonical_graph("fft", 16, seed=0), 8)
+        assert calls == [1]
+        assert BK.backend_info()["backend"] == "numpy"
 
 
 SCENARIOS = [
@@ -110,17 +127,16 @@ class TestScheduleParity:
     def test_documents_byte_identical(self, topo, size, pes, variant):
         for seed in (0, 1):
             g = random_canonical_graph(topo, size, seed=seed)
-            assert sdoc(g, pes, variant, "python") == \
-                sdoc(g, pes, variant, "numpy")
+            assert sdoc_python(g, pes, variant) == sdoc(g, pes, variant)
 
     def test_parity_without_scipy(self):
         """The union-find WCC constants (the only components path; scipy
         is never imported) must match the python backend's per-block
         components."""
         g = random_canonical_graph("layered", 300, seed=3)
-        assert sdoc(g, 32, "rlx", "python") == sdoc(g, 32, "rlx", "numpy")
+        assert sdoc_python(g, 32, "rlx") == sdoc(g, 32, "rlx")
 
-    def test_forced_levels_match_python(self):
+    def test_forced_levels_match_python(self, monkeypatch):
         """levels_numpy under force= must equal the python recurrence
         even on graphs the width heuristic would skip."""
         from repro.core.kernels import levels_numpy
@@ -128,10 +144,10 @@ class TestScheduleParity:
         for topo, size in (("layered", 150), ("fft", 64), ("cholesky", 8)):
             g = random_canonical_graph(topo, size, seed=0)
             ig = freeze(g)
-            BK.set_default_backend("python")
-            ig.level_keys()  # computes the exact python numerators
+            with monkeypatch.context() as m:
+                m.setattr(BK, "HAVE_NUMPY", False)
+                ig.level_keys()  # computes the exact python numerators
             num = levels_numpy(ig, ig._level_den, force=True)
-            BK.set_default_backend(None)
             assert num is not None
             assert list(num) == list(ig._level_num)
 
@@ -171,7 +187,7 @@ class TestOverflowFallbacks:
         P = (1 << 31) + 9
         g = _chain([(P, P), (P, 2 * P), (2 * P, 2 * P)])
         (a, b), delta = _fallback_delta(lambda: (
-            sdoc(g, 2, "lts", "numpy"), sdoc(g, 2, "lts", "python")))
+            sdoc(g, 2, "lts"), sdoc_python(g, 2, "lts")))
         assert a == b
         assert delta.get("core.levels", 0) >= 1
 
@@ -179,7 +195,7 @@ class TestOverflowFallbacks:
         V = 1 << 70  # not representable in the int64 arrays at all
         g = _chain([(V, V), (V, V), (V, V)])
         (a, b), delta = _fallback_delta(lambda: (
-            sdoc(g, 2, "lts", "numpy"), sdoc(g, 2, "lts", "python")))
+            sdoc(g, 2, "lts"), sdoc_python(g, 2, "lts")))
         assert a == b
         assert delta.get("core.levels", 0) >= 1
         assert delta.get("core.block_sweep", 0) >= 1
@@ -227,24 +243,21 @@ class TestNoNumpy:
             "            raise ImportError('blocked')\n"
             "sys.meta_path.insert(0, B())\n"
             f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
-            "from repro.core.backend import HAVE_NUMPY, default_backend\n"
+            "from repro.core.backend import HAVE_NUMPY, backend_info\n"
             "assert not HAVE_NUMPY\n"
-            "assert default_backend() == 'python'\n"
+            "assert backend_info()['backend'] == 'python'\n"
             "from repro.core import schedule_streaming\n"
             "from repro.graphs import random_canonical_graph\n"
-            "from repro.sim.runner import simulate_schedule\n"
+            "from repro.sim import simulate_schedule\n"
             "g = random_canonical_graph('layered', 80, seed=1)\n"
             "s = schedule_streaming(g, 8, 'lts')\n"
             "r = simulate_schedule(s)\n"
             "assert not r.deadlocked and r.makespan > 0\n"
             "print('ok')\n"
         )
-        import os
-
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_BACKEND"}
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            capture_output=True, text=True, timeout=240, env=env,
+            capture_output=True, text=True, timeout=240,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"

@@ -57,13 +57,12 @@ class TestSimulate:
     def test_simulate_greedy_pacing(self, graph_file):
         assert main(["simulate", str(graph_file), "-p", "8", "--pacing", "greedy"]) == 0
 
-    def test_simulate_engines_agree(self, graph_file, capsys):
-        assert main(["simulate", str(graph_file), "-p", "8",
-                     "--engine", "indexed"]) == 0
-        indexed_out = capsys.readouterr().out
-        assert main(["simulate", str(graph_file), "-p", "8",
-                     "--engine", "reference"]) == 0
-        assert capsys.readouterr().out == indexed_out
+    def test_selection_flags_are_gone(self, graph_file, capsys):
+        for flag, value in (("--engine", "reference"), ("--backend", "numpy")):
+            with pytest.raises(SystemExit) as info:
+                main(["simulate", str(graph_file), "-p", "8", flag, value])
+            assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_simulate_policy_flag(self, graph_file):
         for policy in ("barrier", "pe", "dataflow"):

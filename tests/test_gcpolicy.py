@@ -159,6 +159,32 @@ class TestLibraryDefaults:
         assert block["generations"] is None
 
 
+class TestServingStack:
+    def test_serving_process_never_imports_the_oracles(self):
+        """The start-up import stack and a warmed pool worker load the
+        run-time engines only: the reference scheduler and simulator
+        are test oracles."""
+        code = (
+            "import sys\n"
+            "from repro.service.gcpolicy import _import_serving_stack\n"
+            "from repro.service import portfolio, server\n"
+            "_import_serving_stack()\n"
+            "portfolio._warm_worker()\n"
+            "oracles = ('repro.sim.reference', 'repro.sim.channel',\n"
+            "           'repro.core.reference')\n"
+            "loaded = [m for m in oracles if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+
 class TestServeCommand:
     def test_serve_subprocess_freezes_once(self, tmp_path):
         env = dict(

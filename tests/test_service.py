@@ -12,7 +12,8 @@ import pytest
 
 from repro.cli import main
 from repro.core import find_isomorphism, graph_fingerprint, graph_to_dict, save_graph
-from repro.core.backend import HAVE_NUMPY, fallback_counts, set_default_backend
+from repro.core import backend as BK
+from repro.core.backend import HAVE_NUMPY, fallback_counts
 from repro.core.graph import CanonicalGraph
 from repro.core.node_types import NodeSpec
 from repro.graphs import random_canonical_graph
@@ -38,7 +39,7 @@ from repro.service.gcpolicy import YOUNG_GEN_THRESHOLD
 
 from conftest import service_stat, store_line
 
-#: both array backends; numpy is an optional extra
+#: both array implementations; numpy is an optional extra
 BACKEND_PARAMS = [
     "python",
     pytest.param(
@@ -49,10 +50,10 @@ BACKEND_PARAMS = [
 
 
 @pytest.fixture
-def pin_backend():
-    """Pins the process default array backend; restores auto afterwards."""
-    yield set_default_backend
-    set_default_backend(None)
+def pin_backend(monkeypatch):
+    """Runs the rest of the test on one array implementation by patching
+    ``HAVE_NUMPY`` (``"python"`` = the no-numpy install); undone after."""
+    return lambda name: monkeypatch.setattr(BK, "HAVE_NUMPY", name == "numpy")
 
 
 def relabel(graph: CanonicalGraph, prefix: str = "r") -> CanonicalGraph:
@@ -598,11 +599,30 @@ class TestSimulateOp:
             assert other["key"] != base["key"], extra
             assert other["cached"] is False
 
-    def test_engine_not_in_key_results_interchangeable(self):
-        indexed = self.service.handle(dict(self.doc))
-        reference = self.service.handle({**self.doc, "engine": "reference"})
-        assert reference["cached"] == "lru"  # same key: engines agree
-        assert reference["sim_makespan"] == indexed["sim_makespan"]
+    def _refuse_fingerprinting(self, monkeypatch):
+        def no_fingerprint(*args, **kwargs):
+            raise AssertionError("fingerprinted an invalid request")
+
+        monkeypatch.setattr(self.service, "_fingerprint", no_fingerprint)
+
+    def test_engine_field_may_only_name_the_one_engine(self, monkeypatch):
+        absent = self.service.handle(dict(self.doc))
+        named = self.service.handle({**self.doc, "engine": "indexed"})
+        assert named["cached"] == "lru" and named["key"] == absent["key"]
+        assert absent["engine"] == named["engine"] == "indexed"
+        self._refuse_fingerprinting(monkeypatch)
+        refused = self.service.handle({**self.doc, "engine": "reference"})
+        assert not refused["ok"]
+        assert "'indexed'" in refused["error"]
+        assert service_stat(self.service, "simulated") == 1
+
+    @pytest.mark.parametrize("capacity", [2.9, True, "3", 0])
+    def test_capacity_must_be_a_positive_json_integer(self, capacity,
+                                                      monkeypatch):
+        self._refuse_fingerprinting(monkeypatch)
+        response = self.service.handle({**self.doc, "capacity": capacity})
+        assert not response["ok"]
+        assert "capacity" in response["error"]
 
     def test_no_cache_forces_a_fresh_simulation(self):
         self.service.handle(dict(self.doc))
@@ -679,6 +699,37 @@ class TestSimulateOp:
         }
 
 
+class TestSelectionRule:
+    """The platform picks the array kernels: with ``HAVE_NUMPY`` patched
+    off (the no-numpy install) a served cold ``schedule`` and
+    ``simulate`` answer with the installed path's bytes."""
+
+    @staticmethod
+    def _cold_answers() -> tuple[list[str], dict]:
+        service = ScheduleService(cache=ScheduleCache(None, capacity=8))
+        graph = graph_to_dict(random_canonical_graph("layered", 300, seed=4))
+        answers = []
+        for op in ("schedule", "simulate"):
+            line = json.dumps({"op": op, "graph": graph, "num_pes": 16})
+            data, _ = service.serve_line_slow(line.encode())
+            response = json.loads(data)
+            assert response["ok"] and response["cached"] is False
+            # wall-clock timings are the only fields allowed to differ
+            del response["elapsed_ms"]
+            for cand in response.get("candidates", ()):
+                del cand["elapsed_ms"], cand["cpu_ms"]
+            answers.append(json.dumps(response))
+        return answers, service.handle({"op": "stats"})["backend"]
+
+    def test_python_path_serves_the_same_bytes(self, monkeypatch):
+        installed, info = self._cold_answers()
+        assert info["backend"] == ("numpy" if HAVE_NUMPY else "python")
+        monkeypatch.setattr(BK, "HAVE_NUMPY", False)
+        python, info = self._cold_answers()
+        assert python == installed
+        assert info["backend"] == "python"
+
+
 @pytest.fixture
 def live_server():
     service = ScheduleService(cache=ScheduleCache(None, capacity=64))
@@ -710,13 +761,17 @@ class TestServerClient:
             assert stats["sim_schedulers"] == ["lts", "rlx", "work"]
 
     def test_simulate_engines_agree_over_the_wire(self, live_server):
+        """Naming the one engine answers what omitting it answers."""
         g = random_canonical_graph("gaussian", 8, seed=1)
         with ServiceClient(port=live_server.port) as client:
-            indexed = client.simulate(g, 8, engine="indexed")
-            reference = client.simulate(g, 8, engine="reference",
-                                        no_cache=True)
-            assert indexed["sim_makespan"] == reference["sim_makespan"]
-            assert indexed["error_pct"] == reference["error_pct"]
+            default = client.simulate(g, 8)
+            named = client.request({
+                "op": "simulate", "graph": graph_to_dict(g), "num_pes": 8,
+                "engine": "indexed", "no_cache": True,
+            })
+        for response in (default, named):
+            del response["elapsed_ms"]
+        assert named == default
 
     def test_service_error_raised_for_bad_request(self, live_server):
         with ServiceClient(port=live_server.port) as client:
@@ -989,11 +1044,9 @@ def fingerprint_families() -> list[tuple[CanonicalGraph, str]]:
             seq_len=16, d_model=64, num_heads=4, d_ff=128, max_parallel=16
         ),
     ]
-    set_default_backend("python")
-    try:
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(BK, "HAVE_NUMPY", False)
         return [(g, graph_fingerprint(g.copy())) for g in graphs]
-    finally:
-        set_default_backend(None)
 
 
 def _verify_witness(src: CanonicalGraph, dst: CanonicalGraph, mapping) -> None:

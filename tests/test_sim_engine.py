@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import DeadlockError, Environment, SimulationError
+from repro.sim.engine import DeadlockError, Environment, SimulationError
 from repro.sim.channel import FifoChannel, MemoryStream
 
 

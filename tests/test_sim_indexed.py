@@ -9,7 +9,7 @@ Two layers of protection, mirroring tests/test_indexed.py:
   families (layered / serpar, the paper topologies, a small ML graph),
   all three block policies, both pacing modes and deliberately
   undersized FIFOs;
-* **unit tests** for the engine dispatch, the richer
+* **unit tests** for the front door, the richer
   :class:`~repro.sim.engine.DeadlockError` diagnostics and the
   simulated-timeline trace exports.
 """
@@ -26,18 +26,17 @@ from repro.graphs import random_canonical_graph
 from repro.sim import (
     DeadlockError,
     simulate_schedule,
-    simulate_schedule_indexed,
-    simulate_schedule_reference,
     simulation_to_chrome_trace,
     simulation_to_dict,
 )
+from repro.sim.reference import simulate_schedule_reference
 
 from conftest import build_elementwise_chain
 
 
 def assert_equivalent(schedule, **kwargs):
     """Both engines must agree on every semantically defined field."""
-    a = simulate_schedule_indexed(schedule, **kwargs)
+    a = simulate_schedule(schedule, **kwargs)
     b = simulate_schedule_reference(schedule, **kwargs)
     assert a.makespan == b.makespan
     assert a.deadlocked == b.deadlocked
@@ -191,7 +190,7 @@ class TestRandomizedDifferential:
 
     def test_blocked_strings_match_reference_format(self, fig9_graph1):
         s = schedule_streaming(fig9_graph1, 8)
-        r = simulate_schedule_indexed(s, capacity_override=1)
+        r = simulate_schedule(s, capacity_override=1)
         assert any("(on " in entry and entry.startswith("task:")
                    for entry in r.blocked)
         assert r.blocked == sorted(r.blocked)
@@ -200,10 +199,9 @@ class TestRandomizedDifferential:
 class TestDeadlockDiagnostics:
     def test_error_carries_channel_occupancy(self, fig9_graph1):
         s = schedule_streaming(fig9_graph1, 8)
-        for engine in ("indexed", "reference"):
+        for simulate in (simulate_schedule, simulate_schedule_reference):
             with pytest.raises(DeadlockError) as info:
-                simulate_schedule(s, capacity_override=1,
-                                  raise_on_deadlock=True, engine=engine)
+                simulate(s, capacity_override=1, raise_on_deadlock=True)
             err = info.value
             assert err.channels  # every streaming FIFO reported
             for name, (occ, cap) in err.channels.items():
@@ -215,10 +213,10 @@ class TestDeadlockDiagnostics:
     def test_both_engines_report_identical_diagnostics(self, fig9_graph2):
         s = schedule_streaming(fig9_graph2, 8)
         errors = {}
-        for engine in ("indexed", "reference"):
+        for engine, simulate in (("indexed", simulate_schedule),
+                                 ("reference", simulate_schedule_reference)):
             with pytest.raises(DeadlockError) as info:
-                simulate_schedule(s, capacity_override=1,
-                                  raise_on_deadlock=True, engine=engine)
+                simulate(s, capacity_override=1, raise_on_deadlock=True)
             errors[engine] = info.value
         assert errors["indexed"].time == errors["reference"].time
         assert errors["indexed"].blocked == errors["reference"].blocked
@@ -236,22 +234,22 @@ class TestDeadlockDiagnostics:
 
 
 class TestEngineDispatch:
-    def test_default_engine_is_indexed(self, ew_chain):
-        s = schedule_streaming(ew_chain, 4)
-        default = simulate_schedule(s)
-        explicit = simulate_schedule(s, engine="indexed")
-        assert default.makespan == explicit.makespan
-        assert default.finish_times == explicit.finish_times
+    def test_default_engine_is_indexed(self):
+        import repro.sim.indexed
+
+        # the front door IS the indexed engine: nothing to dispatch on
+        assert simulate_schedule is repro.sim.indexed.simulate_schedule
 
     def test_reference_engine_selectable(self, ew_chain):
+        """The oracle is selected by calling it directly."""
         s = schedule_streaming(ew_chain, 4)
-        r = simulate_schedule(s, engine="reference")
+        r = simulate_schedule_reference(s)
         assert r.makespan == s.makespan
 
     def test_unknown_engine_rejected(self, ew_chain):
         s = schedule_streaming(ew_chain, 4)
-        with pytest.raises(ValueError, match="unknown simulation engine"):
-            simulate_schedule(s, engine="bogus")
+        with pytest.raises(TypeError, match="engine"):
+            simulate_schedule(s, engine="indexed")
 
     def test_capacity_must_be_positive(self, ew_chain):
         s = schedule_streaming(ew_chain, 2)
