@@ -36,7 +36,13 @@ Two measurements, both against the original implementation preserved in
   called directly (the run fails when their hexes differ), and
   schedule serialization
   (dict+dumps vs :func:`repro.core.serialize.schedule_doc_bytes`) — at
-  1k and 10k nodes.
+  1k and 10k nodes;
+* an **nstr** section timing the non-streaming baseline cold, the way
+  a portfolio miss runs it (fresh ingest, ``rlx`` and ``lts`` first):
+  :func:`repro.baselines.schedule_nonstreaming` vs the name-keyed scan
+  oracle kept in ``tests/oracles/list_scheduler_scan.py``, median of 3
+  graphs, on ``layered-10k`` and ``serpar-10k`` at 128 PEs — the run
+  fails when their schedule documents differ.
 
 The sweep includes serving-scale ``layered-10k`` / ``serpar-10k``
 scenarios (one graph each — the reference path is ~10x slower there).
@@ -57,10 +63,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
+for _path in (ROOT / "src", ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from history import append_bench_history
+from oracles.list_scheduler_scan import scan_nonstreaming
 from repro import __version__
 from repro.core import schedule_streaming
 from repro.core.reference import schedule_streaming_reference
@@ -198,14 +206,11 @@ def bench_portfolio(misses: int, workers: int) -> dict:
     graphs = [random_canonical_graph("layered", size, seed=s) for s in range(misses)]
 
     def reference_miss(g) -> None:
-        # the pre-PR miss path: candidates raced sequentially in-process
-        # on the pre-indexed implementations (nstr kept as-is: the list
-        # scheduler's structure did not change)
-        from repro.baselines import schedule_nonstreaming
-
+        # the pre-indexed miss path: candidates raced sequentially
+        # in-process on the reference streaming core and the scan oracle
         for name in PORTFOLIO_SCHEDULERS:
             if name == "nstr":
-                schedule_nonstreaming(g, pes)
+                scan_nonstreaming(g, pes)
             else:
                 schedule_streaming_reference(g, pes, name)
 
@@ -428,6 +433,48 @@ def bench_ingest(smoke: bool) -> list[dict]:
     return rows
 
 
+def bench_nstr(repeats: int = 3) -> list[dict]:
+    """Cold ``schedule_nonstreaming`` vs the scan oracle at 128 PEs.
+
+    Each round ingests a fresh graph and races ``rlx`` and ``lts`` over
+    it first (untimed), as a portfolio miss does, then times both list
+    schedulers on it; medians over ``repeats`` graphs.
+    """
+    from statistics import median
+
+    from repro.baselines import schedule_nonstreaming
+    from repro.core.ingest import ingest_graph_doc
+    from repro.core.serialize import graph_to_dict, schedule_doc_bytes
+
+    rows = []
+    for label, topo, size, pes, _variant in SWEEP_10K:
+        new_s, oracle_s, identical = [], [], True
+        for seed in range(repeats):
+            ig = ingest_graph_doc(
+                graph_to_dict(random_canonical_graph(topo, size, seed=seed))
+            )
+            schedule_streaming(ig, pes, "rlx")
+            schedule_streaming(ig, pes, "lts")
+            t0 = time.perf_counter()
+            new = schedule_nonstreaming(ig, pes)
+            new_s.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            old = scan_nonstreaming(ig, pes)
+            oracle_s.append(time.perf_counter() - t0)
+            identical &= schedule_doc_bytes(new) == schedule_doc_bytes(old)
+        rows.append({
+            "scenario": label,
+            "num_pes": pes,
+            "nodes": size,
+            "repeats": repeats,
+            "nstr_ms": round(1e3 * median(new_s), 1),
+            "oracle_ms": round(1e3 * median(oracle_s), 1),
+            "speedup": round(median(oracle_s) / median(new_s), 2),
+            "byte_identical": identical,
+        })
+    return rows
+
+
 def check_baseline(doc: dict, baseline_path: str, tolerance: float) -> list[str]:
     """Gate on the indexed-vs-reference *speedup ratios*, not wall clock.
 
@@ -490,6 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     schedule_rows = bench_schedule(repeats, args.smoke)
     backend_rows = bench_backend(args.smoke)
     ingest_rows = bench_ingest(args.smoke)
+    nstr_rows = bench_nstr()
     portfolio = bench_portfolio(misses, args.workers)
 
     print(format_table(
@@ -531,6 +579,16 @@ def main(argv: list[str] | None = None) -> int:
             for r in ingest_rows
         ],
     ))
+    print(format_table(
+        ["nstr scenario", "PEs", "nodes", "nstr", "scan oracle", "speedup",
+         "identical"],
+        [
+            [r["scenario"], r["num_pes"], r["nodes"], f"{r['nstr_ms']:.1f} ms",
+             f"{r['oracle_ms']:.1f} ms", f"{r['speedup']:.1f}x",
+             r["byte_identical"]]
+            for r in nstr_rows
+        ],
+    ))
     print(
         f"portfolio misses on {portfolio['graph']} "
         f"({portfolio['workers']} workers, "
@@ -553,6 +611,7 @@ def main(argv: list[str] | None = None) -> int:
         "schedule": schedule_rows,
         "backend": backend_rows,
         "ingest": ingest_rows,
+        "nstr": nstr_rows,
         "portfolio": portfolio,
     }
     Path(args.output).write_text(json.dumps(doc, indent=1) + "\n")
@@ -562,6 +621,7 @@ def main(argv: list[str] | None = None) -> int:
 
     bad = [r for r in schedule_rows if not r["byte_identical"]]
     bad += [r for r in backend_rows if r["byte_identical"] is False]
+    bad += [r for r in nstr_rows if not r["byte_identical"]]
     if bad:
         print(f"FAIL: schedules differ on "
               f"{', '.join(r['scenario'] for r in bad)}", file=sys.stderr)

@@ -22,21 +22,21 @@ case — asserted in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from ..core.graph import CanonicalGraph
-from .list_scheduler import _Timeline, condensed_dependencies
+from ..core.indexed import freeze
+from ..core.levels import bottom_levels_idx
+from .list_scheduler import (
+    PESlots,
+    PlacedTask,
+    condensed_dependencies,
+    place_in_order,
+    placements_from_columns,
+)
 
 __all__ = ["HeftSchedule", "schedule_heft", "upward_ranks"]
-
-
-@dataclass(frozen=True)
-class HeftPlacement:
-    name: Hashable
-    start: int
-    finish: int
-    pe: int
 
 
 @dataclass
@@ -44,7 +44,7 @@ class HeftSchedule:
     graph: CanonicalGraph
     speeds: tuple[float, ...]
     bandwidth: float
-    placements: dict[Hashable, HeftPlacement]
+    placements: dict[Hashable, PlacedTask]
     makespan: int
 
     @property
@@ -60,7 +60,7 @@ class HeftSchedule:
             for u in preds:
                 if self.placements[v].start < self.placements[u].finish:
                     raise ValueError(f"{v!r} starts before {u!r} finishes")
-        by_pe: dict[int, list[HeftPlacement]] = {}
+        by_pe: dict[int, list[PlacedTask]] = {}
         for p in self.placements.values():
             by_pe.setdefault(p.pe, []).append(p)
         for items in by_pe.values():
@@ -130,18 +130,20 @@ def schedule_heft(
     if any(s <= 0 for s in speeds):
         raise ValueError("PE speeds must be positive")
     speeds = tuple(float(s) for s in speeds)
+    if not math.isfinite(bandwidth) and all(s == 1.0 for s in speeds):
+        return _schedule_heft_unit(graph, speeds, bandwidth)
     comm = _comm_volume(graph)
     deps = condensed_dependencies(graph)
     ranks = upward_ranks(graph, speeds, bandwidth)
     order = sorted(ranks, key=lambda v: -ranks[v])
 
-    timelines = [_Timeline() for _ in speeds]
-    placements: dict[Hashable, HeftPlacement] = {}
+    slots = PESlots(len(speeds))
+    placements: dict[Hashable, PlacedTask] = {}
     makespan = 0
     for v in order:
         work = graph.spec(v).work
         best: tuple[int, int, int] | None = None  # (finish, start, pe)
-        for pe, (speed, timeline) in enumerate(zip(speeds, timelines)):
+        for pe, speed in enumerate(speeds):
             duration = _exec_time(work, speed)
             ready = 0
             for u in deps[v]:
@@ -149,14 +151,37 @@ def schedule_heft(
                 if placements[u].pe != pe and math.isfinite(bandwidth):
                     arrive += math.ceil(comm[(u, v)] / bandwidth)
                 ready = max(ready, arrive)
-            start = timeline.earliest_slot(ready, duration)
+            start = slots.earliest(pe, ready, duration)
             finish = start + duration
             if best is None or finish < best[0]:
                 best = (finish, start, pe)
         assert best is not None
         finish, start, pe = best
-        timelines[pe].insert(start, finish - start)
-        placements[v] = HeftPlacement(v, start, finish, pe)
+        slots.insert(pe, start, finish - start)
+        placements[v] = PlacedTask(v, start, finish, pe)
         makespan = max(makespan, finish)
 
+    return HeftSchedule(graph, speeds, bandwidth, placements, makespan)
+
+
+def _schedule_heft_unit(
+    graph: CanonicalGraph, speeds: tuple[float, ...], bandwidth: float
+) -> HeftSchedule:
+    """HEFT at unit speeds and infinite bandwidth, on the list
+    scheduler's placement routine.
+
+    Every PE then runs a task in ``W(v)`` cycles and a task is ready
+    when its last dependency finishes, so HEFT's rule (minimum finish,
+    lowest PE index) is NSTR-SCH's (minimum start, lowest PE index),
+    and the upward rank is the bottom level.  Only the order differs:
+    :func:`upward_ranks` visits tasks in reverse topological order, and
+    the stable sort keeps that order among equal ranks.
+    """
+    ig = freeze(graph)
+    bl = bottom_levels_idx(ig)
+    comp = ig.comp
+    order = sorted((v for v in reversed(ig.topo) if comp[v]),
+                   key=bl.__getitem__, reverse=True)
+    start_idx, pe_idx, makespan = place_in_order(ig, len(speeds), order)
+    placements = placements_from_columns(ig, order, start_idx, pe_idx)
     return HeftSchedule(graph, speeds, bandwidth, placements, makespan)

@@ -85,7 +85,6 @@ class IndexedGraph:
         "num_tasks",
         "_specs",
         "_np_cache",
-        "_derived",
         "_level_num",
         "_level_den",
         "_level_key",
@@ -193,7 +192,6 @@ class IndexedGraph:
         self.exits = [i for i in range(self.n) if succs[i] == []]
 
         self._np_cache = None  #: repro.core.kernels array mirror
-        self._derived = None
         self._level_num = None
         self._level_den = 1
         self._level_key = None

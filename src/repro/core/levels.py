@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Hashable
 
 from .graph import CanonicalGraph
-from .indexed import freeze
+from .indexed import IndexedGraph, freeze
 
 __all__ = [
     "node_levels",
@@ -33,6 +33,7 @@ __all__ = [
     "total_work",
     "critical_path_length",
     "bottom_levels",
+    "bottom_levels_idx",
 ]
 
 
@@ -77,13 +78,9 @@ def critical_path_length(graph: CanonicalGraph) -> int:
     return out
 
 
-def bottom_levels(graph: CanonicalGraph) -> dict[Hashable, int]:
-    """Bottom level of each node: ``bl(v) = W(v) + max_succ bl``.
-
-    Used as the list-scheduling priority of the non-streaming baseline
-    (CP/MISF-style, Section 7 "comparison metrics").
-    """
-    ig = freeze(graph)
+def bottom_levels_idx(ig: IndexedGraph) -> list[int]:
+    """Bottom level of each node id of a frozen view (see
+    :func:`bottom_levels`), over the successor CSR."""
     sp, sa, work = ig.succ_ptr, ig.succ_adj, ig.work
     bl = [0] * ig.n
     for v in reversed(ig.topo):
@@ -93,5 +90,16 @@ def bottom_levels(graph: CanonicalGraph) -> dict[Hashable, int]:
             if b > acc:
                 acc = b
         bl[v] = work[v] + acc
+    return bl
+
+
+def bottom_levels(graph: CanonicalGraph) -> dict[Hashable, int]:
+    """Bottom level of each node: ``bl(v) = W(v) + max_succ bl``.
+
+    Used as the list-scheduling priority of the non-streaming baseline
+    (CP/MISF-style, Section 7 "comparison metrics").
+    """
+    ig = freeze(graph)
+    bl = bottom_levels_idx(ig)
     names = ig.names
     return {names[v]: bl[v] for v in reversed(ig.topo)}

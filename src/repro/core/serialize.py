@@ -119,12 +119,12 @@ def schedule_to_dict(schedule) -> dict:
             "makespan": schedule.makespan,
             "tasks": [
                 {
-                    "name": _name_to_json(p.name),
-                    "pe": p.pe,
-                    "start": p.start,
-                    "finish": p.finish,
+                    "name": _name_to_json(name),
+                    "pe": pe,
+                    "start": start,
+                    "finish": finish,
                 }
-                for p in schedule.placements.values()
+                for name, pe, start, finish in _list_rows(schedule)
             ],
         }
     times = schedule.times
@@ -151,6 +151,26 @@ def schedule_to_dict(schedule) -> dict:
             for (u, v), c in schedule.buffer_sizes.items()
         ],
     }
+
+
+def _list_rows(schedule):
+    """``(name, pe, start, finish)`` per task of a non-streaming
+    schedule, in placement order.  A list schedule is read from its int
+    columns (no per-task objects); anything else from ``placements``."""
+    order = getattr(schedule, "order_idx", None)
+    if order is None:
+        return (
+            (p.name, p.pe, p.start, p.finish)
+            for p in schedule.placements.values()
+        )
+    from .indexed import freeze
+
+    ig = freeze(schedule.graph)
+    names, work = ig.names, ig.work
+    start, pe = schedule.start_idx, schedule.pe_idx
+    return (
+        (names[v], pe[v], start[v], start[v] + work[v]) for v in order
+    )
 
 
 def _name_json(name: Hashable) -> str:
@@ -189,9 +209,9 @@ def schedule_doc_bytes(schedule, out: bytearray | None = None) -> bytes:
         ]
         parts.append(", ".join(
             '{"name": %s, "pe": %d, "start": %d, "finish": %d}' % (
-                _name_json(p.name), p.pe, p.start, p.finish,
+                _name_json(name), pe, start, finish,
             )
-            for p in schedule.placements.values()
+            for name, pe, start, finish in _list_rows(schedule)
         ))
         parts.append("]}")
         blob = "".join(parts).encode()
