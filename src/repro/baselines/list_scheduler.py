@@ -26,6 +26,7 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Hashable, Sequence
 
@@ -71,35 +72,23 @@ class ListSchedule:
         self.order_idx = order_idx
         self.start_idx = start_idx
         self.pe_idx = pe_idx
-        self._placements: dict[Hashable, PlacedTask] | None = None
-        self._timelines: list[list[PlacedTask]] | None = None
 
-    def __repr__(self) -> str:
-        return (
-            f"ListSchedule(num_pes={self.num_pes}, makespan={self.makespan}, "
-            f"tasks={len(self.order_idx)})"
+    @cached_property
+    def placements(self) -> dict[Hashable, PlacedTask]:
+        return placements_from_columns(
+            freeze(self.graph), self.order_idx, self.start_idx, self.pe_idx
         )
 
-    @property
-    def placements(self) -> dict[Hashable, PlacedTask]:
-        if self._placements is None:
-            self._placements = placements_from_columns(
-                freeze(self.graph), self.order_idx, self.start_idx, self.pe_idx
-            )
-        return self._placements
-
-    @property
+    @cached_property
     def timelines(self) -> list[list[PlacedTask]]:
-        if self._timelines is None:
-            placed: list[list[PlacedTask]] = [[] for _ in range(self.num_pes)]
-            for p in self.placements.values():
-                placed[p.pe].append(p)
-            # works are positive, so starts are unique per PE: ordering
-            # by start is the timeline order
-            for timeline in placed:
-                timeline.sort(key=lambda p: p.start)
-            self._timelines = placed
-        return self._timelines
+        placed: list[list[PlacedTask]] = [[] for _ in range(self.num_pes)]
+        for p in self.placements.values():
+            placed[p.pe].append(p)
+        # works are positive, so starts are unique per PE: ordering by
+        # start is the timeline order
+        for timeline in placed:
+            timeline.sort(key=lambda p: p.start)
+        return placed
 
     def busy_time(self) -> int:
         work = freeze(self.graph).work
@@ -113,8 +102,6 @@ class ListSchedule:
         for v in ig.computational_nodes():
             if v not in placements:
                 raise ValueError(f"{v!r} is not placed")
-        if len(placements) != ig.num_tasks:
-            raise ValueError("placements name nodes that are not tasks")
         counts = Counter(p.name for tl in self.timelines for p in tl)
         for v, k in counts.items():
             if k != 1:

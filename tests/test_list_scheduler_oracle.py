@@ -109,3 +109,26 @@ def test_serving_scale_at_128_pes(topo, size):
     assert_same_schedule(
         schedule_heft(g, [1.0] * 128), scan_heft(g, [1.0] * 128)
     )
+
+
+@lru_cache(maxsize=None)
+def ml_graph(model):
+    from repro.ml import build_resnet50, build_transformer_encoder
+
+    if model == "resnet":
+        return build_resnet50(image_size=56, max_parallel=16)
+    return build_transformer_encoder(
+        seq_len=16, d_model=64, num_heads=4, d_ff=128, max_parallel=16
+    )
+
+
+@pytest.mark.parametrize("pes", [3, 64])
+@pytest.mark.parametrize("model", ["resnet", "encoder"])
+def test_ml_graphs_through_buffers(model, pes):
+    """The ML graphs carry buffers, a source and a sink: ready times
+    must look through passive nodes exactly as the name sets did."""
+    g = ml_graph(model)
+    assert_nstr_matches(g, pes)
+    assert_same_schedule(
+        schedule_heft(g, [1.0] * pes), scan_heft(g, [1.0] * pes)
+    )
