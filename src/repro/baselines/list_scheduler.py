@@ -79,6 +79,8 @@ class ListSchedule:
             freeze(self.graph), self.order_idx, self.start_idx, self.pe_idx
         )
 
+    fifo_total = 0  #: no streaming FIFOs: every edge goes through memory
+
     @cached_property
     def timelines(self) -> list[list[PlacedTask]]:
         placed: list[list[PlacedTask]] = [[] for _ in range(self.num_pes)]

@@ -162,6 +162,32 @@ def _block_constants(
     return constants, comp_of, maxima
 
 
+def _interval_tables(
+    ig: IndexedGraph, ids, constants, memo: dict | None = None,
+) -> tuple[dict[Hashable, Fraction], dict[Hashable, Fraction]]:
+    """The name-keyed ``S_i`` / ``S_o`` tables of nodes ``ids``, in
+    that order: ``C/I`` and ``C/O`` for a computational node with
+    Theorem-4.1 constant ``constants[v]``, 1 on both sides for a buffer
+    and on the output side for a source (sinks get neither)."""
+    if memo is None:
+        memo = {}
+    names, kinds, comp = ig.names, ig.kinds, ig.comp
+    in_vol, out_vol = ig.in_vol, ig.out_vol
+    si: dict[Hashable, Fraction] = {}
+    so: dict[Hashable, Fraction] = {}
+    for v in ids:
+        name = names[v]
+        if comp[v]:
+            c = constants[v]
+            si[name] = _memo_fraction(memo, c, in_vol[v])
+            so[name] = _memo_fraction(memo, c, out_vol[v])
+        elif kinds[v] is NodeKind.BUFFER:
+            si[name] = so[name] = _ONE
+        elif kinds[v] is NodeKind.SOURCE:
+            so[name] = _ONE
+    return si, so
+
+
 def _intervals_view(
     ig: IndexedGraph,
     constants: dict[int, int],
@@ -223,15 +249,16 @@ def schedule_block(
         i = index.get(name)
         if i is not None:
             ready_idx[i] = t
-    times_idx, si_idx, so_idx, iview = _schedule_block_indexed(
-        ig, members, ready_idx, release, {}
+    times_idx, constants, comp_of, maxima = _schedule_block_indexed(
+        ig, members, ready_idx, release
     )
-    names = ig.names
+    memo: dict = {}
+    si, so = _interval_tables(ig, members, constants, memo)
     return BlockSchedule(
-        {names[i]: t for i, t in times_idx.items()},
-        {names[i]: s for i, s in si_idx.items()},
-        {names[i]: s for i, s in so_idx.items()},
-        iview,
+        {ig.names[i]: t for i, t in times_idx.items()},
+        si,
+        so,
+        _intervals_view(ig, constants, comp_of, maxima, memo),
     )
 
 
@@ -240,28 +267,14 @@ def _schedule_block_indexed(
     members: list[int],
     ready: dict[int, int],
     release: int,
-    fraction_memo: dict | None = None,
-    const_out: list[int | None] | None = None,
-) -> tuple[
-    dict[int, TaskTimes],
-    dict[int, Fraction],
-    dict[int, Fraction],
-    StreamingIntervals,
-]:
+) -> tuple[dict[int, TaskTimes], dict[int, int], dict[int, int], list[int]]:
     """Integer-arithmetic Section 5.1 recurrences over one block.
 
     ``members`` must be in topological order; ``ready`` maps node index
-    to memory-readiness time for previously scheduled nodes.
-    ``fraction_memo`` shares interval Fractions across the blocks of one
-    schedule run (the volume alphabet is tiny, so almost every
-    construction is a repeat).
+    to memory-readiness time for previously scheduled nodes.  Returns
+    the members' times and the :func:`_block_constants` of the block.
     """
     constants, comp_of, maxima = _block_constants(ig, members)
-    if fraction_memo is None:
-        fraction_memo = {}
-    if const_out is not None:  # id-indexed Theorem-4.1 constants
-        for v, c in constants.items():
-            const_out[v] = c
 
     kinds, comp = ig.kinds, ig.comp
     in_vol, out_vol = ig.in_vol, ig.out_vol
@@ -269,8 +282,6 @@ def _schedule_block_indexed(
     member_set = set(members)
 
     times: dict[int, TaskTimes] = {}
-    si: dict[int, Fraction] = {}
-    so: dict[int, Fraction] = {}
 
     def node_ready(u: int) -> int:
         """Memory-readiness of predecessor ``u`` (any block, any kind)."""
@@ -294,7 +305,6 @@ def _schedule_block_indexed(
 
         if kind is NodeKind.SOURCE:
             # informational times: memory port streaming from t=0
-            so[v] = _ONE
             times[v] = TaskTimes(st=0, fo=1, lo=out_vol[v])
             continue
 
@@ -306,9 +316,7 @@ def _schedule_block_indexed(
                     stored = r
             # emission pacing: the paper uses the block's S_o; consumers in
             # this implementation self-pace reads, so we record the
-            # canonical emission window for reference.
-            si[v] = _ONE
-            so[v] = _ONE
+            # canonical emission window for reference (S_i = S_o = 1).
             times[v] = TaskTimes(
                 st=stored, fo=stored + 1, lo=stored + out_vol[v]
             )
@@ -333,8 +341,6 @@ def _schedule_block_indexed(
         # ---- computational node ---------------------------------------
         i_vol, o_vol = in_vol[v], out_vol[v]
         c = constants[v]
-        si[v] = _memo_fraction(fraction_memo, c, i_vol)
-        so[v] = _memo_fraction(fraction_memo, c, o_vol)
 
         in_block_fo = 0
         in_block_lo = 0
@@ -389,6 +395,4 @@ def _schedule_block_indexed(
             st = in_block_fo if has_in_block else release
         times[v] = TaskTimes(st=st, fo=fo, lo=lo)
 
-    return times, si, so, _intervals_view(
-        ig, constants, comp_of, maxima, fraction_memo
-    )
+    return times, constants, comp_of, maxima

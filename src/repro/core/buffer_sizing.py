@@ -26,8 +26,7 @@ relation, which is a subgraph of the undirected channel topology.
 :func:`buffer_sizes_python` runs over the
 :class:`~repro.core.indexed.IndexedGraph` CSR arrays with an iterative
 bridge-finding DFS and exact integer ceiling divisions (``S_o(u) =
-C/O(u)`` is rational, so ``ceil(slack / S_o)`` is ``ceil(slack * den /
-num)``).  :func:`compute_buffer_sizes` runs the batched NumPy twin
+C/O(u)``, so ``ceil(slack / S_o)`` is ``ceil(slack * O(u) / C)``).  :func:`compute_buffer_sizes` runs the batched NumPy twin
 (:func:`repro.core.kernels.buffer_sizes_numpy`) instead when ``numpy``
 imports, and falls back to the pure-Python pass when its overflow guard
 trips; there is no selector.  The original networkx implementation is
@@ -131,101 +130,92 @@ def compute_buffer_sizes(
     :func:`buffer_sizes_python` otherwise (byte-identical results; see
     :mod:`repro.core.backend`).
     """
+    ig = freeze(schedule.graph)
+    fifos = None
     if backend.HAVE_NUMPY:
         from .kernels import buffer_sizes_numpy
 
-        sizes = buffer_sizes_numpy(
-            schedule, freeze(schedule.graph), default_capacity)
-        if sizes is not None:
-            return sizes
-        # overflow guard tripped (counted): the exact path
-    return buffer_sizes_python(schedule, default_capacity)
+        fifos = buffer_sizes_numpy(schedule, ig, default_capacity)
+        # None: overflow guard tripped (counted), take the exact path
+    if fifos is None:
+        fifos = buffer_sizes_python(schedule, default_capacity)
+    names = ig.names
+    return {
+        (names[u], names[v]): c for u, v, c in zip(*fifos)
+    }
 
 
 def buffer_sizes_python(
     schedule: "StreamingSchedule",
     default_capacity: int = 1,
-) -> dict[tuple[Hashable, Hashable], int]:
+) -> tuple[list[int], list[int], list[int]]:
     """:func:`compute_buffer_sizes` in exact pure-Python integers: the
-    no-numpy path, the overflow fallback and the kernel-parity oracle."""
+    no-numpy path, the overflow fallback and the kernel-parity oracle.
+
+    Returns the FIFO columns ``(src ids, dst ids, capacities)`` in
+    reference order: blocks in order, each block's computational
+    members in ``block_of`` insertion order, then CSR successor slots
+    (the serialized FIFO list is part of the byte-identity contract).
+    """
     ig = freeze(schedule.graph)
-    names, index = ig.names, ig.index
     comp, kinds, out_vol = ig.comp, ig.kinds, ig.out_vol
     sp, sa = ig.succ_ptr, ig.succ_adj
     pp, pa = ig.pred_ptr, ig.pred_adj
-
-    # per-block computational members in block_of insertion order (the
-    # edge iteration order — and hence the serialized FIFO order — must
-    # match the reference implementation exactly)
-    members_by_block: list[list[int]] = [[] for _ in range(schedule.num_blocks)]
-    block_arr = [-1] * ig.n
-    for name, b in schedule.partition.block_of.items():
-        i = index[name]
-        block_arr[i] = b
-        if comp[i]:
-            members_by_block[b].append(i)
-
-    times = (
-        schedule.times_idx
-        if getattr(schedule, "times_idx", None) is not None
-        else [schedule.times.get(name) for name in names]
-    )
-    const_idx = getattr(schedule, "const_idx", None)
+    blk, _, members_by_block = schedule.partition.columns(ig)
+    st, fo, lo = schedule.st_idx, schedule.fo_idx, schedule.lo_idx
+    const = schedule.const_idx
 
     def memory_ready(u: int) -> int:
         if kinds[u] is NodeKind.SOURCE:
             return 0
-        t = times[u]
-        return t.st if kinds[u] is NodeKind.BUFFER else t.lo
+        return st[u] if kinds[u] is NodeKind.BUFFER else lo[u]
 
-    sizes: dict[tuple[Hashable, Hashable], int] = {}
+    src: list[int] = []
+    dst: list[int] = []
+    cap: list[int] = []
     for b, members in enumerate(members_by_block):
-        member_set = set(members)
         stream_edges = [
             (u, sa[j])
             for u in members
             for j in range(sp[u], sp[u + 1])
-            if sa[j] in member_set
+            if comp[sa[j]] and blk[sa[j]] == b
         ]
         if not stream_edges:
             continue
+        for u, v in stream_edges:
+            src.append(u)
+            dst.append(v)
         if len(stream_edges) < 3:
             # an undirected cycle in a simple graph needs >= 3 edges, so
             # everything here is a bridge: minimal capacities, no DFS
-            for u, v in stream_edges:
-                sizes[(names[u], names[v])] = default_capacity
+            cap += [default_capacity] * len(stream_edges)
             continue
         hot = _cycle_nodes_flat(members, stream_edges)
 
         for u, v in stream_edges:
-            edge = (names[u], names[v])
             if v not in hot or u not in hot:
-                sizes[edge] = default_capacity
+                cap.append(default_capacity)
                 continue
             # slowest arrival across all of v's inputs
             worst = 0
             for j in range(pp[v], pp[v + 1]):
                 t = pa[j]
-                if t in member_set:
-                    arrival = times[t].fo
+                if comp[t] and blk[t] == b:
+                    arrival = fo[t]
                 else:
                     # memory-backed input: first element readable right
                     # after the data is ready in global memory
                     arrival = memory_ready(t) + 1
                 if arrival > worst:
                     worst = arrival
-            slack = worst - times[u].fo
+            slack = worst - fo[u]
             if slack <= 0:
-                sizes[edge] = default_capacity
+                cap.append(default_capacity)
                 continue
             # ceil(slack / S_o(u)) with S_o(u) = C/O(u) exactly; the
             # unreduced integers give the same ceiling as the Fraction
-            if const_idx is not None and const_idx[u] is not None:
-                space = -(-slack * out_vol[u] // const_idx[u])
-            else:
-                s_o = schedule.so[names[u]]
-                space = -(-slack * s_o.denominator // s_o.numerator)
+            space = -(-slack * out_vol[u] // const[u])
             if space > out_vol[u]:
                 space = out_vol[u]
-            sizes[edge] = space if space > default_capacity else default_capacity
-    return sizes
+            cap.append(space if space > default_capacity else default_capacity)
+    return src, dst, cap

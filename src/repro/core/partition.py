@@ -62,6 +62,30 @@ class Partition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
+    def columns(
+        self, ig: IndexedGraph
+    ) -> tuple[list[int], list[int], list[list[int]]]:
+        """``(block, pe, members)`` over the node ids of ``ig``.
+
+        ``block[i]`` is node ``i``'s block (-1 if unassigned), ``pe[i]``
+        a computational node's position in its block (-1 otherwise), and
+        ``members[b]`` block ``b``'s computational ids in ``block_of``
+        insertion order.
+        """
+        index, comp = ig.index, ig.comp
+        blk = [-1] * ig.n
+        pe = [-1] * ig.n
+        members = [[] for _ in self.blocks]
+        for v, b in self.block_of.items():
+            i = index[v]
+            blk[i] = b
+            if comp[i]:
+                members[b].append(i)
+        for block in self.blocks:
+            for p, v in enumerate(block):
+                pe[index[v]] = p
+        return blk, pe, members
+
     def validate(self, graph: CanonicalGraph, num_pes: int) -> None:
         """Check partition invariants: coverage, capacity, acyclicity."""
         seen: set[Hashable] = set()

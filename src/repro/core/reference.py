@@ -439,7 +439,6 @@ def schedule_streaming_reference(
     so: dict[Hashable, Fraction] = {}
     ready: dict[Hashable, int] = {}
     pe_of: dict[Hashable, int] = {}
-    block_schedules: list[BlockSchedule] = []
 
     release = 0
     makespan = 0
@@ -454,7 +453,6 @@ def schedule_streaming_reference(
             ready,
             release=release if sequential_blocks else 0,
         )
-        block_schedules.append(block)
         times.update(block.times)
         si.update(block.si)
         so.update(block.so)
@@ -477,16 +475,8 @@ def schedule_streaming_reference(
             pe_of[v] = pe
         release = block_end
 
-    schedule = StreamingSchedule(
-        graph=graph,
-        num_pes=num_pes,
-        partition=partition,
-        times=times,
-        si=si,
-        so=so,
-        pe_of=pe_of,
-        block_schedules=block_schedules,
-        makespan=makespan,
+    schedule = StreamingSchedule.from_tables(
+        graph, num_pes, partition, times, si, so, pe_of, makespan,
     )
     if size_buffers:
         schedule.buffer_sizes = compute_buffer_sizes_reference(schedule)

@@ -127,7 +127,13 @@ def schedule_to_dict(schedule) -> dict:
                 for name, pe, start, finish in _list_rows(schedule)
             ],
         }
-    times = schedule.times
+    from .indexed import freeze
+
+    ig = freeze(schedule.graph)
+    names = [_name_to_json(v) for v in ig.names]  # once per node, not per use
+    comp = ig.comp
+    blk, pe = schedule.block_idx, schedule.pe_idx
+    st, fo, lo = schedule.st_idx, schedule.fo_idx, schedule.lo_idx
     return {
         "format": "streaming-schedule",
         "version": FORMAT_VERSION,
@@ -137,18 +143,19 @@ def schedule_to_dict(schedule) -> dict:
         "num_blocks": schedule.num_blocks,
         "tasks": [
             {
-                "name": _name_to_json(v),
-                "block": schedule.block_of(v),
-                "pe": schedule.pe_of[v],
-                "st": times[v].st,
-                "fo": times[v].fo,
-                "lo": times[v].lo,
+                "name": names[i],
+                "block": blk[i],
+                "pe": pe[i],
+                "st": st[i],
+                "fo": fo[i],
+                "lo": lo[i],
             }
-            for v in schedule.graph.computational_nodes()
+            for i in range(ig.n)
+            if comp[i]
         ],
         "fifo_sizes": [
-            {"src": _name_to_json(u), "dst": _name_to_json(v), "capacity": c}
-            for (u, v), c in schedule.buffer_sizes.items()
+            {"src": names[u], "dst": names[v], "capacity": c}
+            for u, v, c in schedule.fifo_rows()
         ],
     }
 
@@ -191,7 +198,8 @@ def schedule_doc_bytes(schedule, out: bytearray | None = None) -> bytes:
     Byte-identical to ``json.dumps(schedule_to_dict(schedule)).encode()``
     (asserted by the golden tests), but assembled directly from the
     frozen :class:`~repro.core.indexed.IndexedGraph` arrays and the
-    schedule's time/placement tables — no intermediate per-task dicts.
+    schedule's id columns — no intermediate per-task dicts, and no
+    name-keyed view of a streaming schedule is built.
 
     ``out`` is an optional preallocated ``bytearray`` to append to (the
     serving path reuses one buffer per response assembly); the returned
@@ -221,13 +229,9 @@ def schedule_doc_bytes(schedule, out: bytearray | None = None) -> bytes:
 
     ig = freeze(schedule.graph)
     names_json = [_name_json(name) for name in ig.names]
-    times_idx = getattr(schedule, "times_idx", None)
-    if times_idx is None:
-        times = schedule.times
-        times_idx = [times.get(name) for name in ig.names]
-    pe_of = schedule.pe_of
-    block_of = schedule.partition.block_of
-    names, comp = ig.names, ig.comp
+    comp = ig.comp
+    blk, pe = schedule.block_idx, schedule.pe_idx
+    st, fo, lo = schedule.st_idx, schedule.fo_idx, schedule.lo_idx
     parts = [
         '{"format": "streaming-schedule", "version": %d, "num_pes": %d, '
         '"variant": %s, "makespan": %d, "num_blocks": %d, "tasks": [' % (
@@ -236,25 +240,19 @@ def schedule_doc_bytes(schedule, out: bytearray | None = None) -> bytes:
             schedule.makespan, schedule.num_blocks,
         )
     ]
-    task_parts = []
-    for i in range(ig.n):
-        if not comp[i]:
-            continue
-        v = names[i]
-        t = times_idx[i]
-        task_parts.append(
-            '{"name": %s, "block": %d, "pe": %d, "st": %d, "fo": %d, "lo": %d}'
-            % (names_json[i], block_of[v], pe_of[v], t.st, t.fo, t.lo)
-        )
-    parts.append(", ".join(task_parts))
+    parts.append(", ".join([
+        '{"name": %s, "block": %d, "pe": %d, "st": %d, "fo": %d, "lo": %d}'
+        % (names_json[i], blk[i], pe[i], st[i], fo[i], lo[i])
+        for i in range(ig.n)
+        if comp[i]
+    ]))
     parts.append('], "fifo_sizes": [')
-    index = ig.index
-    parts.append(", ".join(
+    parts.append(", ".join([
         '{"src": %s, "dst": %s, "capacity": %d}' % (
-            names_json[index[u]], names_json[index[v]], c,
+            names_json[u], names_json[v], c,
         )
-        for (u, v), c in schedule.buffer_sizes.items()
-    ))
+        for u, v, c in schedule.fifo_rows()
+    ]))
     parts.append("]}")
     blob = "".join(parts).encode()
     if out is not None:

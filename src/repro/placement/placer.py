@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable
 
+from ..core.indexed import freeze
 from ..core.scheduler import StreamingSchedule
 from .mesh import Mesh, mesh_for
 
@@ -72,7 +73,12 @@ def place_schedule(schedule: StreamingSchedule, mesh: Mesh | None = None) -> Pla
         raise ValueError(
             f"mesh of {mesh.size} PEs cannot host {schedule.num_pes}-wide blocks"
         )
-    graph = schedule.graph
+    # neighbours come from the frozen CSR arrays, so a CanonicalGraph
+    # and its wire-ingested twin place identically (and the latter
+    # never builds networkx)
+    ig = freeze(schedule.graph)
+    names, index, out_vol, work = ig.names, ig.index, ig.out_vol, ig.work
+    pp, pa, sp, sa = ig.pred_ptr, ig.pred_adj, ig.succ_ptr, ig.succ_adj
     placement = Placement(mesh, schedule)
 
     for block in schedule.partition.blocks:
@@ -81,17 +87,18 @@ def place_schedule(schedule: StreamingSchedule, mesh: Mesh | None = None) -> Pla
         placed: dict[Hashable, int] = {}
 
         def stream_neighbors(v: Hashable):
-            for u in graph.predecessors(v):
-                if u in members:
-                    yield u, graph.volume(u, v)
-            for w in graph.successors(v):
-                if w in members:
-                    yield w, graph.volume(v, w)
+            i = index[v]
+            for u in pa[pp[i]:pp[i + 1]]:
+                if names[u] in members:
+                    yield names[u], out_vol[u]
+            for w in sa[sp[i]:sp[i + 1]]:
+                if names[w] in members:
+                    yield names[w], out_vol[i]
 
         # BFS over the streaming subgraph from the heaviest task
         order: list[Hashable] = []
         seen: set[Hashable] = set()
-        for seed in sorted(block, key=lambda v: -graph.spec(v).work):
+        for seed in sorted(block, key=lambda v: -work[index[v]]):
             if seed in seen:
                 continue
             queue = deque([seed])

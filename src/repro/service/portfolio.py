@@ -212,7 +212,7 @@ def _race_candidate(payload: tuple) -> dict:
     return {
         "name": name,
         "makespan": int(schedule.makespan),
-        "fifo_total": int(sum(getattr(schedule, "buffer_sizes", {}).values())),
+        "fifo_total": getattr(schedule, "fifo_total", 0),
         "elapsed": time.perf_counter() - t0,
         "cpu": time.thread_time() - cpu0,
         "trace_id": trace_id,
@@ -764,7 +764,7 @@ def run_portfolio(
         schedule = _SCHEDULERS[name](graph, num_pes)
         elapsed = time.perf_counter() - t0
         cpu = time.thread_time() - cpu0
-        fifo_total = int(sum(getattr(schedule, "buffer_sizes", {}).values()))
+        fifo_total = getattr(schedule, "fifo_total", 0)
         makespan = int(schedule.makespan)
         result = CandidateResult(
             name=name,

@@ -1362,7 +1362,7 @@ class ScheduleService:
             "error_pct": error_pct,
             "deadlocked": deadlocked,
             "blocked": list(blocked),
-            "fifo_total": int(sum(schedule.buffer_sizes.values())),
+            "fifo_total": schedule.fifo_total,
             "channels": channels,
             # Figure 9 diagnosability over the wire: the channels at
             # capacity at deadlock time (empty on a clean run)

@@ -109,8 +109,7 @@ def simulate_schedule(
     sp, sa = ig.succ_ptr, ig.succ_adj
     pp, pa = ig.pred_ptr, ig.pred_adj
 
-    block_of = schedule.partition.block_of
-    blk = [block_of[names[i]] if comp[i] else -1 for i in range(n)]
+    blk = [b if c else -1 for b, c in zip(schedule.block_idx, comp)]
     comp_ids = [i for i in range(n) if comp[i]]
 
     # ---- channels for streaming edges (CSR successor order, which is

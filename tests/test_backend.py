@@ -130,7 +130,7 @@ class TestScheduleParity:
             assert sdoc_python(g, pes, variant) == sdoc(g, pes, variant)
 
     def test_parity_without_scipy(self):
-        """The union-find WCC constants (the only components path; scipy
+        """The DFS-derived WCC constants (the only components path; scipy
         is never imported) must match the python backend's per-block
         components."""
         g = random_canonical_graph("layered", 300, seed=3)
@@ -150,6 +150,90 @@ class TestScheduleParity:
             num = levels_numpy(ig, ig._level_den, force=True)
             assert num is not None
             assert list(num) == list(ig._level_num)
+
+
+def _ingested_10k(topo):
+    from repro.core.ingest import ingest_graph_doc
+    from repro.core.serialize import graph_to_dict
+
+    g = random_canonical_graph(topo, 10_000, seed=7)
+    return ingest_graph_doc(graph_to_dict(g))
+
+
+VIEWS = ("times", "si", "so", "pe_of", "buffer_sizes")
+
+
+@needs_numpy
+class TestViewParity:
+    """Both sweeps fill the same columns: every name-keyed view, the
+    FIFO total and the document bytes agree, whichever built them."""
+
+    CASES = [(t, s, p, v) for t, s, p, v in SCENARIOS] + [
+        ("layered", 10_000, 128, "rlx"),
+        ("serpar", 10_000, 128, "lts"),
+    ]
+
+    @staticmethod
+    def _graph(topo, size):
+        if size == 10_000:
+            return _ingested_10k(topo)
+        return random_canonical_graph(topo, size, seed=0)
+
+    @pytest.mark.parametrize("topo,size,pes,variant", CASES)
+    def test_views_and_documents_agree(self, topo, size, pes, variant,
+                                       monkeypatch):
+        from repro.core import kernels
+        from repro.core.serialize import schedule_doc_bytes
+
+        g = self._graph(topo, size)
+        part = compute_spatial_blocks(g, pes, variant)
+        runs = [
+            kernels.schedule_sweep_numpy(g, freeze(g), part, pes),
+            schedule_sweep_python(g, part, pes),
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(BK, "HAVE_NUMPY", False)
+            g_off = self._graph(topo, size)
+            runs.append(schedule_sweep_python(
+                g_off, compute_spatial_blocks(g_off, pes, variant), pes))
+        docs = [schedule_doc_bytes(s) for s in runs]
+        assert docs[0] == docs[1] == docs[2]
+        assert docs[0] == json.dumps(schedule_to_dict(runs[0])).encode()
+        want = runs[0]
+        for s in runs[1:]:
+            for view in VIEWS:
+                assert list(getattr(s, view).items()) == list(
+                    getattr(want, view).items()), view
+            assert s.makespan == want.makespan
+            assert s.fifo_total == want.fifo_total
+
+    def test_serializing_builds_no_view(self):
+        from repro.core import kernels
+        from repro.core.serialize import schedule_doc_bytes
+
+        g = _ingested_10k("layered")
+        part = compute_spatial_blocks(g, 128, "rlx")
+        s = kernels.schedule_sweep_numpy(g, g, part, 128)
+        total = s.fifo_total
+        schedule_doc_bytes(s)
+        assert not set(VIEWS) & set(vars(s))
+        assert total == sum(s.buffer_sizes.values()) > 0
+
+    def test_assigned_buffer_sizes_win(self):
+        """Assigning (or editing) ``buffer_sizes`` replaces the FIFO
+        columns for the total and the serializers."""
+        from repro.core.serialize import schedule_doc_bytes
+
+        g = random_canonical_graph("layered", 200, seed=0)
+        s = schedule_streaming(g, 32, "rlx")
+        edge = next(iter(s.buffer_sizes))
+        s.buffer_sizes[edge] += 5
+        doc = json.loads(schedule_doc_bytes(s))
+        assert doc["fifo_sizes"][0]["capacity"] == s.buffer_sizes[edge]
+        assert s.fifo_total == sum(s.buffer_sizes.values())
+        s.buffer_sizes = {}
+        assert s.fifo_total == 0
+        assert json.loads(schedule_doc_bytes(s))["fifo_sizes"] == []
 
 
 def _chain(volumes):
@@ -199,6 +283,47 @@ class TestOverflowFallbacks:
         assert a == b
         assert delta.get("core.levels", 0) >= 1
         assert delta.get("core.block_sweep", 0) >= 1
+
+
+    def test_unsafe_wcc_blocks_fall_back_one_by_one(self):
+        """A WCC whose constant reaches 2^31 sends only its own block to
+        the exact path; the ordinary blocks around it stay on the
+        kernel, and each unsafe WCC is counted once."""
+        import numpy as np
+
+        from oracles.stream_components import wcc_constants
+        from repro import CanonicalGraph
+        from repro.core import kernels
+
+        V = (1 << 31) + 5
+        g = CanonicalGraph()
+        for i in range(6):  # ordinary chain o0 -> ... -> o5
+            g.add_task(f"o{i}", 4, 4)
+            if i:
+                g.add_edge(f"o{i - 1}", f"o{i}")
+        g.add_task("h0", V, V)  # the unsafe WCC: h0 -> h1
+        g.add_task("h1", V, V)
+        g.add_edge("h0", "h1")
+        part = compute_spatial_blocks(g, 2, "rlx")
+        ig = freeze(g)
+        blk, _, members = part.columns(ig)
+        blk_arr = np.asarray(blk)
+        eu, ev = kernels._stream_edges(
+            kernels.graph_arrays(ig), blk_arr, members)
+        const, roots = wcc_constants(ig, eu.tolist(), ev.tolist())
+        unsafe = {roots[i] for i in range(ig.n) if const[i] >= 1 << 31}
+        assert unsafe
+        assert len({blk[r] for r in unsafe}) < part.num_blocks
+
+        def docs():
+            a = json.dumps(schedule_to_dict(
+                kernels.schedule_sweep_numpy(g, ig, part, 2)))
+            return a, json.dumps(schedule_to_dict(
+                schedule_sweep_python(g, part, 2)))
+
+        (a, b), delta = _fallback_delta(docs)
+        assert a == b
+        assert delta.get("core.block_sweep", 0) == len(unsafe)
 
 
 class TestFreezeLcm:

@@ -90,3 +90,53 @@ class TestPlacement:
         s = schedule_streaming(g, 6, "rlx")
         with pytest.raises(ValueError):
             place_schedule(s, Mesh(2, 2))
+
+
+class TestIngestedSchedule:
+    def test_placing_never_builds_networkx(self):
+        """Streaming-edge questions are answered from the CSR arrays
+        and the block column: placing a schedule of a wire-ingested
+        graph leaves its networkx twin unbuilt, and the NoC metrics
+        equal the CanonicalGraph path's."""
+        from repro.core import ingest_graph_doc
+        from repro.core.serialize import graph_to_dict
+
+        g = random_canonical_graph("layered", 2000, seed=4)
+        ig = ingest_graph_doc(graph_to_dict(g))
+        s = schedule_streaming(ig, 16)
+        placement = place_schedule(s)
+        hops, load = placement.weighted_hops(), placement.max_link_load()
+        s.validate()
+        assert s.streaming_edges()
+        assert ig._graph is None
+        want = place_schedule(schedule_streaming(g, 16))
+        assert (hops, load) == (want.weighted_hops(), want.max_link_load())
+        assert placement.pe_of == want.pe_of
+
+    def test_edge_insertion_order_does_not_change_placement(self):
+        """Stream neighbours are walked in producer-id order, so a
+        CanonicalGraph whose edges were added in any other order places
+        exactly like its wire-ingested twin."""
+        from repro.core import ingest_graph_doc
+        from repro.core.graph import CanonicalGraph
+        from repro.core.serialize import graph_to_dict
+
+        src = random_canonical_graph("layered", 400, seed=9)
+        g = CanonicalGraph()
+        for v in src.nodes:
+            g.add_node(src.spec(v))
+        for u, v in reversed(list(src.edges)):
+            g.add_edge(u, v)
+        ig = ingest_graph_doc(graph_to_dict(g))
+        want = place_schedule(schedule_streaming(ig, 16))
+        got = place_schedule(schedule_streaming(g, 16))
+        assert got.pe_of == want.pe_of
+        assert (got.weighted_hops(), got.max_link_load()) == (
+            want.weighted_hops(), want.max_link_load())
+
+    def test_is_streaming_edge_rejects_non_edges(self):
+        s = schedule_streaming(random_canonical_graph("layered", 60, seed=1), 8)
+        u, v = s.streaming_edges()[0]
+        assert s.is_streaming_edge(u, v)
+        with pytest.raises(KeyError):
+            s.is_streaming_edge(v, u)

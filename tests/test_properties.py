@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from repro import (
     total_work,
 )
 from repro.baselines import schedule_nonstreaming
+from repro.core.backend import HAVE_NUMPY
 from repro.core.levels import critical_path_length
 from repro.sdf import canonical_to_csdf, rate_patterns, self_timed_makespan
 from repro.sim import simulate_schedule
@@ -180,3 +182,76 @@ def test_streaming_depth_lower_bounds_any_schedule_width(g: CanonicalGraph):
         for p in (1, 2, len(g))
     ]
     assert spans[2] == streaming_depth(g)
+
+
+# ----------------------------------------------------------------------
+# the numpy sweep's fused streaming-edge pass vs the two-pass oracle
+# ----------------------------------------------------------------------
+
+#: (family, size) of the random graphs the fused pass is diffed on
+STREAM_FAMILIES = {"layered": 60, "serpar": 60, "fft": 16}
+
+
+def _fused_vs_oracle(topo: str, seed: int, pes: int, variant: str) -> set:
+    """Diff the fused pass against the oracle on one graph; returns the
+    block classes seen (streaming edges per block, 3 meaning >= 3)."""
+    import numpy as np
+
+    from oracles.stream_components import hot_nodes, wcc_constants
+    from repro.core import kernels
+    from repro.core.indexed import freeze
+    from repro.graphs import random_canonical_graph
+
+    g = random_canonical_graph(topo, STREAM_FAMILIES[topo], seed=seed)
+    ig = freeze(g)
+    part = compute_spatial_blocks(g, pes, variant)
+    blk, _, members = part.columns(ig)
+    blk_arr = np.asarray(blk)
+    eu, ev = kernels._stream_edges(kernels.graph_arrays(ig), blk_arr, members)
+    label, hot = kernels._stream_components(ig.n, eu, ev)
+    const, roots = wcc_constants(ig, eu.tolist(), ev.tolist())
+
+    schedule = kernels.schedule_sweep_numpy(g, ig, part, pes)
+    assert schedule.const_idx == const
+
+    def wccs(lab) -> set:
+        groups: dict = {}
+        for i in range(ig.n):
+            if ig.comp[i]:
+                groups.setdefault(int(lab[i]), set()).add(i)
+        return {frozenset(m) for m in groups.values()}
+
+    assert wccs(label) == wccs(roots)
+    want = hot_nodes(ig.n, eu, ev, blk_arr[eu], part.num_blocks)
+    assert hot.tolist() == want.tolist()
+    counts = np.bincount(blk_arr[eu], minlength=part.num_blocks)
+    return set(np.minimum(counts, 3).tolist())
+
+
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="numpy backend not installed")
+
+
+@needs_numpy
+@common
+@given(
+    st.sampled_from(sorted(STREAM_FAMILIES)),
+    st.integers(0, 10_000),
+    st.integers(1, 8),
+    st.sampled_from(["lts", "rlx"]),
+)
+def test_fused_stream_pass_matches_oracle(topo, seed, pes, variant):
+    """One low-link DFS gives the union-find's constants and WCC
+    partition and the per-block bridge DFS's on-cycle mask."""
+    _fused_vs_oracle(topo, seed, pes, variant)
+
+
+@needs_numpy
+def test_fused_stream_pass_covers_every_block_class():
+    """The PE counts above do reach blocks with 0, 1, 2 and >= 3
+    streaming edges (the classes the oracle treats differently)."""
+    seen: set = set()
+    for topo in sorted(STREAM_FAMILIES):
+        for pes in (1, 2, 3, 8):
+            seen |= _fused_vs_oracle(topo, 0, pes, "rlx")
+    assert seen == {0, 1, 2, 3}
