@@ -5,7 +5,7 @@ Standalone script (CI runs it directly and uploads the JSON artifact):
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --smoke
 
 Two measurements, both against the original implementation preserved in
-:mod:`repro.core.reference`:
+``tests/oracles/scheduler_reference.py``:
 
 * **end-to-end ``schedule_streaming``** across the scenario sweep
   (layered / serpar families plus the paper topologies, ML graphs in
@@ -27,10 +27,10 @@ Two measurements, both against the original implementation preserved in
   byte-identical schedule documents between the two.
   ``--backend-gate R`` fails the run when the numpy kernels' speedup
   over python drops below ``R`` on any 10k-node scenario;
-* an **ingest** section reporting the wire→graph split — legacy
-  ``graph_from_dict`` (+freeze) vs the zero-copy
-  :func:`repro.core.ingest.ingest_graph_doc` path (validated and
-  trusted), the cg3 fingerprint on each available implementation,
+* an **ingest** section reporting the wire→graph split — the networkx
+  parse kept in ``tests/oracles/graph_parse.py`` (+ freeze) vs
+  :func:`repro.core.ingest.ingest_graph_doc` (validated and trusted),
+  the one parse path ``graph_from_dict`` wraps, the cg3 fingerprint on each available implementation,
   called directly (the run fails when their hexes differ), and
   schedule serialization
   (dict+dumps vs :func:`repro.core.serialize.schedule_doc_bytes`) — at
@@ -66,10 +66,11 @@ for _path in (ROOT / "src", ROOT / "tests"):
         sys.path.insert(0, str(_path))
 
 from history import append_bench_history
+from oracles.graph_parse import parse_graph_doc
 from oracles.list_scheduler_scan import scan_nonstreaming
+from oracles.scheduler_reference import schedule_streaming_reference
 from repro import __version__
 from repro.core import schedule_streaming
-from repro.core.reference import schedule_streaming_reference
 from repro.core.serialize import schedule_to_dict
 from repro.core.tabulate import format_table
 from repro.graphs import random_canonical_graph
@@ -357,11 +358,7 @@ def bench_ingest(smoke: bool) -> list[dict]:
     )
     from repro.core.indexed import freeze
     from repro.core.ingest import ingest_graph_doc
-    from repro.core.serialize import (
-        graph_from_dict,
-        graph_to_dict,
-        schedule_doc_bytes,
-    )
+    from repro.core.serialize import graph_to_dict, schedule_doc_bytes
 
     # the cg3 fingerprint on each implementation, by direct call
     fingerprints = {"python": lambda ig: _wl_digest_python(
@@ -387,8 +384,8 @@ def bench_ingest(smoke: bool) -> list[dict]:
                 fn()
             return (time.perf_counter() - t0) / reps
 
-        parse_s = timed(lambda: graph_from_dict(doc))
-        parse_freeze_s = timed(lambda: freeze(graph_from_dict(doc)))
+        parse_s = timed(lambda: parse_graph_doc(doc))
+        parse_freeze_s = timed(lambda: freeze(parse_graph_doc(doc)))
         ingest_s = timed(lambda: ingest_graph_doc(doc))
         trusted_s = timed(lambda: ingest_graph_doc(doc, validate=False))
         # fingerprint over a fresh ingest each round: the full cost a
@@ -414,8 +411,8 @@ def bench_ingest(smoke: bool) -> list[dict]:
             "nodes": len(doc["nodes"]),
             "edges": len(doc["edges"]),
             "repeats": reps,
-            "graph_from_dict_s": round(parse_s, 4),
-            "legacy_parse_freeze_s": round(parse_freeze_s, 4),
+            "oracle_parse_s": round(parse_s, 4),
+            "oracle_parse_freeze_s": round(parse_freeze_s, 4),
             "ingest_s": round(ingest_s, 4),
             "ingest_trusted_s": round(trusted_s, 4),
             "fingerprint_python_s": round(fingerprint_s["python"], 4),
@@ -562,11 +559,11 @@ def main(argv: list[str] | None = None) -> int:
         ],
     ))
     print(format_table(
-        ["scenario", "nodes", "legacy parse+freeze", "ingest", "trusted",
+        ["scenario", "nodes", "oracle parse+freeze", "ingest", "trusted",
          "fp python", "fp numpy", "sched dict+dumps", "sched bytes",
          "ingest speedup"],
         [
-            [r["scenario"], r["nodes"], f"{r['legacy_parse_freeze_s']*1e3:.1f} ms",
+            [r["scenario"], r["nodes"], f"{r['oracle_parse_freeze_s']*1e3:.1f} ms",
              f"{r['ingest_s']*1e3:.1f} ms", f"{r['ingest_trusted_s']*1e3:.1f} ms",
              f"{r['fingerprint_python_s']*1e3:.1f} ms",
              "-" if r["fingerprint_numpy_s"] is None

@@ -38,7 +38,7 @@ division — the recurrences run in plain integer arithmetic over the
 :class:`~fractions.Fraction` in the loop.  ``C`` is found with a
 union-find over the block's streaming edges instead of building a
 buffer-split networkx graph per block.  The original Fraction
-implementation lives in :mod:`repro.core.reference`.
+implementation lives in ``tests/oracles/scheduler_reference.py``.
 """
 
 from __future__ import annotations

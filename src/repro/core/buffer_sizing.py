@@ -30,14 +30,12 @@ C/O(u)``, so ``ceil(slack / S_o)`` is ``ceil(slack * O(u) / C)``).  :func:`compu
 (:func:`repro.core.kernels.buffer_sizes_numpy`) instead when ``numpy``
 imports, and falls back to the pure-Python pass when its overflow guard
 trips; there is no selector.  The original networkx implementation is
-kept in :mod:`repro.core.reference` as a test oracle.
+kept in ``tests/oracles/scheduler_reference.py`` as a test oracle.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Iterable
-
-import networkx as nx
 
 from . import backend
 from .indexed import freeze
@@ -46,26 +44,7 @@ from .node_types import NodeKind
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .scheduler import StreamingSchedule
 
-__all__ = ["buffer_sizes_python", "compute_buffer_sizes", "cycle_nodes_of_block"]
-
-
-def cycle_nodes_of_block(
-    stream_graph: nx.Graph,
-) -> set[Hashable]:
-    """Nodes of the block's streaming topology that lie on undirected cycles.
-
-    The paper uses a marking DFS; equivalently, an edge lies on an
-    undirected cycle iff it is not a bridge, and a node lies on a cycle
-    iff it is incident to a non-bridge edge.  Complexity O(V + E).
-    """
-    bridges = set(nx.bridges(stream_graph)) if stream_graph.number_of_edges() else set()
-    on_cycle: set[Hashable] = set()
-    for u, v in stream_graph.edges:
-        if (u, v) in bridges or (v, u) in bridges:
-            continue
-        on_cycle.add(u)
-        on_cycle.add(v)
-    return on_cycle
+__all__ = ["buffer_sizes_python", "compute_buffer_sizes"]
 
 
 def _cycle_nodes_flat(

@@ -23,7 +23,7 @@ import networkx as nx
 
 from . import backend
 from .indexed import IndexedGraph, freeze
-from .node_types import NodeKind, NodeSpec, classify_rate
+from .node_types import CanonicalityError, NodeKind, NodeSpec, classify_rate
 
 __all__ = [
     "CanonicalGraph",
@@ -272,10 +272,6 @@ def find_isomorphism(
     return {names_s[v]: names_d[w] for v, w in idx_map.items()}
 
 
-class CanonicalityError(ValueError):
-    """Raised when a graph violates the canonical task graph rules."""
-
-
 class CanonicalGraph:
     """A directed acyclic canonical task graph (Section 3).
 
@@ -489,7 +485,9 @@ class CanonicalGraph:
         * every edge's producer/consumer volumes match (enforced at
           ``add_edge`` time, re-checked here for graphs built through the
           ``nx`` escape hatch);
-        * computational nodes actually have the kind their rate implies;
+        * sources have no incoming and sinks no outgoing edges (both
+          re-checked for the ``nx`` escape hatch; the per-node kind and
+          volume rules are :class:`NodeSpec`'s own);
         * no directed cycle through a buffer node after undirecting the
           edges between non-buffer nodes (Section 4.2.3 requirement) —
           checked lazily by :func:`repro.core.transform.check_buffer_placement`.
@@ -498,13 +496,6 @@ class CanonicalGraph:
             raise CanonicalityError("task graph must be acyclic")
         for v in self._g:
             spec = self.spec(v)
-            if spec.kind.is_computational:
-                implied = classify_rate(spec.input_volume, spec.output_volume)
-                if implied is not spec.kind:
-                    raise CanonicalityError(
-                        f"node {v!r}: rate implies {implied.value}, "
-                        f"stored kind is {spec.kind.value}"
-                    )
             if spec.kind is NodeKind.SOURCE and self._g.in_degree(v) != 0:
                 raise CanonicalityError(f"source {v!r} has incoming edges")
             if spec.kind is NodeKind.SINK and self._g.out_degree(v) != 0:

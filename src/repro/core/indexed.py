@@ -19,9 +19,12 @@ contiguous Python lists indexed by a dense integer node id:
 * ``entries`` / ``exits`` / ``num_tasks`` — the derived sets every
   analysis recomputed per call.
 
-An :class:`IndexedGraph` can now exist *without* a networkx-backed
-:class:`CanonicalGraph` behind it: :mod:`repro.core.ingest` parses a
-wire document straight into these arrays.  For such graphs the
+Both ways in share one assembly (:meth:`IndexedGraph._assemble`: the
+generation-order Kahn sort, the acyclicity check, the CSR arrays):
+``IndexedGraph(graph)`` reads a :class:`CanonicalGraph`'s columns, and
+:mod:`repro.core.ingest` parses a wire document's columns straight into
+it, so an :class:`IndexedGraph` can exist *without* a networkx-backed
+graph behind it.  For such graphs the
 ``graph`` attribute is materialized lazily — code that only touches the
 flat arrays (the partitioners, the block recurrences, buffer sizing,
 the 1-WL fingerprint) never builds a networkx graph at all, while the
@@ -52,7 +55,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Hashable, Iterator
 
 from . import backend
-from .node_types import NodeKind, NodeSpec, PASSIVE_KINDS
+from .node_types import CanonicalityError, NodeKind, NodeSpec, PASSIVE_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import CanonicalGraph
@@ -93,103 +96,103 @@ class IndexedGraph:
     )
 
     def __init__(self, graph: "CanonicalGraph") -> None:
-        self._graph = graph
         names = list(graph.nodes)
-        self.names = names
-        self.n = len(names)
-        self.index = {name: i for i, name in enumerate(names)}
-
-        kinds: list[NodeKind] = []
-        in_vol: list[int] = []
-        out_vol: list[int] = []
-        comp: list[bool] = []
-        work: list[int] = []
-        labels: list[str] = []
-        specs: list[NodeSpec] = []
-        for name in names:
-            spec = graph.spec(name)
-            specs.append(spec)
-            kinds.append(spec.kind)
-            in_vol.append(spec.input_volume)
-            out_vol.append(spec.output_volume)
-            comp.append(spec.kind.is_computational)
-            work.append(spec.work)
-            labels.append(spec.label)
-        self.kinds = kinds
-        self.in_vol = in_vol
-        self.out_vol = out_vol
-        self.comp = comp
-        self.work = work
-        self.labels = labels
-        self._specs = specs
-        self.num_tasks = sum(comp)
-
-        # CSR adjacency; successor order per source node preserves the
-        # underlying edge insertion order (nx adjacency dicts), which the
-        # partitioners' ready-counter tie-breaks depend on.
-        index = self.index
-        succs: list[list[int]] = [[] for _ in range(self.n)]
+        index = {name: i for i, name in enumerate(names)}
+        specs = list(map(graph.spec, names))
+        succs: list[list[int]] = [[] for _ in names]
         for u, v in graph.edges:
             succs[index[u]].append(index[v])
-        topo = [index[v] for v in graph.topological_order()]
-        self._finish(succs, topo)
+        self._assemble(
+            names,
+            index,
+            [s.kind for s in specs],
+            [s.input_volume for s in specs],
+            [s.output_volume for s in specs],
+            [s.label for s in specs],
+            succs,
+            graph,
+            specs,
+        )
 
     @classmethod
-    def _from_parts(
-        cls,
+    def from_columns(cls, *columns) -> "IndexedGraph":
+        """A view assembled from parsed columns (:mod:`repro.core.ingest`),
+        with no graph behind it: ``graph`` and the specs are built on
+        first use.  ``columns`` are :meth:`_assemble`'s first seven."""
+        self = cls.__new__(cls)
+        self._assemble(*columns)
+        return self
+
+    def _assemble(
+        self,
         names: list[Hashable],
+        index: dict[Hashable, int],
         kinds: list[NodeKind],
         in_vol: list[int],
         out_vol: list[int],
         labels: list[str],
         succs: list[list[int]],
-        topo: list[int],
-    ) -> "IndexedGraph":
-        """Assemble a frozen view straight from parsed arrays.
+        graph: "CanonicalGraph | None" = None,
+        specs: list[NodeSpec] | None = None,
+    ) -> None:
+        """The one assembly: topological order, CSR arrays, derived
+        columns and memo slots from per-node columns (ids in node order)
+        and per-producer successor lists in edge insertion order (the
+        order the partitioners' ready-counter tie-breaks depend on).
 
-        Used by :mod:`repro.core.ingest` to skip the networkx walk
-        entirely; ``succs[i]`` must list successor ids in the same
-        per-source order ``graph.edges`` iteration would yield (grouped
-        by producer in node order), and ``topo`` must reproduce the
-        generation-order Kahn traversal of ``nx.topological_sort``.
+        The topological order is the generation-order Kahn traversal
+        ``nx.topological_sort`` yields (each generation in id order,
+        the next one in discovery order), so topo-position tie-breaks
+        do not depend on how the graph arrived.  Raises
+        :class:`~repro.core.node_types.CanonicalityError` on a cycle.
         """
-        self = cls.__new__(cls)
-        self._graph = None
+        n = len(names)
+        preds: list[list[int]] = [[] for _ in range(n)]
+        for u in range(n):
+            for v in succs[u]:
+                preds[v].append(u)
+        indeg = list(map(len, preds))
+        entries = [i for i in range(n) if not indeg[i]]
+        topo: list[int] = []
+        generation = entries
+        while generation:
+            topo.extend(generation)
+            nxt: list[int] = []
+            for u in generation:
+                for v in succs[u]:
+                    indeg[v] -= 1
+                    if not indeg[v]:
+                        nxt.append(v)
+            generation = nxt
+        if len(topo) != n:
+            raise CanonicalityError("task graph must be acyclic")
+
+        self._graph = graph
+        self._specs = specs
         self.names = names
-        self.n = len(names)
-        self.index = {name: i for i, name in enumerate(names)}
+        self.n = n
+        self.index = index
         self.kinds = kinds
         self.in_vol = in_vol
         self.out_vol = out_vol
+        self.labels = labels
         comp = [k.is_computational for k in kinds]
         self.comp = comp
         self.work = [
             0 if kinds[i] in PASSIVE_KINDS else max(in_vol[i], out_vol[i])
-            for i in range(self.n)
+            for i in range(n)
         ]
-        self.labels = labels
-        self._specs = None
         self.num_tasks = sum(comp)
-        self._finish(succs, topo)
-        return self
 
-    def _finish(self, succs: list[list[int]], topo: list[int]) -> None:
-        """Derive CSR arrays and memo slots shared by both constructors."""
-        preds: list[list[int]] = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            for v in succs[u]:
-                preds[v].append(u)
         self.succ_ptr, self.succ_adj = _csr(succs)
         self.pred_ptr, self.pred_adj = _csr(preds)
-
         self.topo = topo
-        topo_pos = [0] * self.n
+        topo_pos = [0] * n
         for pos, i in enumerate(topo):
             topo_pos[i] = pos
         self.topo_pos = topo_pos
-
-        self.entries = [i for i in range(self.n) if preds[i] == []]
-        self.exits = [i for i in range(self.n) if succs[i] == []]
+        self.entries = entries
+        self.exits = [i for i in range(n) if not succs[i]]
 
         self._np_cache = None  #: repro.core.kernels array mirror
         self._level_num = None

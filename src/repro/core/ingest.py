@@ -1,34 +1,30 @@
-"""Zero-copy wire ingest: graph documents straight to IndexedGraph.
+"""Wire ingest: the one way a graph document becomes a graph.
 
-:func:`repro.core.serialize.graph_from_dict` rebuilds a wire document
-through the full :class:`~repro.core.graph.CanonicalGraph` stack — one
-networkx node dict, one :class:`~repro.core.node_types.NodeSpec` and a
-handful of hash lookups per node — only for :func:`~repro.core.indexed.freeze`
-to immediately flatten all of it back into arrays.  On the service
-request path that round trip dominates everything but the scheduling
-itself.
+:func:`ingest_graph_doc` parses a ``canonical-task-graph`` document
+straight into the columns of an :class:`~repro.core.indexed.IndexedGraph`
+(ids in node-document order, successors grouped per producer in
+edge-document order) and hands them to the same assembly a frozen
+``CanonicalGraph`` goes through (generation-order Kahn sort, acyclicity
+check, CSR arrays).  :func:`~repro.core.serialize.graph_from_dict` and
+``load_graph`` wrap it; ``tests/test_ingest.py`` diffs it against the
+networkx parse kept in ``tests/oracles/graph_parse.py``.
 
-:func:`ingest_graph_doc` removes the round trip: it parses the document
-*directly* into the flat :class:`~repro.core.indexed.IndexedGraph`
-arrays in one pass — dense integer ids in node-document order, CSR
-adjacency grouped per producer, and a generation-order Kahn topological
-sort that reproduces ``nx.topological_sort`` exactly — so every derived
-quantity (levels, 1-WL fingerprint labels, partitions, block times,
-FIFO sizes, serialized schedule documents) is **byte-identical** to the
-``graph_from_dict`` + ``freeze`` path; the golden tests in
-``tests/test_ingest.py`` assert this across all scenario families.
+``validate=True`` (the default, required for untrusted input) checks,
+in this order: document format and version (``ValueError``); per node,
+the kind (``ValueError``), the rules of
+:func:`~repro.core.node_types.check_node` (``ValueError``) and duplicate
+names (``CanonicalityError``); per edge, unknown endpoints
+(``KeyError``), sink/source direction and producer/consumer volume
+matching (``CanonicalityError``); then acyclicity.  Repeated edges
+collapse into one, as in networkx.  No
+:class:`~repro.core.node_types.NodeSpec` is built; ``spec()`` makes
+them on demand.
 
-Validation parity: with ``validate=True`` (the default, required for
-untrusted input) the same checks run in the same order as
-``graph_from_dict`` and raise the same exception types and messages —
-document format/version, node-kind and volume rules (via
-:class:`NodeSpec` itself), duplicate nodes, unknown edge endpoints,
-sink/source edge direction, producer/consumer volume matching, and
-acyclicity.  ``validate=False`` is the *trusted* contract (documented
-in the README wire-format section): only for documents that provably
-came from :func:`~repro.core.serialize.graph_to_dict` of an
-already-validated graph, e.g. portfolio workers re-hydrating the
-parent's wire document or a service fronted by a validating gateway.
+``validate=False`` is the *trusted* contract (README, wire format):
+only for documents that provably came from
+:func:`~repro.core.serialize.graph_to_dict` of an already-validated
+graph, e.g. portfolio workers re-hydrating the parent's wire document.
+It checks only acyclicity and keeps repeated edges.
 
 The ingested view has no networkx graph behind it until something asks:
 ``IndexedGraph.graph`` materializes a ``CanonicalGraph`` twin on first
@@ -40,9 +36,9 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from .graph import CanonicalGraph, CanonicalityError
+from .graph import CanonicalGraph
 from .indexed import IndexedGraph
-from .node_types import NodeKind, NodeSpec
+from .node_types import CanonicalityError, NodeKind, check_node
 from .serialize import FORMAT_VERSION, _name_from_json
 
 __all__ = ["ingest_graph_doc", "materialize_graph"]
@@ -57,26 +53,21 @@ _SINK = NodeKind.SINK
 def ingest_graph_doc(doc: dict, validate: bool = True) -> IndexedGraph:
     """Parse a graph document into an :class:`IndexedGraph` in one pass.
 
-    The result is indistinguishable from
-    ``freeze(graph_from_dict(doc, validate))`` — same array contents,
-    same fingerprint, same schedules — without ever materializing a
-    networkx graph.  See the module docstring for the ``validate=False``
-    trusted-input contract.
+    See the module docstring for the checks ``validate=True`` runs and
+    the ``validate=False`` trusted-input contract.
     """
     if doc.get("format") != "canonical-task-graph":
         raise ValueError("not a canonical task graph document")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported version {doc.get('version')!r}")
 
-    node_docs = doc["nodes"]
     names: list[Hashable] = []
     kinds: list[NodeKind] = []
     in_vol: list[int] = []
     out_vol: list[int] = []
     labels: list[str] = []
     index: dict[Hashable, int] = {}
-    specs: list[NodeSpec] | None = [] if validate else None
-    for n in node_docs:
+    for n in doc["nodes"]:
         name = _name_from_json(n["name"])
         kind_value = n["kind"]
         kind = _KINDS.get(kind_value)
@@ -84,12 +75,8 @@ def ingest_graph_doc(doc: dict, validate: bool = True) -> IndexedGraph:
             kind = NodeKind(kind_value)  # authentic enum ValueError
         iv = n["input_volume"]
         ov = n["output_volume"]
-        label = n.get("label", "")
         if validate:
-            # NodeSpec enforces the per-kind volume rules with the exact
-            # messages graph_from_dict raises; keep the objects so a
-            # later materialization reuses them
-            specs.append(NodeSpec(name, kind, iv, ov, label))
+            check_node(name, kind, iv, ov)
             if name in index:
                 raise CanonicalityError(f"duplicate node {name!r}")
         index[name] = len(names)
@@ -97,11 +84,9 @@ def ingest_graph_doc(doc: dict, validate: bool = True) -> IndexedGraph:
         kinds.append(kind)
         in_vol.append(iv)
         out_vol.append(ov)
-        labels.append(label)
+        labels.append(n.get("label", ""))
 
-    n_nodes = len(names)
-    succs: list[list[int]] = [[] for _ in range(n_nodes)]
-    indeg = [0] * n_nodes
+    succs: list[list[int]] = [[] for _ in names]
     if validate:
         seen_edges: set[tuple[int, int]] = set()
         for u_doc, v_doc in doc["edges"]:
@@ -122,48 +107,30 @@ def ingest_graph_doc(doc: dict, validate: bool = True) -> IndexedGraph:
                     f"edge ({u!r}, {v!r}): producer volume O(u)={out_vol[ui]} "
                     f"!= consumer volume I(v)={in_vol[vi]}"
                 )
-            if (ui, vi) in seen_edges:  # nx.add_edge is idempotent
+            if (ui, vi) in seen_edges:
                 continue
             seen_edges.add((ui, vi))
             succs[ui].append(vi)
-            indeg[vi] += 1
     else:
         for u_doc, v_doc in doc["edges"]:
-            ui = index[_name_from_json(u_doc)]
-            vi = index[_name_from_json(v_doc)]
-            succs[ui].append(vi)
-            indeg[vi] += 1
-
-    # generation-order Kahn traversal — the exact node sequence
-    # nx.topological_sort yields, so topo-position tie-breaks match the
-    # legacy path bit for bit
-    topo: list[int] = []
-    generation = [i for i in range(n_nodes) if indeg[i] == 0]
-    while generation:
-        topo.extend(generation)
-        nxt: list[int] = []
-        for u in generation:
-            for v in succs[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    nxt.append(v)
-        generation = nxt
-    if len(topo) != n_nodes:
-        raise CanonicalityError("task graph must be acyclic")
-
-    ig = IndexedGraph._from_parts(names, kinds, in_vol, out_vol, labels, succs, topo)
-    if validate:
-        ig._specs = specs
-    return ig
+            succs[index[_name_from_json(u_doc)]].append(
+                index[_name_from_json(v_doc)]
+            )
+    return IndexedGraph.from_columns(
+        names, index, kinds, in_vol, out_vol, labels, succs
+    )
 
 
 def materialize_graph(ig: IndexedGraph) -> CanonicalGraph:
     """Networkx-backed twin of an ingested :class:`IndexedGraph`.
 
     Built only when something genuinely needs the ``CanonicalGraph``
-    object (the ``nx`` escape hatch, the DES validator); the scheduling
-    and fingerprint paths run on the arrays alone.  The twin adopts
-    ``ig`` as its frozen view, so freezing it costs nothing.
+    object (the ``nx`` escape hatch, the DES validator, a graph loaded
+    through :func:`~repro.core.serialize.graph_from_dict`); the
+    scheduling and fingerprint paths run on the arrays alone.  Edges
+    are added grouped by producer, so ``predecessors(v)`` lists
+    producers in node order.  The twin adopts ``ig`` as its frozen
+    view, so freezing it costs nothing.
     """
     g = CanonicalGraph()
     gx = g.nx

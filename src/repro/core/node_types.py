@@ -32,8 +32,10 @@ from fractions import Fraction
 from typing import Any, Hashable
 
 __all__ = [
+    "CanonicalityError",
     "NodeKind",
     "NodeSpec",
+    "check_node",
     "classify_rate",
     "COMPUTATIONAL_KINDS",
     "PASSIVE_KINDS",
@@ -88,6 +90,50 @@ def classify_rate(input_volume: int, output_volume: int) -> NodeKind:
     return NodeKind.UPSAMPLER
 
 
+class CanonicalityError(ValueError):
+    """Raised when a graph violates the canonical task graph rules."""
+
+
+def check_node(
+    name: Hashable, kind: NodeKind, input_volume: int, output_volume: int
+) -> None:
+    """The per-node rules of Section 3.1, for :class:`NodeSpec` and the
+    wire ingest alike: int (not bool), non-negative volumes; the kind a
+    computational node's rate implies; ``I == 0 < O`` for a source,
+    ``O == 0 < I`` for a sink, positive ``I`` and ``O`` for a buffer.
+    Raises ``ValueError``."""
+    if type(input_volume) is not int or type(output_volume) is not int:
+        raise ValueError(
+            f"node {name!r}: volumes must be integers, got "
+            f"I={input_volume!r}, O={output_volume!r}"
+        )
+    if input_volume < 0 or output_volume < 0:
+        raise ValueError("volumes must be non-negative")
+    if kind in COMPUTATIONAL_KINDS:
+        expected = classify_rate(input_volume, output_volume)
+        if expected is not kind:
+            raise ValueError(
+                f"node {name!r}: volumes I={input_volume}, "
+                f"O={output_volume} imply {expected.value}, "
+                f"not {kind.value}"
+            )
+    elif kind is NodeKind.SOURCE:
+        if input_volume != 0:
+            raise ValueError(f"source {name!r} must have I(v) == 0")
+        if output_volume <= 0:
+            raise ValueError(f"source {name!r} must have O(v) > 0")
+    elif kind is NodeKind.SINK:
+        if output_volume != 0:
+            raise ValueError(f"sink {name!r} must have O(v) == 0")
+        if input_volume <= 0:
+            raise ValueError(f"sink {name!r} must have I(v) > 0")
+    elif kind is NodeKind.BUFFER:
+        if input_volume <= 0 or output_volume <= 0:
+            raise ValueError(
+                f"buffer {name!r} must have positive I(v) and O(v)"
+            )
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """Immutable description of one canonical node.
@@ -116,31 +162,7 @@ class NodeSpec:
     metadata: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.input_volume < 0 or self.output_volume < 0:
-            raise ValueError("volumes must be non-negative")
-        if self.kind in COMPUTATIONAL_KINDS:
-            expected = classify_rate(self.input_volume, self.output_volume)
-            if expected is not self.kind:
-                raise ValueError(
-                    f"node {self.name!r}: volumes I={self.input_volume}, "
-                    f"O={self.output_volume} imply {expected.value}, "
-                    f"not {self.kind.value}"
-                )
-        elif self.kind is NodeKind.SOURCE:
-            if self.input_volume != 0:
-                raise ValueError(f"source {self.name!r} must have I(v) == 0")
-            if self.output_volume <= 0:
-                raise ValueError(f"source {self.name!r} must have O(v) > 0")
-        elif self.kind is NodeKind.SINK:
-            if self.output_volume != 0:
-                raise ValueError(f"sink {self.name!r} must have O(v) == 0")
-            if self.input_volume <= 0:
-                raise ValueError(f"sink {self.name!r} must have I(v) > 0")
-        elif self.kind is NodeKind.BUFFER:
-            if self.input_volume <= 0 or self.output_volume <= 0:
-                raise ValueError(
-                    f"buffer {self.name!r} must have positive I(v) and O(v)"
-                )
+        check_node(self.name, self.kind, self.input_volume, self.output_volume)
 
     @property
     def production_rate(self) -> Fraction:

@@ -24,7 +24,7 @@ bookkeeping — the schedule treats them as memory anchors either way.
 The partitioners run entirely over the flat integer arrays of the
 memoized :class:`~repro.core.indexed.IndexedGraph` (CSR adjacency,
 precomputed float level keys); the original dict/hash implementation is
-preserved in :mod:`repro.core.reference` and the golden-output tests
+preserved in ``tests/oracles/scheduler_reference.py`` and the golden-output tests
 assert both produce identical partitions.
 """
 

@@ -14,7 +14,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Hashable
 
 from .graph import CanonicalGraph
-from .node_types import NodeKind, NodeSpec
 from .scheduler import StreamingSchedule
 
 __all__ = [
@@ -65,33 +64,16 @@ def graph_to_dict(graph: CanonicalGraph) -> dict:
 
 
 def graph_from_dict(doc: dict, validate: bool = True) -> CanonicalGraph:
-    """Inverse of :func:`graph_to_dict`; validates the result.
+    """Inverse of :func:`graph_to_dict`: the networkx-backed twin of
+    :func:`~repro.core.ingest.ingest_graph_doc`, whose checks it runs.
 
-    ``validate=False`` skips the final DAG/volume re-check — only for
-    documents that provably came from :func:`graph_to_dict` of an
-    already-validated graph (e.g. portfolio workers re-hydrating the
-    parent's wire document); untrusted input must keep the default.
+    ``validate=False`` is fully trusted — only for documents that
+    provably came from :func:`graph_to_dict` of an already-validated
+    graph; untrusted input must keep the default.
     """
-    if doc.get("format") != "canonical-task-graph":
-        raise ValueError("not a canonical task graph document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported version {doc.get('version')!r}")
-    g = CanonicalGraph()
-    for n in doc["nodes"]:
-        g.add_node(
-            NodeSpec(
-                _name_from_json(n["name"]),
-                NodeKind(n["kind"]),
-                n["input_volume"],
-                n["output_volume"],
-                n.get("label", ""),
-            )
-        )
-    for u, v in doc["edges"]:
-        g.add_edge(_name_from_json(u), _name_from_json(v))
-    if validate:
-        g.validate()
-    return g
+    from .ingest import ingest_graph_doc
+
+    return ingest_graph_doc(doc, validate).graph
 
 
 def save_graph(graph: CanonicalGraph, path: str) -> None:

@@ -82,7 +82,7 @@ def fingerprint_graph_doc(
     :class:`~repro.core.indexed.IndexedGraph` arrays and the cg3 1-WL
     fingerprint runs over them — no networkx graph is ever built, so a
     cache hit never pays freeze cost.  The golden tests assert the
-    fingerprint equals ``graph_fingerprint(graph_from_dict(doc))``.
+    fingerprint equals that of the networkx oracle parse of ``doc``.
     ``validate=False`` is the trusted-input contract of
     :func:`~repro.core.ingest.ingest_graph_doc`.
     """

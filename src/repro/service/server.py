@@ -87,6 +87,7 @@ of remapping.
 from __future__ import annotations
 
 import json
+import math
 import selectors
 import socket
 import threading
@@ -171,6 +172,33 @@ def _capacity(doc: dict) -> int | None:
     if capacity is not None and (type(capacity) is not int or capacity < 1):
         raise ValueError("FIFO capacity must be an integer of at least 1")
     return capacity
+
+
+def _millis(doc: dict, field: str) -> float | None:
+    """A request's ``budget_ms``/``deadline_ms``: absent/``null``, or a
+    finite JSON number (not a bool), checked before any parse or
+    compute."""
+    value = doc.get(field)
+    try:
+        if value is None or (
+            type(value) in (int, float) and math.isfinite(value)
+        ):
+            return value
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"{field} must be a finite number")
+
+
+def _schedulers(doc: dict, default: tuple[str, ...]) -> tuple[str, ...]:
+    """The request's portfolio: absent/``null``/empty for ``default``,
+    else a JSON list of scheduler names, checked before any parse or
+    compute."""
+    names = doc.get("schedulers")
+    if names is None:
+        return default
+    if type(names) is not list or not all(type(x) is str for x in names):
+        raise ValueError("schedulers must be a list of scheduler names")
+    return tuple(names) or default
 
 
 class _InFlight:
@@ -970,10 +998,9 @@ class ScheduleService:
         """Absolute ``perf_counter`` deadline from ``deadline_ms``, or
         ``None``; raises :class:`DeadlineExceeded` when already expired
         (a non-positive budget: refused before any work)."""
-        deadline_ms = doc.get("deadline_ms")
+        deadline_ms = _millis(doc, "deadline_ms")
         if deadline_ms is None:
             return None
-        deadline_ms = float(deadline_ms)
         if deadline_ms <= 0:
             raise DeadlineExceeded
         return t0 + deadline_ms / 1000.0
@@ -997,8 +1024,10 @@ class ScheduleService:
         num_pes = _num_pes(doc)
         graph_doc = doc["graph"]
         objective = doc.get("objective", "makespan")
-        schedulers = tuple(doc.get("schedulers") or self.default_schedulers)
-        budget_ms = doc.get("budget_ms")
+        schedulers = _schedulers(doc, self.default_schedulers)
+        budget_ms = _millis(doc, "budget_ms")
+        if budget_ms is not None and budget_ms <= 0:
+            raise ValueError("budget_ms must be a finite number > 0")
         no_cache = bool(doc.get("no_cache", False))
         deadline = self._deadline(doc, t0)
 
@@ -1216,7 +1245,7 @@ class ScheduleService:
         objective, schedulers, budget_ms, span=NULL_SPAN,
         deadline: float | None = None, graph_bytes: bytearray | None = None,
     ) -> dict:
-        budget_s = float(budget_ms) / 1000.0 if budget_ms is not None else None
+        budget_s = budget_ms / 1000.0 if budget_ms is not None else None
         with slots:  # the CPU-bound part runs under a work slot
             # queueing for the slot may have consumed the deadline:
             # refuse before spending compute on an answer nobody awaits

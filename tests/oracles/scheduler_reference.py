@@ -1,5 +1,7 @@
 """The pre-indexed scheduling path, kept as the golden reference.
 
+Test-only: nothing under ``repro`` imports it.
+
 These are the original dict/hash implementations of the Section 5/6
 pipeline, walking the :class:`networkx.DiGraph` per node and doing the
 steady-state arithmetic in :class:`fractions.Fraction`.  The production
@@ -28,20 +30,40 @@ from typing import Hashable, Mapping
 
 import networkx as nx
 
-from .block_schedule import BlockSchedule, TaskTimes
-from .buffer_sizing import cycle_nodes_of_block
-from .graph import CanonicalGraph
-from .node_types import NodeKind
-from .partition import Partition, Variant
-from .streaming import compute_streaming_intervals
+from repro.core.block_schedule import BlockSchedule, TaskTimes
+from repro.core.graph import CanonicalGraph
+from repro.core.node_types import NodeKind
+from repro.core.partition import Partition, Variant
+from repro.core.scheduler import StreamingSchedule
+from repro.core.streaming import compute_streaming_intervals
 
 __all__ = [
+    "cycle_nodes_of_block",
     "compute_spatial_blocks_reference",
     "partition_by_work_reference",
     "schedule_block_reference",
     "compute_buffer_sizes_reference",
     "schedule_streaming_reference",
 ]
+
+
+def cycle_nodes_of_block(
+    stream_graph: nx.Graph,
+) -> set[Hashable]:
+    """Nodes of the block's streaming topology that lie on undirected cycles.
+
+    The paper uses a marking DFS; equivalently, an edge lies on an
+    undirected cycle iff it is not a bridge, and a node lies on a cycle
+    iff it is incident to a non-bridge edge.  Complexity O(V + E).
+    """
+    bridges = set(nx.bridges(stream_graph)) if stream_graph.number_of_edges() else set()
+    on_cycle: set[Hashable] = set()
+    for u, v in stream_graph.edges:
+        if (u, v) in bridges or (v, u) in bridges:
+            continue
+        on_cycle.add(u)
+        on_cycle.add(v)
+    return on_cycle
 
 
 def _topological_order(graph: CanonicalGraph) -> list[Hashable]:
@@ -427,8 +449,6 @@ def schedule_streaming_reference(
     size_buffers: bool = True,
 ):
     """The full STR-SCH pipeline on the pre-indexed implementations."""
-    from .scheduler import StreamingSchedule
-
     if variant == "work":
         partition = partition_by_work_reference(graph, num_pes)
     else:

@@ -4,10 +4,11 @@ import networkx as nx
 import pytest
 
 from repro import CanonicalGraph, schedule_streaming
-from repro.core.buffer_sizing import compute_buffer_sizes, cycle_nodes_of_block
+from repro.core.buffer_sizing import compute_buffer_sizes
 from repro.sim import simulate_schedule
 
 from conftest import build_diamond, build_elementwise_chain
+from oracles.scheduler_reference import cycle_nodes_of_block
 
 
 class TestCycleDetection:

@@ -162,16 +162,15 @@ class TestLibraryDefaults:
 class TestServingStack:
     def test_serving_process_never_imports_the_oracles(self):
         """The start-up import stack and a warmed pool worker load the
-        run-time engines only: the reference scheduler and simulator
-        are test oracles."""
+        run-time engines only: the reference simulator is a test oracle
+        (the reference scheduler lives under ``tests/oracles``)."""
         code = (
             "import sys\n"
             "from repro.service.gcpolicy import _import_serving_stack\n"
             "from repro.service import portfolio, server\n"
             "_import_serving_stack()\n"
             "portfolio._warm_worker()\n"
-            "oracles = ('repro.sim.reference', 'repro.sim.channel',\n"
-            "           'repro.core.reference')\n"
+            "oracles = ('repro.sim.reference', 'repro.sim.channel')\n"
             "loaded = [m for m in oracles if m in sys.modules]\n"
             "assert not loaded, loaded\n"
             "print('ok')\n"

@@ -5,7 +5,7 @@ Two layers of protection:
 * **golden-output equivalence** — the indexed hot path must produce
   *byte-identical* serialized schedules (times, PE/block assignment,
   FIFO capacities, makespan) to the pre-indexed reference implementation
-  preserved in :mod:`repro.core.reference`, swept across the campaign
+  preserved in ``tests/oracles/scheduler_reference.py``, swept across the campaign
   scenario families (layered / serpar, the paper topologies, the ML
   graphs) and all three streaming variants;
 * **unit tests** for the :class:`~repro.core.indexed.IndexedGraph`
@@ -29,12 +29,13 @@ from repro.core import (
     schedule_streaming,
 )
 from repro.core.indexed import freeze
-from repro.core.reference import (
+from repro.core.serialize import graph_from_dict, graph_to_dict, schedule_to_dict
+from repro.graphs import random_canonical_graph
+
+from oracles.scheduler_reference import (
     _node_levels as node_levels_reference,
     schedule_streaming_reference,
 )
-from repro.core.serialize import graph_from_dict, graph_to_dict, schedule_to_dict
-from repro.graphs import random_canonical_graph
 
 
 def schedule_bytes(schedule) -> str:

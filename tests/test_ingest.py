@@ -1,18 +1,20 @@
-"""Tests for the zero-copy wire ingest path and the event-loop server.
+"""Tests for the wire ingest path and the event-loop server.
 
-Three layers of protection:
+The reference is the networkx parse kept in ``tests/oracles/graph_parse.py``
+(``graph_from_dict`` is now a wrapper over the ingest).  Three layers of
+protection:
 
 * **golden array/fingerprint equivalence** — ``ingest_graph_doc`` must
   produce an :class:`IndexedGraph` whose every array (ids, CSR
   adjacency, topo order, volumes, works, labels) matches
-  ``freeze(graph_from_dict(doc))`` across the scenario families, and
+  ``freeze(parse_graph_doc(doc))`` across the scenario families, and
   whose cg3 fingerprint and scheduled documents are byte-identical;
-* **validation parity** — with ``validate=True`` the ingest raises the
-  same exception types and messages as ``graph_from_dict`` for every
-  malformed-document class;
+* **validation parity** — with ``validate=True`` the ingest (and so
+  ``graph_from_dict``) raises the same exception types and messages as
+  the oracle parse for every malformed-document class;
 * **service equivalence** — the served fingerprint, request key and
   winning schedule document equal those computed directly on
-  ``graph_from_dict(doc)`` across the layered/serpar/paper/ML sweeps,
+  ``parse_graph_doc(doc)`` across the layered/serpar/paper/ML sweeps,
   and the wire fast path returns the same bytes the slow path would.
 """
 
@@ -38,6 +40,7 @@ from repro.service.fingerprint import request_key
 from repro.service.portfolio import DEFAULT_SCHEDULERS, run_portfolio
 
 from conftest import service_stat
+from oracles.graph_parse import parse_graph_doc
 
 FAMILIES = [
     ("layered", 128, 64),
@@ -68,7 +71,7 @@ class TestIngestGolden:
     @pytest.mark.parametrize("topo,size,pes", FAMILIES)
     def test_arrays_match_legacy_freeze(self, topo, size, pes):
         doc = graph_to_dict(random_canonical_graph(topo, size, seed=1))
-        legacy = freeze(graph_from_dict(doc))
+        legacy = freeze(parse_graph_doc(doc))
         ig = ingest_graph_doc(doc)
         assert ig.names == legacy.names
         assert ig.index == legacy.index
@@ -91,7 +94,7 @@ class TestIngestGolden:
     def test_fingerprint_matches_without_networkx(self, topo, size, pes):
         doc = graph_to_dict(random_canonical_graph(topo, size, seed=2))
         ig = ingest_graph_doc(doc)
-        assert graph_fingerprint(ig) == graph_fingerprint(graph_from_dict(doc))
+        assert graph_fingerprint(ig) == graph_fingerprint(parse_graph_doc(doc))
         # the streaming fingerprint never touched networkx
         assert ig._graph is None
 
@@ -102,7 +105,7 @@ class TestIngestGolden:
         ig = ingest_graph_doc(doc)
         a = json.dumps(schedule_to_dict(schedule_streaming(ig, pes, variant)))
         b = json.dumps(
-            schedule_to_dict(schedule_streaming(graph_from_dict(doc), pes, variant))
+            schedule_to_dict(schedule_streaming(parse_graph_doc(doc), pes, variant))
         )
         assert a == b
         assert ig._graph is None  # scheduling ran on the arrays alone
@@ -143,7 +146,7 @@ class TestIngestGolden:
 
         doc = graph_to_dict(random_canonical_graph("layered", 96, seed=4))
         ig = ingest_graph_doc(doc)
-        legacy = graph_from_dict(doc)
+        legacy = parse_graph_doc(doc)
         a = schedule_nonstreaming(ig, 16)
         b = schedule_nonstreaming(legacy, 16)
         assert json.dumps(schedule_to_dict(a)) == json.dumps(schedule_to_dict(b))
@@ -178,18 +181,19 @@ class TestScheduleDocBytes:
 
 
 class TestValidationParity:
-    """Same exception type and message as ``graph_from_dict``."""
+    """Same exception type and message as the networkx oracle parse,
+    through ``ingest_graph_doc`` and through ``graph_from_dict``."""
 
     def _both(self, doc):
         errors = []
-        for parse in (graph_from_dict, ingest_graph_doc):
+        for parse in (parse_graph_doc, ingest_graph_doc, graph_from_dict):
             try:
                 parse(json.loads(json.dumps(doc)))
                 errors.append(None)
             except Exception as exc:
                 errors.append((type(exc), str(exc)))
-        assert errors[0] is not None, "expected the legacy parser to raise"
-        assert errors[0] == errors[1]
+        assert errors[0] is not None, "expected the oracle parser to raise"
+        assert errors[0] == errors[1] == errors[2]
         return errors[0]
 
     def _doc(self, **overrides):
@@ -273,16 +277,76 @@ class TestValidationParity:
     def test_duplicate_edges_are_idempotent(self):
         doc = self._doc()
         doc["edges"].append(list(doc["edges"][0]))  # nx dedupes silently
-        legacy = freeze(graph_from_dict(json.loads(json.dumps(doc))))
+        legacy = freeze(parse_graph_doc(json.loads(json.dumps(doc))))
         ig = ingest_graph_doc(json.loads(json.dumps(doc)))
         assert ig.succ_adj == legacy.succ_adj
         assert ig.pred_adj == legacy.pred_adj
 
+    @pytest.mark.parametrize("volume", [2.5, True, "4", None, 4.0])
+    def test_non_integer_volume(self, volume):
+        doc = self._doc()
+        doc["nodes"][1]["input_volume"] = volume
+        exc_type, msg = self._both(doc)
+        assert exc_type is ValueError
+        assert msg == (
+            f"node 't': volumes must be integers, got I={volume!r}, O=4")
+
+
+class TestOneParsePath:
+    def test_graph_from_dict_is_the_ingest(self):
+        doc = graph_to_dict(random_canonical_graph("serpar", 60, seed=2))
+        g = graph_from_dict(doc)
+        ig = g._cache["indexed"]  # a loaded graph comes with its view
+        assert freeze(g) is ig and ig.graph is g
+        oracle = freeze(parse_graph_doc(doc))
+        assert (ig.names, ig.succ_adj, ig.pred_adj, ig.topo) == (
+            oracle.names, oracle.succ_adj, oracle.pred_adj, oracle.topo)
+
+    def test_validated_ingest_builds_no_node_spec(self, monkeypatch):
+        from repro.core.node_types import NodeSpec
+
+        doc = graph_to_dict(random_canonical_graph("layered", 200, seed=3))
+        built = []
+        post_init = NodeSpec.__post_init__
+
+        def counting(spec):
+            built.append(spec.name)
+            post_init(spec)
+
+        monkeypatch.setattr(NodeSpec, "__post_init__", counting)
+        ig = ingest_graph_doc(doc)
+        assert built == []
+        fingerprint = graph_fingerprint(ig)
+        schedule_doc_bytes(schedule_streaming(ig, 16, "rlx"))
+        assert built == []  # neither does fingerprinting nor scheduling
+        assert ig.spec(ig.names[0]).name == ig.names[0]  # made on demand
+        assert len(built) == ig.n
+        assert graph_fingerprint(ingest_graph_doc(doc)) == fingerprint
+
+    def test_trusted_ingest_still_refuses_a_cycle(self):
+        g = CanonicalGraph()
+        g.add_task("a", 4, 4)
+        g.add_task("b", 4, 4)
+        g.add_edge("a", "b")
+        doc = graph_to_dict(g)
+        doc["edges"].append(["b", "a"])
+        with pytest.raises(CanonicalityError, match="acyclic"):
+            ingest_graph_doc(doc, validate=False)
+
+    def test_freezing_a_cyclic_graph_raises_the_ingest_error(self):
+        g = CanonicalGraph()
+        g.add_task("a", 4, 4)
+        g.add_task("b", 4, 4)
+        g.add_edge("a", "b")
+        g.nx.add_edge("b", "a")  # through the escape hatch
+        with pytest.raises(CanonicalityError, match="acyclic"):
+            IndexedGraph(g)
+
 
 def _assert_matches_networkx_path(response: dict, doc: dict) -> None:
     """The served answer must equal the fingerprint and the portfolio
-    winner computed directly on ``graph_from_dict(doc)``, byte for byte."""
-    graph = graph_from_dict(json.loads(json.dumps(doc["graph"])))
+    winner computed directly on ``parse_graph_doc(doc)``, byte for byte."""
+    graph = parse_graph_doc(json.loads(json.dumps(doc["graph"])))
     fp = graph_fingerprint(graph)
     result = run_portfolio(graph, doc["num_pes"])
     assert response["ok"]

@@ -8,6 +8,7 @@ correctness, DES agreement and deadlock freedom.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -25,9 +26,16 @@ from repro import (
 )
 from repro.baselines import schedule_nonstreaming
 from repro.core.backend import HAVE_NUMPY
+from repro.core.indexed import IndexedGraph
+from repro.core.ingest import ingest_graph_doc
 from repro.core.levels import critical_path_length
+from repro.core.node_types import NodeKind
+from repro.core.serialize import graph_to_dict
+from repro.graphs import random_canonical_graph
 from repro.sdf import canonical_to_csdf, rate_patterns, self_timed_makespan
 from repro.sim import simulate_schedule
+
+from oracles.graph_parse import parse_graph_doc
 
 VOLUMES = (1, 2, 4, 8, 16)
 
@@ -255,3 +263,75 @@ def test_fused_stream_pass_covers_every_block_class():
         for pes in (1, 2, 3, 8):
             seen |= _fused_vs_oracle(topo, 0, pes, "rlx")
     assert seen == {0, 1, 2, 3}
+
+
+# ----------------------------------------------------------------------
+# one parse path: the wire ingest vs the networkx oracle parse
+# ----------------------------------------------------------------------
+
+_BAD_VOLUMES = (0, -1, 1, 3, 2.5, True, "4", None)
+
+
+def _parse_outcome(parse, doc: dict):
+    """The arrays a parse yields, or the type and message it raised."""
+    try:
+        ig = parse(json.loads(json.dumps(doc)))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (ig.names, ig.kinds, ig.in_vol, ig.out_vol, ig.succ_ptr,
+            ig.succ_adj, ig.pred_ptr, ig.pred_adj, ig.topo)
+
+
+def _oracle(doc: dict) -> IndexedGraph:
+    return IndexedGraph(parse_graph_doc(doc))
+
+
+def _corrupt(doc: dict, rng, how: str) -> None:
+    nodes, edges = doc["nodes"], doc["edges"]
+    if how == "kind":
+        rng.choice(nodes)["kind"] = rng.choice(
+            [k.value for k in NodeKind] + ["quantum"])
+    elif how == "volume":
+        node = rng.choice(nodes)
+        node[rng.choice(["input_volume", "output_volume"])] = rng.choice(
+            _BAD_VOLUMES)
+    elif how == "dangling":
+        name = rng.choice(nodes)["name"]
+        edge = [name, "ghost"] if rng.random() < 0.5 else ["ghost", name]
+        edges.insert(rng.randrange(len(edges) + 1), edge)
+    else:  # close a cycle: walk forward from an edge's head, link back
+        succs: dict = {}
+        for u, v in edges:
+            succs.setdefault(json.dumps(u), []).append(v)
+        u, w = rng.choice(edges)
+        for _ in range(rng.randrange(4)):
+            nxt = succs.get(json.dumps(w))
+            if not nxt:
+                break
+            w = rng.choice(nxt)
+        edges.insert(rng.randrange(len(edges) + 1), [w, u])
+
+
+@common
+@given(
+    st.sampled_from(["layered", "serpar"]),
+    st.integers(6, 40),
+    st.integers(0, 10_000),
+    st.integers(0, 3),
+    st.sampled_from(["kind", "volume", "dangling", "cycle"]),
+    st.randoms(use_true_random=False),
+)
+def test_ingest_matches_oracle_parse(topo, size, seed, dups, how, rng):
+    """Shuffled node and edge order and repeated edges give the oracle's
+    arrays; one corruption gives the oracle's exception and message
+    (or, when it happens to stay canonical, the oracle's arrays)."""
+    doc = graph_to_dict(random_canonical_graph(topo, size, seed=seed))
+    rng.shuffle(doc["nodes"])
+    doc["edges"] += [list(rng.choice(doc["edges"])) for _ in range(dups)]
+    rng.shuffle(doc["edges"])
+    clean = _parse_outcome(_oracle, doc)
+    assert isinstance(clean[0], list)
+    assert _parse_outcome(ingest_graph_doc, doc) == clean
+
+    _corrupt(doc, rng, how)
+    assert _parse_outcome(ingest_graph_doc, doc) == _parse_outcome(_oracle, doc)

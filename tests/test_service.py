@@ -451,9 +451,9 @@ class TestScheduleService:
         assert a["key"] != b["key"] and b["cached"] is False
 
     def test_truncated_results_are_not_cached(self):
-        truncated = self.service.handle({**self.doc, "budget_ms": 0})
+        truncated = self.service.handle({**self.doc, "budget_ms": 1e-6})
         assert truncated["truncated"]
-        again = self.service.handle({**self.doc, "budget_ms": 0})
+        again = self.service.handle({**self.doc, "budget_ms": 1e-6})
         assert again["cached"] is False  # never served from cache
 
     def test_bad_requests_answer_ok_false(self):
@@ -476,6 +476,69 @@ class TestScheduleService:
         assert time.perf_counter() - t0 < 1.0
         assert not refused["ok"] and "num_pes" in refused["error"]
         assert self.service.handle({**self.doc, "op": op})["ok"]
+
+    def _refused_before_fingerprint(self, doc: dict, field: str) -> dict:
+        refused = self.service.handle(doc)
+        assert not refused["ok"] and field in refused["error"]
+        assert not refused.get("deadline_exceeded")
+        assert not self.service._fp_memo  # no graph work was done
+        return refused
+
+    @pytest.mark.parametrize("budget_ms", [
+        float("nan"), float("inf"), "5000", True, 10**400,
+    ], ids=["nan", "inf", "str", "bool", "past-float"])
+    def test_budget_ms_must_be_a_finite_number(self, budget_ms):
+        self._refused_before_fingerprint(
+            {**self.doc, "budget_ms": budget_ms}, "budget_ms")
+
+    @pytest.mark.parametrize("budget_ms", [0, -5, -0.5])
+    def test_budget_ms_must_be_positive(self, budget_ms):
+        self._refused_before_fingerprint(
+            {**self.doc, "budget_ms": budget_ms}, "budget_ms")
+        assert self.service.handle({**self.doc, "budget_ms": 5000})["ok"]
+
+    @pytest.mark.parametrize("op", ["schedule", "simulate"])
+    @pytest.mark.parametrize("deadline_ms", [
+        float("nan"), float("inf"), float("-inf"), "5000", True,
+    ], ids=["nan", "inf", "-inf", "str", "bool"])
+    def test_deadline_ms_must_be_a_finite_number(self, op, deadline_ms):
+        self._refused_before_fingerprint(
+            {**self.doc, "op": op, "deadline_ms": deadline_ms}, "deadline_ms")
+
+    @pytest.mark.parametrize("deadline_ms", [-5, -0.5])
+    def test_expired_deadline_ms_is_still_a_deadline_refusal(self, deadline_ms):
+        refused = self.service.handle({**self.doc, "deadline_ms": deadline_ms})
+        assert not refused["ok"]
+        assert refused["deadline_exceeded"] and refused["retryable"]
+        assert not self.service._fp_memo
+
+    @pytest.mark.parametrize("schedulers", [
+        "rlx", ["rlx", 3], {"rlx": 1}, [["rlx"]],
+    ], ids=["str", "non-str-item", "object", "nested"])
+    def test_schedulers_must_be_a_list_of_names(self, schedulers):
+        self._refused_before_fingerprint(
+            {**self.doc, "schedulers": schedulers}, "schedulers")
+        ok = self.service.handle({**self.doc, "schedulers": ["rlx"]})
+        assert ok["ok"] and ok["key"].endswith(":rlx")
+
+    @pytest.mark.parametrize("volume", [2.5, True, "4", None])
+    def test_non_integer_volumes_are_refused(self, volume):
+        """A chain with a 2.5-element edge used to answer a makespan."""
+        g = CanonicalGraph()
+        g.add_source("s", 4)
+        g.add_task("t", 4, 4)
+        g.add_sink("k", 4)
+        g.add_edge("s", "t")
+        g.add_edge("t", "k")
+        graph_doc = graph_to_dict(g)
+        graph_doc["nodes"][1]["input_volume"] = volume
+        graph_doc["nodes"][0]["output_volume"] = volume
+        for op in ("schedule", "simulate"):
+            refused = self.service.handle(
+                {"op": op, "graph": graph_doc, "num_pes": 2})
+            assert not refused["ok"]
+            assert refused["error"].startswith(
+                "node 's': volumes must be integers")
 
     def test_stats_shape(self):
         self.service.handle(dict(self.doc))
