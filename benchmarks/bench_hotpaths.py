@@ -40,7 +40,14 @@ Two measurements, both against the original implementation preserved in
   :func:`repro.baselines.schedule_nonstreaming` vs the name-keyed scan
   oracle kept in ``tests/oracles/list_scheduler_scan.py``, median of 3
   graphs, on ``layered-10k`` and ``serpar-10k`` at 128 PEs — the run
-  fails when their schedule documents differ.
+  fails when their schedule documents differ;
+* a **partition** section timing the ``rlx`` + ``lts`` spatial-block
+  partitions of a fresh ingest (level keys included), the way a
+  portfolio miss runs them: :func:`repro.core.partition
+  .compute_spatial_blocks` vs the name-keyed oracle in
+  ``tests/oracles/scheduler_reference.py``, median of 3 graphs, on the
+  ``nstr`` section's scenarios — report-only (no speed gate); the run
+  fails when the partitions differ.
 
 The sweep includes serving-scale ``layered-10k`` / ``serpar-10k``
 scenarios (one graph each — the reference path is ~10x slower there).
@@ -68,7 +75,10 @@ for _path in (ROOT / "src", ROOT / "tests"):
 from history import append_bench_history
 from oracles.graph_parse import parse_graph_doc
 from oracles.list_scheduler_scan import scan_nonstreaming
-from oracles.scheduler_reference import schedule_streaming_reference
+from oracles.scheduler_reference import (
+    compute_spatial_blocks_reference,
+    schedule_streaming_reference,
+)
 from repro import __version__
 from repro.core import schedule_streaming
 from repro.core.serialize import schedule_to_dict
@@ -256,10 +266,10 @@ def bench_backend(smoke: bool, graphs: int = 3) -> list[dict]:
     """Scheduling-core backend split: pure-Python vs numpy kernels, cold.
 
     Each sweep runs the way a service miss runs it: on a fresh ingest
-    of the graph's wire document and a fresh partition of it (untimed;
-    the partitioner's level pass builds the array mirror, as the
-    fingerprint does on a served miss), so nothing either sweep derived
-    for an earlier call is reused.  Medians over ``graphs`` graphs per
+    of the graph's wire document, fingerprinted (which builds the
+    array mirror the numpy sweep reads, as on a served miss) and
+    partitioned, all untimed, so nothing either sweep derived for an
+    earlier call is reused.  Medians over ``graphs`` graphs per
     scenario; byte-identity of the two schedule documents is asserted
     on every graph.
     """
@@ -289,6 +299,7 @@ def bench_backend(smoke: bool, graphs: int = 3) -> list[dict]:
             docs = set()
             for name, sweep in sweeps.items():
                 ig = ingest_graph_doc(doc)
+                ig.fingerprint()
                 part = compute_spatial_blocks(ig, pes, variant)
                 t0 = time.perf_counter()
                 schedule = sweep(ig, part, pes)
@@ -470,6 +481,54 @@ def bench_nstr(repeats: int = 3) -> list[dict]:
     return rows
 
 
+def bench_partition(repeats: int = 3) -> list[dict]:
+    """Cold ``rlx`` + ``lts`` partitions vs the oracle at 128 PEs.
+
+    Each round ingests a fresh graph, so the first partition pays the
+    level keys, as on a served miss; medians over ``repeats`` graphs.
+    """
+    from statistics import median
+
+    from repro.core.ingest import ingest_graph_doc
+    from repro.core.partition import compute_spatial_blocks
+    from repro.core.serialize import graph_to_dict
+
+    def same(a, b) -> bool:
+        return (a.blocks == b.blocks
+                and list(a.block_of.items()) == list(b.block_of.items())
+                and a.sources_per_block == b.sources_per_block)
+
+    rows = []
+    for label, topo, size, pes, _variant in SWEEP_10K:
+        levels_s, new_s, oracle_s, identical = [], [], [], True
+        for seed in range(repeats):
+            g = random_canonical_graph(topo, size, seed=seed)
+            ig = ingest_graph_doc(graph_to_dict(g))
+            t0 = time.perf_counter()
+            ig.level_keys()
+            t1 = time.perf_counter()
+            new = [compute_spatial_blocks(ig, pes, v) for v in ("rlx", "lts")]
+            t2 = time.perf_counter()
+            old = [compute_spatial_blocks_reference(g, pes, v)
+                   for v in ("rlx", "lts")]
+            oracle_s.append(time.perf_counter() - t2)
+            levels_s.append(t1 - t0)
+            new_s.append(t2 - t0)
+            identical &= all(map(same, new, old))
+        rows.append({
+            "scenario": label,
+            "num_pes": pes,
+            "nodes": size,
+            "repeats": repeats,
+            "partition_ms": round(1e3 * median(new_s), 1),
+            "levels_ms": round(1e3 * median(levels_s), 1),
+            "oracle_ms": round(1e3 * median(oracle_s), 1),
+            "speedup": round(median(oracle_s) / median(new_s), 2),
+            "identical": identical,
+        })
+    return rows
+
+
 def check_baseline(doc: dict, baseline_path: str, tolerance: float) -> list[str]:
     """Gate on the indexed-vs-reference *speedup ratios*, not wall clock.
 
@@ -533,6 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     backend_rows = bench_backend(args.smoke)
     ingest_rows = bench_ingest(args.smoke)
     nstr_rows = bench_nstr()
+    partition_rows = bench_partition()
     portfolio = bench_portfolio(misses, args.workers)
 
     print(format_table(
@@ -584,6 +644,17 @@ def main(argv: list[str] | None = None) -> int:
             for r in nstr_rows
         ],
     ))
+    print(format_table(
+        ["partition scenario", "PEs", "nodes", "rlx+lts", "of which levels",
+         "oracle", "speedup", "identical"],
+        [
+            [r["scenario"], r["num_pes"], r["nodes"],
+             f"{r['partition_ms']:.1f} ms", f"{r['levels_ms']:.1f} ms",
+             f"{r['oracle_ms']:.1f} ms", f"{r['speedup']:.1f}x",
+             r["identical"]]
+            for r in partition_rows
+        ],
+    ))
     print(
         f"portfolio misses on {portfolio['graph']} "
         f"({portfolio['workers']} workers, "
@@ -607,6 +678,7 @@ def main(argv: list[str] | None = None) -> int:
         "backend": backend_rows,
         "ingest": ingest_rows,
         "nstr": nstr_rows,
+        "partition": partition_rows,
         "portfolio": portfolio,
     }
     Path(args.output).write_text(json.dumps(doc, indent=1) + "\n")
@@ -619,6 +691,11 @@ def main(argv: list[str] | None = None) -> int:
     bad += [r for r in nstr_rows if not r["byte_identical"]]
     if bad:
         print(f"FAIL: schedules differ on "
+              f"{', '.join(r['scenario'] for r in bad)}", file=sys.stderr)
+        return 1
+    bad = [r for r in partition_rows if not r["identical"]]
+    if bad:
+        print(f"FAIL: partitions differ from the oracle on "
               f"{', '.join(r['scenario'] for r in bad)}", file=sys.stderr)
         return 1
     bad = [r for r in ingest_rows if not r["fingerprint_identical"]]

@@ -81,8 +81,8 @@ def summarize_service(doc: dict) -> dict[str, dict]:
 
 
 def summarize_hotpaths(doc: dict) -> dict[str, dict]:
-    """Scheduling hot-path anchors: median speedups, cold nstr time per
-    10k scenario, miss rate."""
+    """Scheduling hot-path anchors: median speedups, cold nstr and
+    rlx+lts partition times per 10k scenario, miss rate."""
     metrics: dict[str, dict] = {}
     schedule = doc.get("schedule") or []
     if schedule:
@@ -103,6 +103,10 @@ def summarize_hotpaths(doc: dict) -> dict[str, dict]:
     for row in doc.get("nstr") or []:
         metrics[f"nstr_{row['scenario']}_ms"] = {
             "value": row["nstr_ms"], "direction": "lower", "unit": "ms",
+        }
+    for row in doc.get("partition") or []:
+        metrics[f"partition_{row['scenario']}_ms"] = {
+            "value": row["partition_ms"], "direction": "lower", "unit": "ms",
         }
     portfolio = doc.get("portfolio") or {}
     if portfolio.get("miss_per_sec") is not None:

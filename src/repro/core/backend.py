@@ -1,8 +1,7 @@
 """Which array kernels the scheduling core runs on this install.
 
 The hot arithmetic has two implementations: the exact-integer
-pure-Python sweeps (:mod:`repro.core.indexed`,
-:func:`repro.core.scheduler.schedule_sweep_python`,
+pure-Python sweeps (:func:`repro.core.scheduler.schedule_sweep_python`,
 :func:`repro.core.buffer_sizing.buffer_sizes_python`), always available
 and the reference semantics; and the int64 structure-of-arrays kernels
 of :mod:`repro.core.kernels`, which need the optional ``numpy`` extra

@@ -140,7 +140,7 @@ def buffer_sizes_python(
     comp, kinds, out_vol = ig.comp, ig.kinds, ig.out_vol
     sp, sa = ig.succ_ptr, ig.succ_adj
     pp, pa = ig.pred_ptr, ig.pred_adj
-    blk, _, members_by_block = schedule.partition.columns(ig)
+    blk, _, members_by_block = schedule.partition.columns()
     st, fo, lo = schedule.st_idx, schedule.fo_idx, schedule.lo_idx
     const = schedule.const_idx
 

@@ -54,7 +54,6 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Hashable, Iterator
 
-from . import backend
 from .node_types import CanonicalityError, NodeKind, NodeSpec, PASSIVE_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -355,67 +354,35 @@ class IndexedGraph:
 
         All rate terms ``O(v)/I(v)`` (only nodes with ``O > I``
         contribute a non-unit term) share the common denominator
-        ``D = lcm(I(v))``, so the recurrence runs in plain integers.
-
-        The denominator scan collects the *unique* upsampler input
-        volumes first and reduces over that set — for the common case of
-        graphs with no upsampling rates (every ``R <= 1``, e.g. the
-        layered/serpar campaign families) the lcm is never called and
-        the per-node term recomputation is skipped entirely.  When numpy
-        is installed the topo recurrence itself runs as
-        per-generation array sweeps (:func:`repro.core.kernels
-        .levels_numpy`); the float tie-break keys are always derived by
-        python int/int division so they stay bit-identical either way.
+        ``D = lcm(I(v))``, so the recurrence runs in plain integers:
+        one rate-term column (``D`` everywhere but at upsamplers with
+        predecessors), then one maximum over each node's predecessor
+        slice in topological order.
         """
-        ups_vols: set[int] = set()
-        kinds, in_vol, out_vol = self.kinds, self.in_vol, self.out_vol
-        for i in range(self.n):
-            if (
-                kinds[i] is not NodeKind.SOURCE
-                and in_vol[i] > 0
-                and out_vol[i] > in_vol[i]
-            ):
-                ups_vols.add(in_vol[i])
+        n, kinds, in_vol, out_vol = self.n, self.kinds, self.in_vol, self.out_vol
+        source = NodeKind.SOURCE
+        ups = [
+            i for i, k, iv, ov in zip(range(n), kinds, in_vol, out_vol)
+            if ov > iv > 0 and k is not source
+        ]
         den = 1
-        for v in ups_vols:
+        for v in {in_vol[i] for i in ups}:
             den = lcm(den, v)
 
-        num = None
-        if backend.HAVE_NUMPY:
-            from .kernels import levels_numpy
-
-            num = levels_numpy(self, den)
-        if num is None:
-            num = [0] * self.n
-            pp, pa = self.pred_ptr, self.pred_adj
-            if not ups_vols:
-                # no upsamplers: every term is den — plain longest path
-                for i in self.topo:
-                    lo, hi = pp[i], pp[i + 1]
-                    best = 0
-                    for j in range(lo, hi):
-                        lu = num[pa[j]]
-                        if lu > best:
-                            best = lu
-                    num[i] = den + best
-            else:
-                for i in self.topo:
-                    lo, hi = pp[i], pp[i + 1]
-                    if lo == hi:
-                        num[i] = den
-                        continue
-                    term = den
-                    if (
-                        kinds[i] is not NodeKind.SOURCE
-                        and out_vol[i] > in_vol[i]
-                    ):
-                        term = out_vol[i] * den // in_vol[i]
-                    best = 0
-                    for j in range(lo, hi):
-                        lu = num[pa[j]]
-                        if lu > best:
-                            best = lu
-                    num[i] = term + best
+        term = [den] * n
+        for i in ups:
+            term[i] = out_vol[i] * den // in_vol[i]
+        for i in self.entries:  # an entry's level is one full term
+            term[i] = den
+        num = [0] * n
+        pp, pa = self.pred_ptr, self.pred_adj
+        for i in self.topo:
+            best = 0
+            for u in pa[pp[i]:pp[i + 1]]:
+                lu = num[u]
+                if lu > best:
+                    best = lu
+            num[i] = term[i] + best
         self._level_num = num
         self._level_den = den
         # correctly-rounded int/int division == float(Fraction(num, den))

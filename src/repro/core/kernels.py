@@ -1,14 +1,11 @@
 """NumPy structure-of-arrays kernels for the scheduling core.
 
 The pure-Python indexed pipeline (:mod:`repro.core.block_schedule`,
-:mod:`repro.core.buffer_sizing`, the level recurrence in
-:mod:`repro.core.indexed`) pays CPython interpreter dispatch per node
-and per edge.  This module batches the same exact-integer arithmetic
+:mod:`repro.core.buffer_sizing`) pays CPython interpreter dispatch per
+node and per edge.  This module batches the same exact-integer arithmetic
 over int64 arrays, following the ``bdf_vectorized3`` "per-object code
 -> one structure-of-arrays module" rewrite pattern:
 
-* the Section 4.2 level recurrence ``L(v)`` as per-generation
-  ``maximum.reduceat`` sweeps over the CSR predecessor arrays;
 * the cg3 graph fingerprint: hashed 1-WL rounds as whole-array uint64
   arithmetic (per-node neighbour sums are differences of one wrapping
   prefix sum over the CSR slots) plus the final canonical sort — the
@@ -69,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "graph_arrays",
-    "levels_numpy",
     "wl_refine_numpy",
     "wl_digest_numpy",
     "schedule_sweep_numpy",
@@ -101,7 +97,7 @@ class _Arrays:
     __slots__ = (
         "pred_ptr", "pred_adj", "succ_ptr", "succ_adj",
         "in_vol", "out_vol", "comp", "is_source", "is_buffer",
-        "kind_code", "e_src", "pred_dst", "topo", "topo_pos", "gen",
+        "kind_code", "e_src", "pred_dst", "topo", "topo_pos",
         "oversized",
     )
 
@@ -135,7 +131,6 @@ class _Arrays:
         tp = np.empty(n, dtype=_I64)
         tp[self.topo] = np.arange(n, dtype=_I64)
         self.topo_pos = tp
-        self.gen = None  #: Kahn generation per node, lazy (levels kernel)
 
 
 def graph_arrays(ig: "IndexedGraph") -> _Arrays:
@@ -144,47 +139,6 @@ def graph_arrays(ig: "IndexedGraph") -> _Arrays:
     if cache is None:
         cache = ig._np_cache = _Arrays(ig)
     return cache
-
-
-def _generations(ig: "IndexedGraph", A: _Arrays) -> np.ndarray:
-    """Kahn generation index of every node (longest-path depth).
-
-    One O(V+E) pass over the CSR arrays in topo order, memoized on the
-    array cache.
-    """
-    if A.gen is None:
-        pp, pa = ig.pred_ptr, ig.pred_adj
-        gen = [0] * ig.n
-        for v in ig.topo:
-            best = -1
-            for j in range(pp[v], pp[v + 1]):
-                g = gen[pa[j]]
-                if g > best:
-                    best = g
-            gen[v] = best + 1
-        A.gen = np.asarray(gen, dtype=_I64)
-    return A.gen
-
-
-def _ragged_gather(ptr: np.ndarray, rows: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices into a CSR value array for a batch of rows.
-
-    Returns ``(flat_idx, row_starts, counts)``: ``flat_idx`` addresses
-    every CSR slot of every requested row, concatenated in row order;
-    ``row_starts`` delimits the segments (for ``maximum.reduceat``).
-    """
-    starts = ptr[rows]
-    counts = ptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0, dtype=_I64), np.zeros(len(rows), dtype=_I64),
-                counts)
-    row_starts = np.zeros(len(rows), dtype=_I64)
-    np.cumsum(counts[:-1], out=row_starts[1:])
-    flat_idx = np.arange(total, dtype=_I64) - np.repeat(row_starts, counts)
-    flat_idx += np.repeat(starts, counts)
-    return flat_idx, row_starts, counts
 
 
 def _segment_max(values: np.ndarray, row_starts: np.ndarray,
@@ -197,60 +151,6 @@ def _segment_max(values: np.ndarray, row_starts: np.ndarray,
         # rows, whose starts are strictly increasing and in range
         out[nonempty] = np.maximum.reduceat(values, row_starts[nonempty])
     return out
-
-
-# ----------------------------------------------------------------------
-# Section 4.2 levels
-# ----------------------------------------------------------------------
-
-def levels_numpy(ig: "IndexedGraph", den: int, *, force: bool = False
-                 ) -> list[int] | None:
-    """``L(v)`` numerators over the common denominator, vectorized.
-
-    ``den`` is the precomputed rate denominator (the lcm scan is shared
-    with the pure-Python path).  Returns the numerator list exactly
-    matching ``IndexedGraph._compute_levels``, or ``None`` when the
-    caller should use the pure-Python loop instead — either the int64
-    overflow guard tripped (counted) or, unless ``force``, the DAG is
-    too narrow for per-generation sweeps to pay off (a heuristic, not a
-    fallback: both paths are exact).
-    """
-    n = ig.n
-    if n == 0:
-        return []
-    A = graph_arrays(ig)
-    if A.oversized:
-        count_fallback("core.levels")
-        return None
-    # overflow guard: every numerator is bounded by (depth+1) terms of
-    # at most den * max_out each
-    max_out = max(int(A.out_vol.max()), 1)
-    if den >= _C_SAFE or den * max_out * (n + 1) >= _SAFE:
-        count_fallback("core.levels")
-        return None
-    # narrow-DAG heuristic: per-generation arrays only pay off when the
-    # average generation is wide; probe entry width before committing to
-    # the O(V+E) generation scan
-    if not force and len(ig.entries) < 32:
-        return None
-    gen = _generations(ig, A)
-    depth = int(gen.max()) + 1
-    if not force and n < depth * 24:
-        return None
-    ups = (~A.is_source) & (A.in_vol > 0) & (A.out_vol > A.in_vol)
-    term = np.full(n, den, dtype=_I64)
-    term[ups] = A.out_vol[ups] * den // A.in_vol[ups]
-    num = np.zeros(n, dtype=_I64)
-    order = A.topo[np.argsort(gen[A.topo], kind="stable")]
-    bounds = np.searchsorted(gen[order], np.arange(depth + 1))
-    for g in range(depth):
-        rows = order[bounds[g]:bounds[g + 1]]
-        flat, row_starts, counts = _ragged_gather(A.pred_ptr, rows)
-        best = _segment_max(num[A.pred_adj[flat]], row_starts, counts, 0)
-        vals = term[rows] + best
-        vals[counts == 0] = den  # entry nodes: L = D (one full term)
-        num[rows] = vals
-    return num.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +349,7 @@ def schedule_sweep_numpy(
         return None
     n = ig.n
     nb = partition.num_blocks
-    blk, pe, members = partition.columns(ig)
+    blk, pe, members = partition.columns()
     blk_arr = np.asarray(blk, dtype=_I64)
 
     # sweep order: blocks ascending, topo order inside each block
@@ -686,7 +586,7 @@ def buffer_sizes_numpy(
     if _shared is not None:
         blk_arr, eu, ev, hot, c_arr = _shared
     else:
-        blk, _, members = schedule.partition.columns(ig)
+        blk, _, members = schedule.partition.columns()
         blk_arr = np.asarray(blk, dtype=_I64)
         eu, ev = _stream_edges(A, blk_arr, members)
         hot = _stream_components(ig.n, eu, ev)[1]

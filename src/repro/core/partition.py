@@ -21,19 +21,22 @@ Passive nodes (buffers, sources, sinks) occupy no PE slot; they are
 auto-assigned to the block that is open when they become ready, purely for
 bookkeeping — the schedule treats them as memory anchors either way.
 
-The partitioners run entirely over the flat integer arrays of the
-memoized :class:`~repro.core.indexed.IndexedGraph` (CSR adjacency,
-precomputed float level keys); the original dict/hash implementation is
-preserved in ``tests/oracles/scheduler_reference.py`` and the golden-output tests
+Both algorithms are one greedy loop (:func:`_greedy_blocks`) over the
+node ids of the memoized :class:`~repro.core.indexed.IndexedGraph`: its
+CSR adjacency, its float level keys and a handful of per-node int
+columns, with the ready heap, the passive cascade and the Algorithm 1
+reach test written out inline.  The result is a column-backed
+:class:`Partition`; its name-keyed views are built only when something
+reads them.  The original dict/hash implementation is preserved in
+``tests/oracles/scheduler_reference.py`` and the differential tests
 assert both produce identical partitions.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Hashable, Literal
+from functools import cached_property
+from heapq import heappop, heappush
+from typing import Hashable, Literal, Sequence
 
 from .graph import CanonicalGraph
 from .indexed import IndexedGraph, freeze
@@ -43,48 +46,111 @@ __all__ = ["Partition", "compute_spatial_blocks", "partition_by_work", "Variant"
 Variant = Literal["lts", "rlx"]
 
 
-@dataclass
 class Partition:
-    """Result of a spatial block partitioning.
+    """Result of a spatial block partitioning, as node-id columns.
 
-    ``blocks[i]`` lists the computational tasks of block ``i`` in
-    insertion order; ``block_of`` maps every node (passive ones included)
-    to its block index.
+    * ``block[i]`` — node ``i``'s block (-1 if unassigned); passive
+      nodes carry the block that was open when they became ready;
+    * ``pe[i]`` — a computational node's position in its block (-1 for
+      passive nodes);
+    * ``members[b]`` — block ``b``'s computational ids in assignment
+      order;
+    * ``block_sources[b]`` — the ids of block ``b``'s sources (members
+      with no streaming predecessor inside the block), in assignment
+      order;
+    * ``assign_order`` — every assigned id in assignment order.
+
+    The name-keyed ``blocks`` (per block, its tasks in insertion order),
+    ``block_of`` (every node, passive ones included, to its block, in
+    assignment order) and ``sources_per_block`` are views built from
+    the columns on first read, so a partition only the schedulers and
+    serializers read (every served candidate) never builds them.
     """
 
-    blocks: list[list[Hashable]]
-    block_of: dict[Hashable, int]
-    variant: str = ""
-    num_pes: int = 0
-    sources_per_block: list[set[Hashable]] = field(default_factory=list)
+    def __init__(
+        self,
+        names: Sequence[Hashable],
+        variant: str,
+        num_pes: int,
+        *,
+        block: list[int],
+        pe: list[int],
+        members: list[list[int]],
+        block_sources: list[list[int]],
+        assign_order: list[int],
+    ) -> None:
+        self.names = names
+        self.variant = variant
+        self.num_pes = num_pes
+        self.block = block
+        self.pe = pe
+        self.members = members
+        self.block_sources = block_sources
+        self.assign_order = assign_order
+
+    @classmethod
+    def from_tables(
+        cls,
+        graph: "CanonicalGraph | IndexedGraph",
+        blocks: list[list[Hashable]],
+        block_of: dict[Hashable, int],
+        variant: str,
+        num_pes: int,
+        sources_per_block: list[set[Hashable]],
+    ) -> "Partition":
+        """A partition over name-keyed tables (the reference oracle's
+        output).  The columns are derived from the tables (``members``
+        in ``block_of`` insertion order, ``block_sources`` in set
+        order), and the tables themselves are kept as the views."""
+        ig = freeze(graph)
+        index, comp = ig.index, ig.comp
+        order = [index[v] for v in block_of]
+        block = [-1] * ig.n
+        pe = [-1] * ig.n
+        members: list[list[int]] = [[] for _ in blocks]
+        for i, b in zip(order, block_of.values()):
+            block[i] = b
+            if comp[i]:
+                members[b].append(i)
+        for tasks in blocks:
+            for p, v in enumerate(tasks):
+                pe[index[v]] = p
+        partition = cls(
+            ig.names, variant, num_pes, block=block, pe=pe, members=members,
+            block_sources=[[index[v] for v in s] for s in sources_per_block],
+            assign_order=order,
+        )
+        vars(partition).update(
+            blocks=blocks, block_of=block_of,
+            sources_per_block=sources_per_block,
+        )
+        return partition
+
+    # ------------------------------------------------------------------
+    # name-keyed views, built on first read
+    # ------------------------------------------------------------------
+    @cached_property
+    def blocks(self) -> list[list[Hashable]]:
+        names = self.names
+        return [[names[i] for i in m] for m in self.members]
+
+    @cached_property
+    def block_of(self) -> dict[Hashable, int]:
+        names, block = self.names, self.block
+        return {names[i]: block[i] for i in self.assign_order}
+
+    @cached_property
+    def sources_per_block(self) -> list[set[Hashable]]:
+        names = self.names
+        return [{names[i] for i in s} for s in self.block_sources]
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.members)
 
-    def columns(
-        self, ig: IndexedGraph
-    ) -> tuple[list[int], list[int], list[list[int]]]:
-        """``(block, pe, members)`` over the node ids of ``ig``.
-
-        ``block[i]`` is node ``i``'s block (-1 if unassigned), ``pe[i]``
-        a computational node's position in its block (-1 otherwise), and
-        ``members[b]`` block ``b``'s computational ids in ``block_of``
-        insertion order.
-        """
-        index, comp = ig.index, ig.comp
-        blk = [-1] * ig.n
-        pe = [-1] * ig.n
-        members = [[] for _ in self.blocks]
-        for v, b in self.block_of.items():
-            i = index[v]
-            blk[i] = b
-            if comp[i]:
-                members[b].append(i)
-        for block in self.blocks:
-            for p, v in enumerate(block):
-                pe[index[v]] = p
-        return blk, pe, members
+    def columns(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """``(block, pe, members)``, the stored columns (not copies)."""
+        return self.block, self.pe, self.members
 
     def validate(self, graph: CanonicalGraph, num_pes: int) -> None:
         """Check partition invariants: coverage, capacity, acyclicity."""
@@ -107,103 +173,6 @@ class Partition:
                 )
 
 
-class _State:
-    """Shared integer-indexed bookkeeping for the greedy partitioners."""
-
-    __slots__ = (
-        "ig",
-        "indeg",
-        "assigned",
-        "assigned_order",
-        "blocks",
-        "block_idx",
-        "reach_min",
-        "is_source",
-        "sources_per_block",
-    )
-
-    def __init__(self, ig: IndexedGraph):
-        self.ig = ig
-        pp = ig.pred_ptr
-        self.indeg = [pp[i + 1] - pp[i] for i in range(ig.n)]
-        self.assigned = [-1] * ig.n
-        #: assignment event order, so ``block_of`` keeps the insertion
-        #: order of the pre-indexed implementation
-        self.assigned_order: list[int] = []
-        self.blocks: list[list[int]] = [[]]
-        self.block_idx = 0
-        # minimum block-source volume reaching each assigned node through
-        # streaming (computational) paths inside its own block; None for
-        # block sources themselves and for passive nodes.
-        self.reach_min: list[int | None] = [None] * ig.n
-        self.is_source = [False] * ig.n
-        self.sources_per_block: list[set[int]] = [set()]
-
-    def min_reaching_source_volume(self, v: int) -> int | None:
-        """Smallest O(s) over block sources reaching ``v`` in the open block.
-
-        ``None`` when ``v`` would itself become a block source (no
-        streaming predecessor inside the open block).
-        """
-        ig = self.ig
-        pp, pa = ig.pred_ptr, ig.pred_adj
-        assigned, comp = self.assigned, ig.comp
-        bi = self.block_idx
-        best: int | None = None
-        for j in range(pp[v], pp[v + 1]):
-            u = pa[j]
-            if assigned[u] != bi or not comp[u]:
-                continue
-            vol = ig.out_vol[u] if self.is_source[u] else self.reach_min[u]
-            if vol is not None and (best is None or vol < best):
-                best = vol
-        return best
-
-    _RECOMPUTE = -1  #: sentinel: assign() must compute the reach itself
-
-    def assign(self, v: int, *, passive: bool = False,
-               reach: int | None = _RECOMPUTE) -> None:
-        """Assign ``v`` to the open block.
-
-        ``reach`` may pass a *fresh* result of
-        :meth:`min_reaching_source_volume` (the admission check just
-        computed it with no assignment in between) to skip the second
-        predecessor scan; a non-source node's reach is ``None`` exactly
-        when it has no computational predecessor in the open block,
-        i.e. when it is itself a block source.
-        """
-        self.assigned[v] = self.block_idx
-        self.assigned_order.append(v)
-        if not passive:
-            if reach is _State._RECOMPUTE:
-                reach = self.min_reaching_source_volume(v)
-            source = reach is None
-            self.is_source[v] = source
-            self.reach_min[v] = reach
-            bi = self.block_idx
-            self.blocks[bi].append(v)
-            if source:
-                self.sources_per_block[bi].add(v)
-
-    def close_block(self) -> None:
-        self.blocks.append([])
-        self.sources_per_block.append(set())
-        self.block_idx += 1
-
-    def finish(self, variant: str, num_pes: int) -> Partition:
-        if self.blocks and not self.blocks[-1]:
-            self.blocks.pop()
-            self.sources_per_block.pop()
-        names = self.ig.names
-        return Partition(
-            [[names[i] for i in block] for block in self.blocks],
-            {names[i]: self.assigned[i] for i in self.assigned_order},
-            variant,
-            num_pes,
-            [{names[i] for i in srcs} for srcs in self.sources_per_block],
-        )
-
-
 def compute_spatial_blocks(
     graph: CanonicalGraph, num_pes: int, variant: Variant = "lts"
 ) -> Partition:
@@ -218,86 +187,9 @@ def compute_spatial_blocks(
         raise ValueError("need at least one processing element")
     if variant not in ("lts", "rlx"):
         raise ValueError(f"unknown variant {variant!r}")
-
     ig = freeze(graph)
-    state = _State(ig)
-    level_key = ig.level_keys()
-    out_vol, comp = ig.out_vol, ig.comp
-    sp, sa = ig.succ_ptr, ig.succ_adj
-    counter = itertools.count()
-
-    ready_heap: list[tuple[int, float, int, int]] = []
-    deferred: list[tuple[int, float, int, int]] = []
-
-    def push_ready(v: int) -> None:
-        heapq.heappush(
-            ready_heap, (out_vol[v], level_key[v], next(counter), v)
-        )
-
-    indeg = state.indeg
-
-    def release_successors(v: int) -> None:
-        """Decrement successor indegrees; cascade through passive nodes."""
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for j in range(sp[u], sp[u + 1]):
-                w = sa[j]
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    if comp[w]:
-                        push_ready(w)
-                    else:
-                        state.assign(w, passive=True)
-                        stack.append(w)
-
-    # seed: entry nodes (snapshot first — the passive cascade mutates
-    # indegrees, and a node it already assigned must not be re-seeded)
-    for v in ig.entries:
-        if comp[v]:
-            push_ready(v)
-        else:
-            state.assign(v, passive=True)
-            release_successors(v)
-
-    remaining = ig.num_tasks
-    while remaining > 0:
-        cand = -1
-        cand_reach: int | None = _State._RECOMPUTE
-        while ready_heap:
-            item = heapq.heappop(ready_heap)
-            v = item[3]
-            reach = state.min_reaching_source_volume(v)
-            if reach is None or item[0] <= reach:
-                cand = v
-                cand_reach = reach  # fresh: nothing assigned since
-                break
-            deferred.append(item)
-        if cand < 0 and variant == "rlx" and deferred:
-            # relaxed: admit the ready node producing the least data
-            # anyway (its deferred reach may be stale: recompute)
-            deferred.sort()
-            cand = deferred.pop(0)[3]
-        if cand < 0:
-            # SB-LTS with no eligible candidate: close the block; deferred
-            # nodes become eligible again (their preds leave the open block)
-            if not state.blocks[state.block_idx] and not deferred:
-                raise RuntimeError("partitioner stalled: graph has a cycle?")
-            state.close_block()
-            for item in deferred:
-                heapq.heappush(ready_heap, item)
-            deferred.clear()
-            continue
-        state.assign(cand, reach=cand_reach)
-        remaining -= 1
-        release_successors(cand)
-        if len(state.blocks[state.block_idx]) >= num_pes:
-            state.close_block()
-            for item in deferred:
-                heapq.heappush(ready_heap, item)
-            deferred.clear()
-
-    return state.finish(f"sb-{variant}", num_pes)
+    return _greedy_blocks(
+        ig, num_pes, ig.out_vol, True, variant == "rlx", f"sb-{variant}")
 
 
 def partition_by_work(graph: CanonicalGraph, num_pes: int) -> Partition:
@@ -312,46 +204,149 @@ def partition_by_work(graph: CanonicalGraph, num_pes: int) -> Partition:
     if num_pes < 1:
         raise ValueError("need at least one processing element")
     ig = freeze(graph)
-    state = _State(ig)
-    level_key = ig.level_keys()
-    work, comp = ig.work, ig.comp
-    sp, sa = ig.succ_ptr, ig.succ_adj
-    counter = itertools.count()
+    return _greedy_blocks(
+        ig, num_pes, [-w for w in ig.work], False, False, "work")
+
+
+def _greedy_blocks(
+    ig: IndexedGraph,
+    num_pes: int,
+    key: list[int],
+    gated: bool,
+    relaxed: bool,
+    variant: str,
+) -> Partition:
+    """The greedy loop both algorithms share.
+
+    Ready computational nodes pop from a heap ordered by ``(key, level,
+    push order)``.  With ``gated`` (Algorithm 1) a candidate producing
+    more than the smallest block-source volume reaching it is deferred
+    until the open block closes; ``relaxed`` (SB-RLX) then admits the
+    least-producing deferred node instead of closing early.  Without
+    ``gated`` (Algorithm 2) every popped node is admitted.  A block
+    closes once it holds ``num_pes`` tasks.
+
+    Every admitted node records its *reach* — the smallest output
+    volume of the block sources reaching it through streaming paths
+    inside its block, or its own output volume when it is a block
+    source itself — so a candidate's reach is one minimum over its
+    in-block computational predecessors.
+    """
+    n = ig.n
+    level = ig.level_keys()
+    out_vol, comp = ig.out_vol, ig.comp
+    sp, sa, pp, pa = ig.succ_ptr, ig.succ_adj, ig.pred_ptr, ig.pred_adj
+    indeg = [pp[i + 1] - pp[i] for i in range(n)]
+    block = [-1] * n
+    pe = [-1] * n
+    #: block of every assigned computational node (-1 otherwise): the
+    #: reach scan's in-block filter
+    cblock = [-1] * n
+    reach = [0] * n
+    order: list[int] = []
+    cur: list[int] = []
+    cur_src: list[int] = []
+    members = [cur]
+    block_sources = [cur_src]
+    bi = 0
     heap: list[tuple[int, float, int, int]] = []
+    deferred: list[tuple[int, float, int, int]] = []
+    seq = 0
 
-    def push_ready(v: int) -> None:
-        heapq.heappush(heap, (-work[v], level_key[v], next(counter), v))
-
-    indeg = state.indeg
-
-    def release_successors(v: int) -> None:
+    # seed: entry nodes in id order; a passive entry is assigned and its
+    # release cascade runs before the next entry is looked at
+    for v in ig.entries:
+        if comp[v]:
+            heappush(heap, (key[v], level[v], seq, v))
+            seq += 1
+            continue
+        block[v] = 0
+        order.append(v)
         stack = [v]
         while stack:
             u = stack.pop()
-            for j in range(sp[u], sp[u + 1]):
-                w = sa[j]
-                indeg[w] -= 1
-                if indeg[w] == 0:
+            for w in sa[sp[u]:sp[u + 1]]:
+                d = indeg[w] = indeg[w] - 1
+                if not d:
                     if comp[w]:
-                        push_ready(w)
+                        heappush(heap, (key[w], level[w], seq, w))
+                        seq += 1
                     else:
-                        state.assign(w, passive=True)
+                        block[w] = 0
+                        order.append(w)
                         stack.append(w)
 
-    for v in ig.entries:
-        if comp[v]:
-            push_ready(v)
-        else:
-            state.assign(v, passive=True)
-            release_successors(v)
-
     remaining = ig.num_tasks
-    while remaining > 0:
-        _, _, _, cand = heapq.heappop(heap)
-        if len(state.blocks[state.block_idx]) >= num_pes:
-            state.close_block()
-        state.assign(cand)
-        remaining -= 1
-        release_successors(cand)
+    while remaining:
+        if heap:
+            item = heappop(heap)
+            forced = False
+        elif relaxed and deferred:
+            # SB-RLX: admit the ready node producing the least data anyway
+            item = heappop(deferred)
+            forced = True
+        else:
+            # no eligible candidate: close the block; deferred nodes
+            # become eligible again (their preds leave the open block)
+            if not cur and not deferred:
+                raise RuntimeError("partitioner stalled: graph has a cycle?")
+            bi += 1
+            cur, cur_src = [], []
+            members.append(cur)
+            block_sources.append(cur_src)
+            heap, deferred = deferred, heap
+            continue
+        cand = item[3]
+        # the least reach over cand's computational predecessors in the
+        # open block; -1 when there is none (cand is a block source)
+        r = -1
+        for u in pa[pp[cand]:pp[cand + 1]]:
+            if cblock[u] == bi and (r < 0 or reach[u] < r):
+                r = reach[u]
+        if gated and 0 <= r < out_vol[cand] and not forced:
+            heappush(deferred, item)
+            continue
 
-    return state.finish("work", num_pes)
+        # admit
+        block[cand] = cblock[cand] = bi
+        pe[cand] = len(cur)
+        cur.append(cand)
+        order.append(cand)
+        if r < 0:
+            reach[cand] = out_vol[cand]
+            cur_src.append(cand)
+        else:
+            reach[cand] = r
+        remaining -= 1
+
+        # release successors, cascading through passive nodes
+        stack = [cand]
+        while stack:
+            u = stack.pop()
+            for w in sa[sp[u]:sp[u + 1]]:
+                d = indeg[w] = indeg[w] - 1
+                if not d:
+                    if comp[w]:
+                        heappush(heap, (key[w], level[w], seq, w))
+                        seq += 1
+                    else:
+                        block[w] = bi
+                        order.append(w)
+                        stack.append(w)
+
+        if len(cur) >= num_pes:
+            bi += 1
+            cur, cur_src = [], []
+            members.append(cur)
+            block_sources.append(cur_src)
+            for item in deferred:
+                heappush(heap, item)
+            deferred.clear()
+
+    if not cur:
+        members.pop()
+        block_sources.pop()
+    return Partition(
+        ig.names, variant, num_pes, block=block, pe=pe, members=members,
+        block_sources=block_sources, assign_order=order,
+    )

@@ -127,7 +127,7 @@ class StreamingSchedule:
             i = index[v]
             if comp[i]:  # S_i = C / I exactly
                 const[i] = int(f * in_vol[i])
-        blk, pe, _ = partition.columns(ig)
+        blk, pe, _ = partition.columns()
         schedule = cls(
             graph, num_pes, partition, makespan=makespan, order_idx=order,
             st_idx=st, fo_idx=fo, lo_idx=lo, const_idx=const,
@@ -321,7 +321,7 @@ def schedule_sweep_python(
     ig = freeze(graph)
     n = ig.n
     kinds, comp = ig.kinds, ig.comp
-    blk, pe, _ = partition.columns(ig)
+    blk, pe, _ = partition.columns()
 
     members_by_block: list[list[int]] = [[] for _ in range(partition.num_blocks)]
     for i in ig.topo:

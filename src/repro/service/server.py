@@ -114,6 +114,7 @@ from .portfolio import (
     DEFAULT_SCHEDULERS,
     OBJECTIVES,
     PortfolioPool,
+    check_portfolio,
     run_portfolio,
     scheduler_names,
 )
@@ -199,6 +200,15 @@ def _schedulers(doc: dict, default: tuple[str, ...]) -> tuple[str, ...]:
     if type(names) is not list or not all(type(x) is str for x in names):
         raise ValueError("schedulers must be a list of scheduler names")
     return tuple(names) or default
+
+
+def _no_cache(doc: dict) -> bool:
+    """The request's ``no_cache``: absent/``null`` (false) or a JSON
+    boolean, checked before any parse or compute."""
+    value = doc.get("no_cache")
+    if value is not None and type(value) is not bool:
+        raise ValueError("no_cache must be a JSON boolean")
+    return value is True
 
 
 class _InFlight:
@@ -436,7 +446,7 @@ class ScheduleService:
             # console polls metrics/trace every second)
             flight.record(
                 "request", op=op, trace_id=span.trace_id or None,
-                no_cache=bool(doc.get("no_cache", False)),
+                no_cache=doc.get("no_cache") is True,
             )
             if doc.get("retry"):
                 # a client resending after a failure/refusal; idempotent
@@ -1025,10 +1035,11 @@ class ScheduleService:
         graph_doc = doc["graph"]
         objective = doc.get("objective", "makespan")
         schedulers = _schedulers(doc, self.default_schedulers)
+        check_portfolio(objective, schedulers)
         budget_ms = _millis(doc, "budget_ms")
         if budget_ms is not None and budget_ms <= 0:
             raise ValueError("budget_ms must be a finite number > 0")
-        no_cache = bool(doc.get("no_cache", False))
+        no_cache = _no_cache(doc)
         deadline = self._deadline(doc, t0)
 
         with span.phase("fingerprint"):
@@ -1060,7 +1071,7 @@ class ScheduleService:
         policy = doc.get("policy", "barrier")
         pacing = doc.get("pacing", "steady")
         capacity = _capacity(doc)
-        no_cache = bool(doc.get("no_cache", False))
+        no_cache = _no_cache(doc)
         deadline = self._deadline(doc, t0)
         if scheduler not in SIM_SCHEDULERS:
             return self._error(

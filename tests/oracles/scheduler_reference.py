@@ -143,8 +143,9 @@ class _State:
         if self.blocks and not self.blocks[-1]:
             self.blocks.pop()
             self.sources_per_block.pop()
-        return Partition(
-            self.blocks, self.assigned, variant, num_pes, self.sources_per_block
+        return Partition.from_tables(
+            self.graph, self.blocks, self.assigned, variant, num_pes,
+            self.sources_per_block,
         )
 
 

@@ -68,8 +68,7 @@ class TestSelectionPortable:
                 raise AssertionError("a numpy kernel ran")
 
             for name in ("schedule_sweep_numpy", "buffer_sizes_numpy",
-                         "levels_numpy", "wl_refine_numpy",
-                         "wl_digest_numpy"):
+                         "wl_refine_numpy", "wl_digest_numpy"):
                 monkeypatch.setattr(kernels, name, boom)
         monkeypatch.setattr(BK, "HAVE_NUMPY", False)
         fresh = g.copy()  # no memoized levels or labels
@@ -135,21 +134,6 @@ class TestScheduleParity:
         components."""
         g = random_canonical_graph("layered", 300, seed=3)
         assert sdoc_python(g, 32, "rlx") == sdoc(g, 32, "rlx")
-
-    def test_forced_levels_match_python(self, monkeypatch):
-        """levels_numpy under force= must equal the python recurrence
-        even on graphs the width heuristic would skip."""
-        from repro.core.kernels import levels_numpy
-
-        for topo, size in (("layered", 150), ("fft", 64), ("cholesky", 8)):
-            g = random_canonical_graph(topo, size, seed=0)
-            ig = freeze(g)
-            with monkeypatch.context() as m:
-                m.setattr(BK, "HAVE_NUMPY", False)
-                ig.level_keys()  # computes the exact python numerators
-            num = levels_numpy(ig, ig._level_den, force=True)
-            assert num is not None
-            assert list(num) == list(ig._level_num)
 
 
 def _ingested_10k(topo):
@@ -266,14 +250,15 @@ class TestOverflowFallbacks:
     """Adversarial volumes trip the int64 guards; results stay exact."""
 
     def test_huge_rate_denominator_falls_back(self):
-        # the upsampler's input volume IS the level denominator, and
-        # P >= 2**31 violates the levels kernel's product bound
+        # the upsampler's input volume IS the level denominator (the
+        # level recurrence is exact python ints, with no kernel), and
+        # P >= 2**31 violates the sweep's per-WCC constant bound
         P = (1 << 31) + 9
         g = _chain([(P, P), (P, 2 * P), (2 * P, 2 * P)])
         (a, b), delta = _fallback_delta(lambda: (
             sdoc(g, 2, "lts"), sdoc_python(g, 2, "lts")))
         assert a == b
-        assert delta.get("core.levels", 0) >= 1
+        assert delta.get("core.block_sweep", 0) >= 1
 
     def test_beyond_int64_volumes_fall_back_wholesale(self):
         V = 1 << 70  # not representable in the int64 arrays at all
@@ -281,7 +266,6 @@ class TestOverflowFallbacks:
         (a, b), delta = _fallback_delta(lambda: (
             sdoc(g, 2, "lts"), sdoc_python(g, 2, "lts")))
         assert a == b
-        assert delta.get("core.levels", 0) >= 1
         assert delta.get("core.block_sweep", 0) >= 1
 
 
@@ -306,7 +290,7 @@ class TestOverflowFallbacks:
         g.add_edge("h0", "h1")
         part = compute_spatial_blocks(g, 2, "rlx")
         ig = freeze(g)
-        blk, _, members = part.columns(ig)
+        blk, _, members = part.columns()
         blk_arr = np.asarray(blk)
         eu, ev = kernels._stream_edges(
             kernels.graph_arrays(ig), blk_arr, members)

@@ -213,7 +213,7 @@ def _fused_vs_oracle(topo: str, seed: int, pes: int, variant: str) -> set:
     g = random_canonical_graph(topo, STREAM_FAMILIES[topo], seed=seed)
     ig = freeze(g)
     part = compute_spatial_blocks(g, pes, variant)
-    blk, _, members = part.columns(ig)
+    blk, _, members = part.columns()
     blk_arr = np.asarray(blk)
     eu, ev = kernels._stream_edges(kernels.graph_arrays(ig), blk_arr, members)
     label, hot = kernels._stream_components(ig.n, eu, ev)
@@ -263,6 +263,66 @@ def test_fused_stream_pass_covers_every_block_class():
         for pes in (1, 2, 3, 8):
             seen |= _fused_vs_oracle(topo, 0, pes, "rlx")
     assert seen == {0, 1, 2, 3}
+
+
+# ----------------------------------------------------------------------
+# the id-column partitioners vs the name-keyed oracle
+# ----------------------------------------------------------------------
+
+def _partitions(g, pes: int, variant: str):
+    from oracles.scheduler_reference import (
+        compute_spatial_blocks_reference,
+        partition_by_work_reference,
+    )
+    from repro.core.partition import partition_by_work
+
+    if variant == "work":
+        return partition_by_work(g, pes), partition_by_work_reference(g, pes)
+    return (compute_spatial_blocks(g, pes, variant),
+            compute_spatial_blocks_reference(g, pes, variant))
+
+
+def _assert_same_partition(g, pes: int, variant: str) -> None:
+    """Every view and every column, in the same order: ``block_of``'s
+    insertion order and ``sources_per_block`` are invisible to the
+    schedule bytes."""
+    got, want = _partitions(g, pes, variant)
+    assert (got.variant, got.num_pes) == (want.variant, want.num_pes)
+    assert got.blocks == want.blocks
+    assert list(got.block_of.items()) == list(want.block_of.items())
+    assert got.sources_per_block == want.sources_per_block
+    assert got.columns() == want.columns()
+
+
+@common
+@given(canonical_dags(), st.integers(1, 6),
+       st.sampled_from(["lts", "rlx", "work"]))
+def test_partition_matches_oracle(g: CanonicalGraph, pes: int, variant: str):
+    _assert_same_partition(g, pes, variant)
+
+
+@pytest.mark.parametrize("pes", [3, 128])
+@pytest.mark.parametrize("case", ["layered-2k", "serpar-2k", "transformer"])
+def test_partition_matches_oracle_fixed(case: str, pes: int):
+    """Serving-shaped graphs, and one with sources, buffers and sinks
+    (the passive cascade, which the generated DAGs above never reach)."""
+    if case == "transformer":
+        from repro.ml import build_transformer_encoder
+
+        g = build_transformer_encoder(seq_len=16, d_model=64, num_heads=4,
+                                      d_ff=128, max_parallel=16)
+    else:
+        g = random_canonical_graph(case.split("-")[0], 2000, seed=11)
+    for variant in ("lts", "rlx", "work"):
+        _assert_same_partition(g, pes, variant)
+
+
+@common
+@given(canonical_dags())
+def test_levels_match_oracle(g: CanonicalGraph):
+    from oracles.scheduler_reference import _node_levels
+
+    assert IndexedGraph(g).levels_by_name() == _node_levels(g)
 
 
 # ----------------------------------------------------------------------

@@ -439,6 +439,27 @@ class TestScheduleService:
         warm = self.service.handle(dict(self.doc))
         assert "graph" not in cold and "graph" not in warm
 
+    def test_cold_schedule_builds_no_name_keyed_partition_view(
+            self, monkeypatch):
+        """A served miss reads only the partition's id columns: neither
+        the winner's nor a loser's partition builds ``blocks``,
+        ``block_of`` or ``sources_per_block``."""
+        from repro.core import scheduler
+
+        made = []
+        real = scheduler.compute_spatial_blocks
+        monkeypatch.setattr(
+            scheduler, "compute_spatial_blocks",
+            lambda *a, **k: made.append(real(*a, **k)) or made[-1])
+        cold = self.service.handle(
+            {**self.doc, "schedulers": ["rlx", "lts"]})
+        assert cold["ok"] and cold["cached"] is False
+        assert [p.variant for p in made] == ["sb-rlx", "sb-lts"]
+        for p in made:
+            assert not {"blocks", "block_of", "sources_per_block"} & set(vars(p))
+        # the views still build on demand, from the same columns
+        assert sum(map(len, made[0].blocks)) == self.graph.num_tasks()
+
     def test_no_cache_forces_recompute(self):
         self.service.handle(dict(self.doc))
         forced = self.service.handle({**self.doc, "no_cache": True})
@@ -520,6 +541,25 @@ class TestScheduleService:
             {**self.doc, "schedulers": schedulers}, "schedulers")
         ok = self.service.handle({**self.doc, "schedulers": ["rlx"]})
         assert ok["ok"] and ok["key"].endswith(":rlx")
+
+    @pytest.mark.parametrize("field,value", [
+        ("schedulers", ["bogus"]), ("schedulers", ["rlx", "bogus"]),
+        ("objective", "fastest"), ("objective", None),
+    ], ids=["unknown-name", "one-unknown", "unknown-objective", "null-objective"])
+    def test_unknown_schedulers_and_objectives_are_refused_before_parse(
+            self, field, value):
+        refused = self._refused_before_fingerprint(
+            {**self.doc, field: value}, field.rstrip("s"))
+        assert "unknown" in refused["error"]
+
+    @pytest.mark.parametrize("op", ["schedule", "simulate"])
+    @pytest.mark.parametrize("no_cache", ["false", 0, "lru"])
+    def test_no_cache_must_be_a_json_boolean(self, op, no_cache):
+        self._refused_before_fingerprint(
+            {**self.doc, "op": op, "no_cache": no_cache}, "no_cache")
+        for value in (None, False, True):
+            assert self.service.handle(
+                {**self.doc, "op": op, "no_cache": value})["ok"]
 
     @pytest.mark.parametrize("volume", [2.5, True, "4", None])
     def test_non_integer_volumes_are_refused(self, volume):
