@@ -30,8 +30,10 @@ Two measurements, both against the original implementation preserved in
 * an **ingest** section reporting the wire→graph split — the networkx
   parse kept in ``tests/oracles/graph_parse.py`` (+ freeze) vs
   :func:`repro.core.ingest.ingest_graph_doc` (validated and trusted),
-  the one parse path ``graph_from_dict`` wraps, the cg3 fingerprint on each available implementation,
-  called directly (the run fails when their hexes differ), and
+  the one parse path ``graph_from_dict`` wraps, the cg3 fingerprint on
+  each available implementation, called directly on a fresh untimed
+  ingest (median of at least three calls, report-only; the run fails
+  when their hexes differ), and
   schedule serialization
   (dict+dumps vs :func:`repro.core.serialize.schedule_doc_bytes`) — at
   1k and 10k nodes;
@@ -62,6 +64,7 @@ from __future__ import annotations
 import argparse
 import json
 import queue
+import statistics
 import sys
 import threading
 import time
@@ -399,16 +402,20 @@ def bench_ingest(smoke: bool) -> list[dict]:
         parse_freeze_s = timed(lambda: freeze(parse_graph_doc(doc)))
         ingest_s = timed(lambda: ingest_graph_doc(doc))
         trusted_s = timed(lambda: ingest_graph_doc(doc, validate=False))
-        # fingerprint over a fresh ingest each round: the full cost a
-        # service pays the first time it sees a document (on numpy that
-        # includes the CSR mirror the streaming candidates then reuse)
+        # fingerprint over a fresh, untimed ingest each round: the full
+        # cost a service pays the first time it sees a document (on
+        # numpy that includes the CSR mirror the streaming candidates
+        # then reuse); the median of at least three timed calls
         fingerprint_s: dict[str, float] = {}
         hexes = set()
         for backend, fingerprint in fingerprints.items():
-            fingerprint_s[backend] = max(0.0, timed(
-                lambda: hexes.add(fingerprint(
-                    ingest_graph_doc(doc, validate=False)))
-            ) - trusted_s)
+            times = []
+            for _ in range(max(3, reps)):
+                fresh = ingest_graph_doc(doc, validate=False)
+                t0 = time.perf_counter()
+                hexes.add(fingerprint(fresh))
+                times.append(time.perf_counter() - t0)
+            fingerprint_s[backend] = statistics.median(times)
 
         ig = ingest_graph_doc(doc)
         schedule = schedule_streaming(ig, pes, variant)

@@ -36,16 +36,17 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
+for _path in (ROOT / "src", ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from history import append_bench_history
+from oracles.sim_reference import simulate_schedule_reference
 from repro import __version__
 from repro.core import schedule_streaming, total_work
 from repro.core.tabulate import format_table
 from repro.graphs import random_canonical_graph
 from repro.sim import simulate_schedule
-from repro.sim.reference import simulate_schedule_reference
 
 #: (label, topology, size, PEs, variant); the 1k-node layered scenario
 #: is the acceptance anchor and stays in the smoke sweep

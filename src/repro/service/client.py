@@ -209,7 +209,7 @@ class ServiceClient:
             attempt += 1
             self.retries += 1
             # the server counts retried requests (service.retries)
-            doc["retry"] = attempt
+            doc["retry"] = True
             delay = min(backoff_s * (2 ** (attempt - 1)), max_backoff_s)
             if response is not None and response.get("retry_after_ms"):
                 delay = max(delay, float(response["retry_after_ms"]) / 1000.0)

@@ -29,7 +29,7 @@ from ..core.serialize import graph_to_dict
 from ..core.tabulate import format_table, write_csv
 from ..graphs import random_canonical_graph
 from .client import ServiceClient, ServiceError
-from .server import DEFAULT_PORT
+from .server import COMPUTE_OPS, DEFAULT_PORT
 
 __all__ = [
     "LoadgenReport",
@@ -269,7 +269,7 @@ def build_request_pool(
     first entry of ``schedulers`` (default ``lts``) is the simulated
     streaming scheduler and ``objective`` is ignored.
     """
-    if op not in ("schedule", "simulate"):
+    if op not in COMPUTE_OPS:
         raise ValueError(f"unknown request op {op!r}")
     cells = get_scenario(scenario).cells(num_graphs=max(1, pool))
     groups: dict[tuple[str, int], list[tuple[str, int, int, int]]] = {}

@@ -61,7 +61,6 @@ __all__ = [
     "WorkerHangError",
     "QuarantinedError",
     "run_portfolio",
-    "check_portfolio",
     "register_scheduler",
     "scheduler_names",
     "OBJECTIVES",
@@ -131,20 +130,6 @@ def register_scheduler(
 
 def scheduler_names() -> list[str]:
     return sorted(_SCHEDULERS)
-
-
-def check_portfolio(objective: str, names: Sequence[str]) -> None:
-    """Refuse (``ValueError``) an unknown objective or scheduler name."""
-    if objective not in OBJECTIVES:
-        raise ValueError(
-            f"unknown objective {objective!r} (known: {', '.join(OBJECTIVES)})"
-        )
-    unknown = [n for n in names if n not in _SCHEDULERS]
-    if unknown:
-        raise ValueError(
-            f"unknown scheduler(s) {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(scheduler_names())})"
-        )
 
 
 @dataclass(frozen=True)
@@ -743,7 +728,16 @@ def run_portfolio(
     if num_pes < 1:
         raise ValueError("need at least one processing element")
     names = list(schedulers) if schedulers else list(DEFAULT_SCHEDULERS)
-    check_portfolio(objective, names)
+    if objective not in OBJECTIVES:
+        raise ValueError(
+            f"unknown objective {objective!r} (known: {', '.join(OBJECTIVES)})"
+        )
+    unknown = [n for n in names if n not in _SCHEDULERS]
+    if unknown:
+        raise ValueError(
+            f"unknown scheduler(s) {', '.join(map(repr, unknown))} "
+            f"(known: {', '.join(scheduler_names())})"
+        )
     t1 = total_work(graph)
     pooled = pool is not None and len(names) > 1
     if flight is not None:

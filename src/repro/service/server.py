@@ -5,22 +5,32 @@ Two layers, separately testable:
 * :class:`ScheduleService` — the protocol-agnostic request handler:
   dict in, dict out (:meth:`~ScheduleService.handle`), plus a
   wire-level byte path (:meth:`~ScheduleService.serve_line_fast` /
-  :meth:`~ScheduleService.serve_line_slow`) the server uses.  Owns the
-  fingerprint memo, the schedule cache and the in-flight table that
-  *batches identical fingerprints* — when several concurrent requests
-  share one request key, a single leader computes and every follower
-  receives the same response (single-flight coalescing, counted in the
-  stats).  Graph documents are parsed by the zero-copy ingest path
-  (:mod:`repro.core.ingest`): straight to the flat
-  :class:`~repro.core.indexed.IndexedGraph` arrays, with the cg3 1-WL
-  fingerprint running over them — no networkx graph is built on the
-  request path at all.  The request key is isomorphism stable, so a
-  hit may come from a *differently named* copy of the graph; before
-  answering, the service remaps the cached schedule's node names onto
-  the requester's through an explicit, verified isomorphism witness
-  (``remapped`` in the stats) — and recomputes instead of answering
-  wrongly when no witness exists (a 1-WL collision between
-  non-isomorphic graphs).
+  :meth:`~ScheduleService.serve_line_slow`) the server uses.
+
+  Every op is one row of :data:`OPS`: its declared fields
+  (:class:`Field`: JSON type, range, allowed names read from the
+  registries at call time) and how it is answered.
+  :func:`parse_request` checks every field of a request before any
+  digest, ingest or fingerprint and refuses the first bad one by name
+  (an expired ``deadline_ms`` is refused as ``deadline_exceeded``);
+  the shard router runs the same check, so it never forwards a request
+  a shard would refuse.  Control ops answer from their row's ``run``.
+  The keyed compute ops — ``schedule`` (the Section 5 streaming
+  schedule, raced as a portfolio) and ``simulate`` (the Appendix B DES
+  validation of one streaming variant's schedule) — share one pipeline
+  (:meth:`~ScheduleService._serve_op`): fingerprint the graph (parsed
+  by the zero-copy ingest, :mod:`repro.core.ingest`, with the cg3 1-WL
+  fingerprint over its flat arrays), derive the op's request key, then
+  serve it through the schedule cache and the in-flight table that
+  batches identical keys (single-flight: one leader computes, every
+  follower receives its answer).  A cold compute runs the op's body
+  under a work slot; only its adapt step differs per op.  The key is
+  isomorphism stable, so a hit may come from a *differently named* copy
+  of the graph: ``schedule`` remaps the cached node names onto the
+  requester's through a verified isomorphism witness (``remapped`` in
+  the stats), and recomputes when none exists (a 1-WL collision);
+  ``simulate``, whose diagnostics name nodes, recomputes on any
+  cross-document hit.
 
   The wire path adds two memo layers on top of ``handle``:
 
@@ -37,51 +47,10 @@ Two layers, separately testable:
   byte budget, cleared wholesale when exceeded.
 
 * :class:`ScheduleServer` — a stdlib-only TCP front-end built on a
-  ``selectors`` event loop: one loop thread owns every socket
-  (non-blocking accept/read/write), so thousands of idle keepalive
-  connections cost zero threads and zero syscalls between requests.
-  Requests that can be answered from the memo/cache tiers are served
-  inline on the loop; everything else (cold computes, coalescing
-  followers, control ops) is dispatched to a short-lived worker thread
-  while a semaphore sized ``workers`` bounds the concurrently
-  *computing* requests exactly as before.  Responses are queued per
-  connection in request order, so pipelined clients stay
-  wire-compatible with the newline-delimited JSON protocol.  ``stop()``
-  — or a ``shutdown`` request, honoured only from loopback peers
-  unless ``allow_remote_shutdown`` — closes the listener, flushes the
-  in-flight response and closes every connection: a graceful shutdown.
+  ``selectors`` event loop (see the class docstring).
 
-Wire protocol (see README for a session transcript and the framing
-specification)::
-
-    {"op": "ping"}
-    {"op": "stats"}
-    {"op": "shutdown"}
-    {"op": "schedule", "graph": <graph doc>, "num_pes": 8,
-     "objective": "makespan", "schedulers": ["rlx", "nstr"],
-     "budget_ms": 250, "no_cache": false}
-    {"op": "simulate", "graph": <graph doc>, "num_pes": 8,
-     "scheduler": "lts", "policy": "barrier", "pacing": "steady",
-     "capacity": null, "engine": "indexed", "no_cache": false}
-
-Every response carries ``"ok"``; schedule responses add the graph
-fingerprint, the cache tier that served it (``false`` on a cold
-compute, ``"lru"``/``"store"``/``"inflight"`` otherwise), the winning
-scheduler, per-candidate metrics and the full schedule document.
-
-``simulate`` executes one streaming scheduler's schedule under the
-cycle-accurate DES substrate (:mod:`repro.sim`) and reports the
-simulated vs analytic makespan, the relative error and — on a deadlock
-(undersized FIFOs, Figure 9) — the blocked tasks and the full
-channels.  ``engine`` is optional and may only be ``"indexed"``, the
-simulator's one engine; ``capacity`` is ``null`` or an integer >= 1.
-Simulation requests are fingerprint-keyed exactly like
-schedules (:func:`~repro.service.fingerprint.simulate_request_key`,
-same sv-versioned cache, same single-flight coalescing) and the
-simulation itself runs under the same worker semaphore as scheduling
-computation.  Because the diagnostics name the submitter's nodes,
-cross-document hits from renamed isomorphic copies recompute instead
-of remapping.
+The wire protocol is specified in the README: the per-op field table
+("Request fields") and the framing ("Wire format").
 """
 
 from __future__ import annotations
@@ -94,7 +63,7 @@ import threading
 import time
 from collections import deque
 from contextlib import nullcontext
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .. import __version__
 from ..core.graph import find_isomorphism
@@ -114,7 +83,6 @@ from .portfolio import (
     DEFAULT_SCHEDULERS,
     OBJECTIVES,
     PortfolioPool,
-    check_portfolio,
     run_portfolio,
     scheduler_names,
 )
@@ -122,6 +90,7 @@ from .portfolio import (
 __all__ = [
     "ScheduleService", "ScheduleServer", "DeadlineExceeded",
     "DEFAULT_PORT", "MAX_PES", "SIM_SCHEDULERS",
+    "COMPUTE_OPS", "OPS", "Field", "Op", "parse_request", "refusal",
 ]
 
 DEFAULT_PORT = 7421
@@ -156,59 +125,75 @@ class DeadlineExceeded(Exception):
     """
 
 
-def _num_pes(doc: dict) -> int:
-    """The request's PE count: a JSON integer (not a bool) in
-    ``[1, MAX_PES]``, checked before any parse or compute."""
-    num_pes = doc.get("num_pes")
-    if type(num_pes) is not int or not 1 <= num_pes <= MAX_PES:
-        raise ValueError(f"num_pes must be an integer in [1, {MAX_PES}]")
-    return num_pes
+#: the default of a field every request of its op must carry
+_REQUIRED = object()
 
 
-def _capacity(doc: dict) -> int | None:
-    """The simulate request's FIFO capacity override: absent/``null``, or
-    a JSON integer (not a bool) of at least 1, checked before any parse
-    or compute."""
-    capacity = doc.get("capacity")
-    if capacity is not None and (type(capacity) is not int or capacity < 1):
-        raise ValueError("FIFO capacity must be an integer of at least 1")
-    return capacity
+class Field(NamedTuple):
+    """One declared request field: its JSON type, range and names.
+
+    ``kind`` is ``dict`` (a JSON object), ``bool``, ``int`` (not a
+    bool, in ``[lo, hi]``), ``float`` (any finite number, not a bool,
+    above ``lo`` when set), ``str`` (one of ``names()``) or ``list`` (of
+    ``names()``; empty means the default).  An absent or ``null`` field
+    takes ``default``, except that a ``null`` name names nothing; a
+    ``_REQUIRED`` field must be present.  ``names`` is called at check
+    time, so a registry extended at run time is honoured.
+    """
+
+    kind: type
+    default: object = _REQUIRED
+    lo: int | None = None
+    hi: int | None = None
+    names: Callable[[], Sequence[str]] | None = None
+
+    def read(self, name: str, doc: dict):
+        """Field ``name``'s checked value in ``doc``; raises a
+        ``ValueError`` naming the field."""
+        value, kind, lo, hi = doc.get(name), self.kind, self.lo, self.hi
+        if value is None and self.default is not _REQUIRED and (
+                kind is not str or name not in doc):
+            return self.default
+        if kind is str or kind is list:
+            known = self.names()
+            if kind is list and (type(value) is not list
+                                 or any(type(x) is not str for x in value)):
+                raise ValueError(f"{name} must be a list of names")
+            bad = [x for x in (value if kind is list else [value])
+                   if type(x) is not str or x not in known]
+            if not bad:
+                return value if kind is str else tuple(value) or self.default
+            raise ValueError(f"unknown {name} {', '.join(map(repr, bad))} "
+                             f"(known: {', '.join(map(repr, known))})")
+        if kind is float:
+            try:
+                ok = type(value) in (int, float) and math.isfinite(value) and (
+                    lo is None or value > lo)
+            except OverflowError:  # an int past the float range
+                ok = False
+            expect = "a finite number" + (f" > {lo}" if lo is not None else "")
+        elif kind is int:
+            ok = type(value) is int and lo <= value and (hi is None or value <= hi)
+            expect = (f"an integer in [{lo}, {hi}]" if hi is not None
+                      else f"an integer of at least {lo}")
+        else:
+            ok = type(value) is kind
+            expect = "a JSON object" if kind is dict else "a JSON boolean"
+        if not ok:
+            raise ValueError(f"{name} must be {expect}")
+        return value
 
 
-def _millis(doc: dict, field: str) -> float | None:
-    """A request's ``budget_ms``/``deadline_ms``: absent/``null``, or a
-    finite JSON number (not a bool), checked before any parse or
-    compute."""
-    value = doc.get(field)
-    try:
-        if value is None or (
-            type(value) in (int, float) and math.isfinite(value)
-        ):
-            return value
-    except OverflowError:  # an int past the float range
-        pass
-    raise ValueError(f"{field} must be a finite number")
-
-
-def _schedulers(doc: dict, default: tuple[str, ...]) -> tuple[str, ...]:
-    """The request's portfolio: absent/``null``/empty for ``default``,
-    else a JSON list of scheduler names, checked before any parse or
-    compute."""
-    names = doc.get("schedulers")
-    if names is None:
-        return default
-    if type(names) is not list or not all(type(x) is str for x in names):
-        raise ValueError("schedulers must be a list of scheduler names")
-    return tuple(names) or default
-
-
-def _no_cache(doc: dict) -> bool:
-    """The request's ``no_cache``: absent/``null`` (false) or a JSON
-    boolean, checked before any parse or compute."""
-    value = doc.get("no_cache")
-    if value is not None and type(value) is not bool:
-        raise ValueError("no_cache must be a JSON boolean")
-    return value is True
+def refusal(exc: Exception) -> dict:
+    """The answer to a request refused with ``exc``; the shard router
+    answers the refusals :func:`parse_request` raises with these same
+    bytes, without forwarding the line."""
+    if isinstance(exc, DeadlineExceeded):
+        return {
+            "ok": False, "error": "deadline exceeded before completion",
+            "deadline_exceeded": True, "retryable": True,
+        }
+    return {"ok": False, "error": str(exc) or type(exc).__name__}
 
 
 class _InFlight:
@@ -249,7 +234,6 @@ class ScheduleService:
     def __init__(
         self,
         cache: ScheduleCache | None = None,
-        default_schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
         fingerprint_memo_size: int = 4096,
         portfolio_workers: int = 0,
         validate_graphs: bool = True,
@@ -263,7 +247,6 @@ class ScheduleService:
         #: :class:`~repro.service.cache.StoreKeyLock`); shard processes
         #: get one so two shards never race the same cold miss
         self.keylock = keylock
-        self.default_schedulers = tuple(default_schedulers)
         #: telemetry facade: registry + span ring (+ optional span log).
         #: The default is a private, *enabled* Telemetry — instruments
         #: are cheap enough to leave on; ``repro serve --no-telemetry``
@@ -346,6 +329,10 @@ class ScheduleService:
         self._c_served = c("service.served", "requests answered")
         self._c_computed = c("service.computed", "cold portfolio computes")
         self._c_simulated = c("service.simulated", "cold DES simulations")
+        #: the cold-compute counter of each keyed op
+        self._c_cold = {
+            "schedule": self._c_computed, "simulate": self._c_simulated,
+        }
         self._c_coalesced = c(
             "service.coalesced", "followers served by a single-flight leader"
         )
@@ -400,21 +387,9 @@ class ScheduleService:
             "portfolio.wins", "races won, per scheduler", labels=("scheduler",)
         )
 
-    #: op label values the request counter accepts; anything else a
-    #: client invents is folded into "unknown" (bounded cardinality)
-    _KNOWN_OPS = frozenset(
-        ("ping", "stats", "metrics", "trace", "profile", "flight",
-         "health", "shutdown", "schedule", "simulate")
-    )
-
     #: request keys are long (version tag + 64 hex chars + parameters);
     #: flight events carry this prefix, plenty to correlate and grep by
     _FLIGHT_KEY_CHARS = 48
-
-    def _count_request(self, op, response: dict) -> None:
-        label = op if op in self._KNOWN_OPS else "unknown"
-        outcome = "ok" if response.get("ok") else "error"
-        self._c_requests.labels(op=label, outcome=outcome).inc()
 
     # ------------------------------------------------------------------
     def handle(self, doc: dict, work_slots=None, *, digest_hint=None,
@@ -434,13 +409,17 @@ class ScheduleService:
         """
         slots = work_slots if work_slots is not None else nullcontext()
         op = doc.get("op")
-        owns_span = span is None and op in ("schedule", "simulate")
+        # the request counter's op label: anything a client invents is
+        # folded into "unknown" (bounded cardinality)
+        label = op if type(op) is str and op in OPS else "unknown"
+        keyed = op in COMPUTE_OPS
+        owns_span = span is None and keyed
         if owns_span:
             span = self.telemetry.span(op)
         elif span is None:
             span = NULL_SPAN
         flight = self.telemetry.flight
-        if op in ("schedule", "simulate"):
+        if keyed:
             # the admitting request, first event of its flight sequence
             # (cheap control ops would only drown the ring — the live
             # console polls metrics/trace every second)
@@ -448,61 +427,39 @@ class ScheduleService:
                 "request", op=op, trace_id=span.trace_id or None,
                 no_cache=doc.get("no_cache") is True,
             )
-            if doc.get("retry"):
+        try:
+            req = parse_request(doc)
+            if req.get("retry"):
                 # a client resending after a failure/refusal; idempotent
                 # by fingerprint key, but worth counting and correlating
                 self._c_retries.inc()
-        try:
-            response = self._dispatch(op, doc, slots, digest_hint, span)
-        except DeadlineExceeded:
-            self._c_deadline.inc()
-            flight.record("deadline", op=op, trace_id=span.trace_id or None)
-            response = self._error(
-                "deadline exceeded before completion",
-                deadline_exceeded=True, retryable=True,
-            )
+            response = self._dispatch(op, req, slots, digest_hint, span)
         except Exception as exc:  # a bad request must never kill a worker
-            response = self._error(str(exc) or type(exc).__name__)
-        if not response.get("ok"):
+            if isinstance(exc, DeadlineExceeded):
+                self._c_deadline.inc()
+                flight.record("deadline", op=op, trace_id=span.trace_id or None)
+            self._c_errors.inc()
+            response = refusal(exc)
+        outcome = "ok" if response.get("ok") else "error"
+        if outcome == "error":
             flight.record(
-                "refused", op=op if op in self._KNOWN_OPS else "unknown",
+                "refused", op=label,
                 error=str(response.get("error", ""))[:200],
             )
-        self._count_request(op, response)
+        self._c_requests.labels(op=label, outcome=outcome).inc()
         if owns_span:
-            span.finish("ok" if response.get("ok") else "error")
+            span.finish(outcome)
         return response
 
-    def _dispatch(self, op, doc: dict, slots, digest_hint, span) -> dict:
-        if op == "ping":
-            return {"ok": True, "op": "ping", "version": __version__}
-        if op == "stats":
-            return self._stats()
-        if op == "metrics":
-            return self._metrics()
-        if op == "trace":
-            return self._trace(doc)
-        if op == "profile":
-            return self._profile(doc)
-        if op == "flight":
-            return self._flight(doc)
-        if op == "health":
-            return self.health()
-        if op == "shutdown":
-            return {"ok": True, "op": "shutdown"}
-        if op == "schedule":
-            if self.draining:
-                return self._error(
-                    "server is draining", draining=True, retryable=True
-                )
-            return self._schedule(doc, slots, digest_hint, span)
-        if op == "simulate":
-            if self.draining:
-                return self._error(
-                    "server is draining", draining=True, retryable=True
-                )
-            return self._simulate(doc, slots, digest_hint, span)
-        return self._error(f"unknown op {op!r}")
+    def _dispatch(self, op: str, req: dict, slots, digest_hint, span) -> dict:
+        spec = OPS[op]
+        if spec.run is not None:
+            return spec.run(self, req)
+        if self.draining:
+            return self._error(
+                "server is draining", draining=True, retryable=True
+            )
+        return self._serve_op(op, req, slots, digest_hint, span)
 
     def _metrics(self) -> dict:
         """The ``metrics`` op: the registry in both transports —
@@ -516,7 +473,7 @@ class ScheduleService:
             "snapshot": registry.snapshot(),
         }
 
-    def _trace(self, doc: dict) -> dict:
+    def _trace(self, req: dict) -> dict:
         """The ``trace`` op: the last-N request spans from the ring,
         as span dicts and as chrome trace events."""
         if not self.telemetry.enabled:
@@ -524,9 +481,7 @@ class ScheduleService:
                 "telemetry is disabled on this server (serve without "
                 "--no-telemetry to record request spans)"
             )
-        n = doc.get("n", 50)
-        if not isinstance(n, int) or n < 1:
-            return self._error("trace op needs a positive integer n")
+        n = req["n"]
         spans = self.telemetry.recorder.last(n)
         return {
             "ok": True,
@@ -538,7 +493,7 @@ class ScheduleService:
             "chrome": self.telemetry.chrome_trace(n),
         }
 
-    def _profile(self, doc: dict) -> dict:
+    def _profile(self, req: dict) -> dict:
         """The ``profile`` op: the sampling profiler's aggregated view.
 
         Ships the summary, the heaviest whole stacks, the hottest leaf
@@ -551,9 +506,7 @@ class ScheduleService:
                 "no sampling profiler on this server "
                 "(serve with --profile-hz to enable one)"
             )
-        n = doc.get("n", 10)
-        if not isinstance(n, int) or n < 1:
-            return self._error("profile op needs a positive integer n")
+        n = req["n"]
         response = {
             "ok": True,
             "op": "profile",
@@ -562,20 +515,18 @@ class ScheduleService:
             "top_functions": profiler.top_functions(n),
             "collapsed": profiler.collapsed(),
         }
-        if doc.get("speedscope"):
+        if req["speedscope"]:
             response["speedscope"] = profiler.speedscope()
         return response
 
-    def _flight(self, doc: dict) -> dict:
+    def _flight(self, req: dict) -> dict:
         """The ``flight`` op: the recorder's last-N events and dump
         ledger; ``{"dump": true}`` forces a dump right now (needs a
         dump directory on the server)."""
         flight = self.telemetry.flight
-        n = doc.get("n", 100)
-        if not isinstance(n, int) or n < 1:
-            return self._error("flight op needs a positive integer n")
+        n = req["n"]
         dumped = None
-        if doc.get("dump"):
+        if req["dump"]:
             path = flight.dump("manual")
             if path is None:
                 return self._error(
@@ -666,7 +617,7 @@ class ScheduleService:
             return json.dumps(response).encode() + b"\n", False
         op = doc.get("op")
         span = NULL_SPAN
-        if op in ("schedule", "simulate"):
+        if op in COMPUTE_OPS:
             span = self.telemetry.span(op, wire=True)
             if conn_id is not None:
                 span.annotate(conn=conn_id)
@@ -973,8 +924,30 @@ class ScheduleService:
         self._remember_ig(digest, graph)
         return graph, fp, digest, graph_bytes
 
-    def _adapt(self, entry: dict, digest: str, graph, graph_doc: dict) -> dict | None:
-        """Make a cached or coalesced ``entry`` answer *this* request.
+    def _serve_op(self, op: str, req: dict, slots, digest_hint, span) -> dict:
+        """The keyed pipeline every compute op shares: fingerprint the
+        graph, derive the op's request key, then serve it through the
+        cache and single-flight tiers (:meth:`_serve_keyed`)."""
+        spec = OPS[op]
+        t0 = time.perf_counter()
+        deadline_ms = req["deadline_ms"]
+        job = _Job(req, span, None if deadline_ms is None
+                   else t0 + deadline_ms / 1000.0)
+        with span.phase("fingerprint"):
+            job.graph, job.fp, job.digest, job.graph_bytes = self._fingerprint(
+                req["graph"], digest_hint
+            )
+            job.key = spec.key(self, job)
+        return self._serve_keyed(
+            job.key, req["no_cache"],
+            lambda: self._compute(op, job, slots),
+            lambda entry: spec.adapt(self, entry, job),
+            t0, span, job.deadline,
+        )
+
+    def _adapt(self, entry: dict, job: "_Job") -> dict | None:
+        """``schedule``'s adapt: make a cached or coalesced ``entry``
+        answer *this* request.
 
         Same wire document (digest match): serve as-is.  Different
         document under the same isomorphism-stable key: the stored
@@ -984,36 +957,34 @@ class ScheduleService:
         witness is found (a 1-WL collision between non-isomorphic
         graphs, or an entry persisted without its graph document).
         """
+        digest = job.digest
         if entry.get("graph_digest") == digest:
             return entry
         cached_doc = entry.get("graph")
         if cached_doc is None:
             return None
-        if graph is None:
-            graph = self._parse_graph(graph_doc, digest=digest)
+        graph_doc = job.req["graph"]
+        if job.graph is None:
+            job.graph = self._parse_graph(graph_doc, digest=digest)
         # the cached document was validated when its entry was computed
         mapping = find_isomorphism(
             self._parse_graph(
                 cached_doc, trusted=True, digest=entry.get("graph_digest")
             ),
-            graph,
+            job.graph,
         )
         if mapping is None:
             return None
         self._c_remapped.inc()
         return _remap_entry(entry, mapping, digest, graph_doc)
 
-    @staticmethod
-    def _deadline(doc: dict, t0: float) -> float | None:
-        """Absolute ``perf_counter`` deadline from ``deadline_ms``, or
-        ``None``; raises :class:`DeadlineExceeded` when already expired
-        (a non-positive budget: refused before any work)."""
-        deadline_ms = _millis(doc, "deadline_ms")
-        if deadline_ms is None:
-            return None
-        if deadline_ms <= 0:
-            raise DeadlineExceeded
-        return t0 + deadline_ms / 1000.0
+    def _same_document(self, entry: dict, job: "_Job") -> dict | None:
+        """``simulate``'s adapt: simulation diagnostics (blocked sets,
+        channel names) name the original submitter's nodes and, unlike
+        schedules, have no witness remap — a cross-document hit from a
+        renamed isomorphic copy recomputes instead of answering
+        wrongly."""
+        return entry if entry.get("graph_digest") == job.digest else None
 
     @staticmethod
     def _check_deadline(deadline: float | None) -> None:
@@ -1027,93 +998,6 @@ class ScheduleService:
         rule = self.faults.fire("compute.slow", trace_id=span.trace_id)
         if rule is not None:
             time.sleep(rule.seconds)
-
-    def _schedule(self, doc: dict, slots, digest_hint: str | None = None,
-                  span=NULL_SPAN) -> dict:
-        t0 = time.perf_counter()
-        num_pes = _num_pes(doc)
-        graph_doc = doc["graph"]
-        objective = doc.get("objective", "makespan")
-        schedulers = _schedulers(doc, self.default_schedulers)
-        check_portfolio(objective, schedulers)
-        budget_ms = _millis(doc, "budget_ms")
-        if budget_ms is not None and budget_ms <= 0:
-            raise ValueError("budget_ms must be a finite number > 0")
-        no_cache = _no_cache(doc)
-        deadline = self._deadline(doc, t0)
-
-        with span.phase("fingerprint"):
-            graph, fp, digest, graph_bytes = self._fingerprint(
-                graph_doc, digest_hint
-            )
-            key = request_key(fp, num_pes, objective, schedulers)
-
-        def compute() -> dict:
-            return self._compute(
-                slots, graph, graph_doc, digest, fp, key, num_pes,
-                objective, schedulers, budget_ms, span, deadline,
-                graph_bytes,
-            )
-
-        def adapt(entry: dict) -> dict | None:
-            return self._adapt(entry, digest, graph, graph_doc)
-
-        return self._serve_keyed(
-            key, no_cache, compute, adapt, t0, span, deadline
-        )
-
-    def _simulate(self, doc: dict, slots, digest_hint: str | None = None,
-                  span=NULL_SPAN) -> dict:
-        t0 = time.perf_counter()
-        num_pes = _num_pes(doc)
-        graph_doc = doc["graph"]
-        scheduler = doc.get("scheduler", "lts")
-        policy = doc.get("policy", "barrier")
-        pacing = doc.get("pacing", "steady")
-        capacity = _capacity(doc)
-        no_cache = _no_cache(doc)
-        deadline = self._deadline(doc, t0)
-        if scheduler not in SIM_SCHEDULERS:
-            return self._error(
-                f"cannot simulate scheduler {scheduler!r} "
-                f"(streaming variants only: {', '.join(SIM_SCHEDULERS)})"
-            )
-        if policy not in _SIM_POLICIES:
-            return self._error(
-                f"unknown block policy {policy!r} "
-                f"(known: {', '.join(_SIM_POLICIES)})"
-            )
-        if pacing not in _SIM_PACINGS:
-            return self._error(
-                f"unknown pacing {pacing!r} (known: {', '.join(_SIM_PACINGS)})"
-            )
-        if doc.get("engine", _SIM_ENGINE) != _SIM_ENGINE:
-            return self._error(
-                f"unknown simulation engine {doc['engine']!r} "
-                f"(the one engine is {_SIM_ENGINE!r})"
-            )
-
-        with span.phase("fingerprint"):
-            graph, fp, digest, _ = self._fingerprint(graph_doc, digest_hint)
-            key = simulate_request_key(fp, num_pes, scheduler, policy,
-                                       pacing, capacity)
-
-        def compute() -> dict:
-            return self._compute_sim(
-                slots, graph, graph_doc, digest, fp, key, num_pes,
-                scheduler, policy, pacing, capacity, span, deadline,
-            )
-
-        def adapt(entry: dict) -> dict | None:
-            # simulation diagnostics (blocked sets, channel names) name
-            # the original submitter's nodes and, unlike schedules, have
-            # no witness remap — a cross-document hit from a renamed
-            # isomorphic copy recomputes instead of answering wrongly
-            return entry if entry.get("graph_digest") == digest else None
-
-        return self._serve_keyed(
-            key, no_cache, compute, adapt, t0, span, deadline
-        )
 
     def _serve_keyed(self, key: str, no_cache: bool, compute, adapt,
                      t0: float, span=NULL_SPAN,
@@ -1136,14 +1020,8 @@ class ScheduleService:
             with span.phase("cache"):
                 hit = self.cache.get(key)
             if hit is not None:
-                entry, tier = hit
-                recorder.record("cache_hit", key=short_key, tier=tier)
-                with span.phase("adapt"):
-                    served = adapt(entry)
-                if served is not None:
-                    span.annotate(tier=tier)
-                    return self._respond(served, tier, t0)
-                return self._respond(compute(), False, t0)
+                recorder.record("cache_hit", key=short_key, tier=hit[1])
+                return self._answer(*hit, compute, adapt, t0, span)
             recorder.record("cache_miss", key=short_key)
 
         if no_cache:
@@ -1176,12 +1054,7 @@ class ScheduleService:
                 return self._error(
                     "coalesced computation failed", retryable=True
                 )
-            with span.phase("adapt"):
-                served = adapt(response)
-            if served is None:
-                return self._respond(compute(), False, t0)
-            span.annotate(tier="inflight")
-            return self._respond(served, "inflight", t0)
+            return self._answer(response, "inflight", compute, adapt, t0, span)
 
         # double-check the cache under leadership: a previous leader may
         # have completed between our miss and taking the in-flight slot
@@ -1190,17 +1063,11 @@ class ScheduleService:
             with span.phase("cache"):
                 hit = self.cache.get(key, count_miss=False)
             if hit is not None:
-                entry, tier = hit
-                flight.response = entry
+                flight.response = hit[0]
                 with self._lock:
                     self._inflight.pop(key, None)
                 flight.event.set()
-                with span.phase("adapt"):
-                    served = adapt(entry)
-                if served is not None:
-                    span.annotate(tier=tier)
-                    return self._respond(served, tier, t0)
-                return self._respond(compute(), False, t0)
+                return self._answer(*hit, compute, adapt, t0, span)
 
         try:
             entry, tier = self._leader_compute(
@@ -1216,6 +1083,17 @@ class ScheduleService:
                 self._inflight.pop(key, None)
             flight.event.set()
         return self._respond(entry, tier, t0)
+
+    def _answer(self, entry: dict, tier, compute, adapt, t0: float,
+                span) -> dict:
+        """Answer with ``entry`` from ``tier`` when ``adapt`` makes it
+        fit this request, else with a fresh ``compute()``."""
+        with span.phase("adapt"):
+            served = adapt(entry)
+        if served is None:
+            return self._respond(compute(), False, t0)
+        span.annotate(tier=tier)
+        return self._respond(served, tier, t0)
 
     def _leader_compute(self, key, compute, adapt, recorder, short_key,
                         span=NULL_SPAN, deadline: float | None = None):
@@ -1251,37 +1129,60 @@ class ScheduleService:
         finally:
             lock.__exit__(None, None, None)
 
-    def _compute(
-        self, slots, graph, graph_doc, digest, fp, key, num_pes,
-        objective, schedulers, budget_ms, span=NULL_SPAN,
-        deadline: float | None = None, graph_bytes: bytearray | None = None,
-    ) -> dict:
-        budget_s = budget_ms / 1000.0 if budget_ms is not None else None
+    def _compute(self, op: str, job: "_Job", slots) -> dict:
+        """A cold compute of any keyed op: the op's body runs under a
+        work slot, after the deadline check, the ``compute.slow`` fault
+        site and a lazy parse; its entry is counted and, when the body
+        returns store arguments, cached."""
+        span = job.span
         with slots:  # the CPU-bound part runs under a work slot
             # queueing for the slot may have consumed the deadline:
             # refuse before spending compute on an answer nobody awaits
-            self._check_deadline(deadline)
-            if deadline is not None:
-                # the race is cancelled at the deadline: remaining time
-                # caps the portfolio budget, so late candidates are cut
-                # off (truncated results are never cached)
-                remaining = deadline - time.perf_counter()
-                budget_s = (
-                    remaining if budget_s is None else min(budget_s, remaining)
-                )
+            self._check_deadline(job.deadline)
             self._maybe_slow(span)
-            if graph is None:  # fingerprint came from the memo
+            if job.graph is None:  # fingerprint came from the memo
                 with span.phase("parse"):
-                    graph = self._parse_graph(graph_doc, digest=digest)
-            with span.phase("portfolio"):
-                result = run_portfolio(
-                    graph, num_pes, objective=objective,
-                    schedulers=schedulers, budget_s=budget_s,
-                    pool=self.portfolio_pool, graph_doc=dict(graph_doc),
-                    trace_id=span.trace_id or None,
-                    flight=self.telemetry.flight,
-                    task_key=fp, faults=self.faults,
-                )
+                    job.graph = self._parse_graph(
+                        job.req["graph"], digest=job.digest
+                    )
+            entry, stored = OPS[op].body(self, job)
+        self._c_cold[op].inc()
+        if stored is not None and self.cache is not None:
+            with span.phase("store"):
+                self.cache.put(job.key, entry, *stored)
+        return entry
+
+    def _schedule_key(self, job: "_Job") -> str:
+        req = job.req
+        return request_key(
+            job.fp, req["num_pes"], req["objective"], req["schedulers"]
+        )
+
+    def _race(self, job: "_Job") -> tuple[dict, tuple | None]:
+        """``schedule``'s body: race the portfolio and encode the winner
+        once; a budget-truncated race is not reproducible, so it is
+        never cached (nor are its answer bytes memoized)."""
+        req, span = job.req, job.span
+        budget_ms = req["budget_ms"]
+        budget_s = budget_ms / 1000.0 if budget_ms is not None else None
+        if job.deadline is not None:
+            # the race is cancelled at the deadline: remaining time
+            # caps the portfolio budget, so late candidates are cut
+            # off (truncated results are never cached)
+            remaining = job.deadline - time.perf_counter()
+            budget_s = (
+                remaining if budget_s is None else min(budget_s, remaining)
+            )
+        graph_doc = req["graph"]
+        with span.phase("portfolio"):
+            result = run_portfolio(
+                job.graph, req["num_pes"], objective=req["objective"],
+                schedulers=req["schedulers"], budget_s=budget_s,
+                pool=self.portfolio_pool, graph_doc=dict(graph_doc),
+                trace_id=span.trace_id or None,
+                flight=self.telemetry.flight,
+                task_key=job.fp, faults=self.faults,
+            )
         self._c_races.inc()
         self._c_wins.labels(scheduler=result.winner.name).inc()
         if result.truncated:
@@ -1302,15 +1203,15 @@ class ScheduleService:
         entry = {
             "ok": True,
             "op": "schedule",
-            "fingerprint": fp,
-            "key": key,
+            "fingerprint": job.fp,
+            "key": job.key,
             # the exact wire document and its digest ride along so a
             # later hit from a renamed isomorphic copy can be remapped
-            "graph_digest": digest,
+            "graph_digest": job.digest,
             "graph": dict(graph_doc),
-            "num_pes": num_pes,
-            "objective": objective,
-            "schedulers": list(schedulers),
+            "num_pes": req["num_pes"],
+            "objective": req["objective"],
+            "schedulers": list(req["schedulers"]),
             "winner": result.winner.name,
             "value": result.winner.value,
             "makespan": result.winner.makespan,
@@ -1319,57 +1220,56 @@ class ScheduleService:
             "candidates": [c.to_dict() for c in result.candidates],
             "schedule": schedule,
         }
-        self._c_computed.inc()
-        # a budget-truncated race is not reproducible: never cache it
-        # (nor memoize its answer bytes)
-        if not result.truncated:
-            self._remember_parts(
-                key, digest, self._split_response(entry, schedule_bytes)
-            )
-            if self.cache is not None:
-                with span.phase("store"):
-                    self.cache.put(key, entry, graph_bytes, schedule_bytes)
-        return entry
+        if result.truncated:
+            return entry, None
+        self._remember_parts(
+            job.key, job.digest, self._split_response(entry, schedule_bytes)
+        )
+        return entry, (job.graph_bytes, schedule_bytes)
 
-    def _compute_sim(
-        self, slots, graph, graph_doc, digest, fp, key, num_pes,
-        scheduler, policy, pacing, capacity, span=NULL_SPAN,
-        deadline: float | None = None,
-    ) -> dict:
+    def _simulate_key(self, job: "_Job") -> str:
+        req = job.req
+        return simulate_request_key(
+            job.fp, req["num_pes"], req["scheduler"], req["policy"],
+            req["pacing"], req["capacity"],
+        )
+
+    def _replay(self, job: "_Job") -> tuple[dict, tuple]:
+        """``simulate``'s body: schedule with one streaming variant, run
+        it under the DES and report the deadlock diagnostics."""
+        # resolved per call from the package namespaces, so wrappers
+        # installed there (tracing) see these calls
         from ..core import schedule_streaming
         from ..sim import DeadlockError, simulate_schedule
 
-        with slots:  # schedule + simulate both run under a work slot
-            self._check_deadline(deadline)
-            self._maybe_slow(span)
-            if graph is None:  # fingerprint came from the memo
-                with span.phase("parse"):
-                    graph = self._parse_graph(graph_doc, digest=digest)
-            with span.phase("schedule"):
-                schedule = schedule_streaming(graph, num_pes, scheduler)
-            with span.phase("simulate"):
-                try:
-                    sim = simulate_schedule(
-                        schedule, policy=policy, pacing=pacing,
-                        capacity_override=capacity, raise_on_deadlock=True,
-                    )
-                    deadlocked = False
-                    sim_makespan = sim.makespan
-                    blocked: list[str] = []
-                    channels = len(sim.channel_stats)
-                    full: dict[str, tuple[int, int]] = {}
-                except DeadlockError as exc:
-                    deadlocked = True
-                    sim_makespan = exc.time
-                    blocked = exc.blocked
-                    channels = len(exc.channels)
-                    full = exc.full_channels()
+        req, span = job.req, job.span
+        num_pes, scheduler = req["num_pes"], req["scheduler"]
+        capacity = req["capacity"]
+        with span.phase("schedule"):
+            schedule = schedule_streaming(job.graph, num_pes, scheduler)
+        with span.phase("simulate"):
+            try:
+                sim = simulate_schedule(
+                    schedule, policy=req["policy"], pacing=req["pacing"],
+                    capacity_override=capacity, raise_on_deadlock=True,
+                )
+                deadlocked = False
+                sim_makespan = sim.makespan
+                blocked: list[str] = []
+                channels = len(sim.channel_stats)
+                full: dict[str, tuple[int, int]] = {}
+            except DeadlockError as exc:
+                deadlocked = True
+                sim_makespan = exc.time
+                blocked = exc.blocked
+                channels = len(exc.channels)
+                full = exc.full_channels()
         if deadlocked:
             # one of the flight recorder's raisons d'être: the ring now
             # holds request → cache_miss → … → this, dumped as a unit
             recorder = self.telemetry.flight
             recorder.record(
-                "deadlock", key=key[: self._FLIGHT_KEY_CHARS],
+                "deadlock", key=job.key[: self._FLIGHT_KEY_CHARS],
                 scheduler=scheduler, num_pes=num_pes,
                 capacity=capacity, sim_time=sim_makespan,
                 blocked=len(blocked), full_channels=len(full),
@@ -1384,17 +1284,17 @@ class ScheduleService:
         entry = {
             "ok": True,
             "op": "simulate",
-            "fingerprint": fp,
-            "key": key,
+            "fingerprint": job.fp,
+            "key": job.key,
             # digest only — unlike schedule entries there is no witness
             # remap to feed (cross-document hits recompute), so storing
             # the whole graph document would bloat both cache tiers for
             # zero reads
-            "graph_digest": digest,
+            "graph_digest": job.digest,
             "num_pes": num_pes,
             "scheduler": scheduler,
-            "policy": policy,
-            "pacing": pacing,
+            "policy": req["policy"],
+            "pacing": req["pacing"],
             "capacity": capacity,
             "engine": _SIM_ENGINE,
             "makespan": schedule.makespan,
@@ -1411,11 +1311,7 @@ class ScheduleService:
                 for name, (occ, cap) in full.items()
             ],
         }
-        self._c_simulated.inc()
-        if self.cache is not None:
-            with span.phase("store"):
-                self.cache.put(key, entry)
-        return entry
+        return entry, ()
 
     def _respond(self, entry: dict, tier, t0: float) -> dict:
         response = dict(entry)
@@ -1424,6 +1320,120 @@ class ScheduleService:
         response["elapsed_ms"] = round(1000.0 * (time.perf_counter() - t0), 3)
         self._c_served.inc()
         return response
+
+
+class _Job:
+    """One keyed request being served: its checked fields, deadline and
+    the graph state the fingerprint step found (``graph`` stays
+    ``None`` until a compute or a remap needs the ingested view)."""
+
+    __slots__ = ("req", "span", "deadline", "graph", "fp", "digest",
+                 "graph_bytes", "key")
+
+    def __init__(self, req: dict, span, deadline: float | None) -> None:
+        self.req = req
+        self.span = span
+        self.deadline = deadline
+
+
+class Op(NamedTuple):
+    """One request op: its declared fields and how it is answered.
+
+    A control op answers with ``run(service, req)``.  A keyed compute op
+    instead names the parts :meth:`ScheduleService._serve_op` runs:
+    ``key(service, job)`` (the cache / coalescing key), ``body(service,
+    job)`` (the cold compute under a work slot, returning the entry and
+    the extra ``cache.put`` arguments, or ``None`` to not cache it) and
+    ``adapt(service, entry, job)`` (a cached entry for this request, or
+    ``None`` to recompute).
+    """
+
+    fields: dict[str, Field]
+    run: Callable | None = None
+    key: Callable | None = None
+    body: Callable | None = None
+    adapt: Callable | None = None
+
+
+_FLAG = Field(bool, False)
+
+
+def _keyed_fields(**fields: Field) -> dict[str, Field]:
+    """The fields every keyed op carries around its own."""
+    return {
+        "num_pes": Field(int, lo=1, hi=MAX_PES),
+        "graph": Field(dict),
+        **fields,
+        "no_cache": _FLAG,
+        "deadline_ms": Field(float, None),
+        "retry": _FLAG,
+    }
+
+
+#: every op the service answers, by name
+OPS: dict[str, Op] = {
+    "ping": Op({}, run=lambda svc, req: {
+        "ok": True, "op": "ping", "version": __version__,
+    }),
+    "stats": Op({}, run=lambda svc, req: svc._stats()),
+    "metrics": Op({}, run=lambda svc, req: svc._metrics()),
+    "trace": Op({"n": Field(int, 50, lo=1)}, run=ScheduleService._trace),
+    "profile": Op(
+        {"n": Field(int, 10, lo=1), "speedscope": _FLAG},
+        run=ScheduleService._profile,
+    ),
+    "flight": Op(
+        {"n": Field(int, 100, lo=1), "dump": _FLAG},
+        run=ScheduleService._flight,
+    ),
+    "health": Op({}, run=lambda svc, req: svc.health()),
+    "shutdown": Op({}, run=lambda svc, req: {"ok": True, "op": "shutdown"}),
+    "schedule": Op(
+        _keyed_fields(
+            objective=Field(str, "makespan", names=lambda: OBJECTIVES),
+            schedulers=Field(list, DEFAULT_SCHEDULERS, names=scheduler_names),
+            budget_ms=Field(float, None, lo=0),
+        ),
+        key=ScheduleService._schedule_key,
+        body=ScheduleService._race,
+        adapt=ScheduleService._adapt,
+    ),
+    "simulate": Op(
+        _keyed_fields(
+            scheduler=Field(str, "lts", names=lambda: SIM_SCHEDULERS),
+            policy=Field(str, "barrier", names=lambda: _SIM_POLICIES),
+            pacing=Field(str, "steady", names=lambda: _SIM_PACINGS),
+            capacity=Field(int, None, lo=1),
+            engine=Field(str, _SIM_ENGINE, names=lambda: (_SIM_ENGINE,)),
+        ),
+        key=ScheduleService._simulate_key,
+        body=ScheduleService._replay,
+        adapt=ScheduleService._same_document,
+    ),
+}
+
+#: the keyed compute ops (a tuple: ``in`` must not hash a client's value)
+COMPUTE_OPS = tuple(name for name, op in OPS.items() if op.key is not None)
+
+
+def parse_request(doc: dict) -> dict:
+    """Check every declared field of ``doc``'s op, before any digest,
+    ingest or fingerprint; returns ``{field: checked value}`` with the
+    defaults filled in.
+
+    Raises ``ValueError`` naming the op or the first bad field, and
+    :class:`DeadlineExceeded` for an already expired ``deadline_ms``
+    (≤ 0: refused as a deadline, retryable, not as a field error).
+    """
+    op = doc.get("op")
+    spec = OPS.get(op) if type(op) is str else None
+    if spec is None:
+        raise ValueError(f"unknown op {op!r}")
+    req = {name: field.read(name, doc) for name, field in spec.fields.items()}
+    deadline_ms = req.get("deadline_ms")
+    if deadline_ms is not None and deadline_ms <= 0:
+        raise DeadlineExceeded
+    return req
 
 
 class _Conn:

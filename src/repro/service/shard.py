@@ -65,6 +65,7 @@ from .. import __version__
 from ..obs import Telemetry
 from .faults import FaultInjector, FaultPlan
 from .fingerprint import doc_digest, is_current_key
+from .server import COMPUTE_OPS, DeadlineExceeded, parse_request, refusal
 from .supervisor import Slot, Supervisor, start_child
 
 __all__ = ["ShardConfig", "ShardRouter", "DEFAULT_SHARDS"]
@@ -76,7 +77,6 @@ DEFAULT_SHARDS = 2
 RESTART_TIMEOUT_S = 30.0
 #: socket timeout on the router's connection to a shard
 UPSTREAM_TIMEOUT_S = 60.0
-_COMPUTE_OPS = ("schedule", "simulate")
 _LOOPBACK = "127.0.0.1"
 
 
@@ -558,11 +558,10 @@ class ShardRouter:
             }), False
         if op == "flight":
             flight = self.telemetry.flight
-            n = doc.get("n", 100)
-            if not isinstance(n, int) or n < 1:
-                return self._encode(
-                    {"ok": False, "error": "flight op needs a positive n"}
-                ), False
+            try:
+                n = parse_request(doc)["n"]
+            except ValueError as exc:
+                return self._encode(refusal(exc)), False
             return self._encode({
                 "ok": True, "op": "flight", "router": True,
                 **flight.snapshot(), "events": flight.last(n),
@@ -586,11 +585,18 @@ class ShardRouter:
             threading.Thread(target=self.stop, daemon=True,
                              name="repro-router-shutdown").start()
             return self._encode({"ok": True, "op": "shutdown"}), True
-        if op in _COMPUTE_OPS:
+        if op in COMPUTE_OPS:
             t0 = time.perf_counter()
-            self._maybe_kill_shard()
-            order = self._rendezvous(line, doc)
-            data = self._forward(line, order, upstreams)
+            try:
+                # the shard's own up-front check: a request it would
+                # refuse is answered here, with the shard's bytes
+                req = parse_request(doc)
+            except (ValueError, DeadlineExceeded) as exc:
+                data = self._encode(refusal(exc))
+            else:
+                self._maybe_kill_shard()
+                data = self._forward(line, self._rendezvous(line, req),
+                                     upstreams)
             outcome = "ok"
             if data.startswith(b'{"ok": false') or data.startswith(b'{"ok":false'):
                 outcome = "error"
@@ -611,7 +617,7 @@ class ShardRouter:
         n = self.num_shards
         return tuple((start + i) % n for i in range(n))
 
-    def _rendezvous(self, line: bytes, doc: dict) -> tuple[int, ...]:
+    def _rendezvous(self, line: bytes, req: dict) -> tuple[int, ...]:
         """Preference order of shards for this request line.
 
         Rendezvous (highest-random-weight) hashing of the graph
@@ -622,16 +628,14 @@ class ShardRouter:
         shards bench profile measure clean fan-out).  The order is
         memoized per request line — load generators replay identical
         bytes, so repeats skip the canonical re-dump of the graph.
+        ``req`` is the checked request (:func:`parse_request`).
         """
-        if doc.get("no_cache"):
+        if req.get("no_cache"):
             return self._rotation(next(self._rr) % self.num_shards)
         cached = self._route_memo.get(line)
         if cached is not None:
             return cached
-        graph_doc = doc.get("graph")
-        if not isinstance(graph_doc, dict):
-            return self._rotation(0)  # shard answers the schema error
-        digest = doc_digest(graph_doc)
+        digest = doc_digest(req["graph"])
         order = tuple(sorted(
             range(self.num_shards),
             key=lambda idx: hashlib.sha256(

@@ -7,19 +7,20 @@ task/channel state over the frozen
 evaluation, no generators and no per-element events).  There is no
 engine selector.
 
-The original simpy-like process engine, :mod:`repro.sim.reference`
-(over :mod:`repro.sim.engine` + :mod:`repro.sim.channel`), is kept as
-the readable specification and the differential-testing oracle; tests
-and benchmarks import it from its submodule, and importing this package
-does not load it.
+The original simpy-like process engine is kept outside the package,
+as the readable specification and the differential-testing oracle:
+``tests/oracles/sim_reference.py`` (over ``sim_engine`` +
+``sim_channel``).  Tests and ``benchmarks/bench_sim.py`` import it as
+``oracles.sim_reference``; nothing under ``src/`` does.
+:class:`DeadlockError` and :class:`SimulationError` live in
+:mod:`repro.sim.result`, shared by both engines.
 
 :mod:`repro.sim.trace` exports simulated timelines in the same JSON /
 Chrome-trace schemas the analytic schedule serializers use.
 """
 
-from .engine import DeadlockError, SimulationError
 from .indexed import simulate_schedule
-from .result import BlockPolicy, SimulationResult
+from .result import BlockPolicy, DeadlockError, SimulationError, SimulationResult
 from .trace import simulation_to_chrome_trace, simulation_to_dict
 
 __all__ = [

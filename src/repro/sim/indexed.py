@@ -5,8 +5,8 @@ door: given a :class:`~repro.core.scheduler.StreamingSchedule`, execute
 it cycle-accurately and report simulated timing, channel statistics and
 deadlocks.  It is pure Python on every install.
 
-The reference engine (:mod:`repro.sim.reference`) drives one Python
-generator per task and one heap :class:`~repro.sim.engine.Event` per
+The reference engine (the test oracle ``tests/oracles/sim_reference.py``)
+drives one Python generator per task and one heap event per
 element transfer; at fig13/ablation scale those allocations dominate
 the whole validation campaign.  This module lowers a
 :class:`~repro.core.scheduler.StreamingSchedule` over a frozen
@@ -20,7 +20,7 @@ semantics as a *timestamp dataflow network*:
   the bounded-FIFO law ``accept(k) = max(attempt, pop(k - capacity))``
   then prices backpressure exactly, with no pending-put event objects;
 * every task is a small integer state machine replaying the canonical
-  dataflow loop of :func:`repro.sim.reference._task_process` — same
+  dataflow loop of the reference engine's ``_task_process`` — same
   need/emit arithmetic, same streaming-interval pacing (integer
   ceilings over the interval's numerator/denominator), same gate
   semantics for all three block policies;
@@ -38,7 +38,7 @@ A drained worklist with unfinished tasks is exactly the reference
 engine's drained heap with live processes: a deadlock.  The blocked-on
 strings are reconstructed in the reference engine's format
 (``task:v (on u->w.put)`` etc.), and the raised
-:class:`~repro.sim.engine.DeadlockError` carries every channel's
+:class:`~repro.sim.result.DeadlockError` carries every channel's
 occupancy/capacity at deadlock time.
 
 One knowingly weaker statistic: ``max_occupancy`` is reconstructed by
@@ -57,8 +57,7 @@ from typing import Literal
 
 from ..core.indexed import freeze
 from ..core.node_types import NodeKind
-from .engine import DeadlockError
-from .result import BlockPolicy, SimulationResult
+from .result import BlockPolicy, DeadlockError, SimulationResult
 
 __all__ = ["simulate_schedule"]
 
@@ -77,7 +76,7 @@ def simulate_schedule(
     """Simulate ``schedule`` cycle-accurately; returns timing + stats.
 
     Same signature and semantics as the test oracle
-    :func:`repro.sim.reference.simulate_schedule_reference`.
+    ``oracles.sim_reference.simulate_schedule_reference``.
 
     Parameters
     ----------
@@ -96,7 +95,7 @@ def simulate_schedule(
         Force every streaming FIFO to this capacity instead of the
         schedule's Section 6 sizes (ablation / deadlock demonstrations).
     raise_on_deadlock:
-        Re-raise :class:`~repro.sim.engine.DeadlockError` instead of
+        Re-raise :class:`~repro.sim.result.DeadlockError` instead of
         reporting it in the result; the error carries per-channel
         occupancy/capacity diagnostics.
     """

@@ -1,10 +1,11 @@
-"""Shared result types of the simulation engines.
+"""Shared result and error types of the simulation engines.
 
-Both the generator-based reference engine (:mod:`repro.sim.reference`)
-and the flat array-state engine (:mod:`repro.sim.indexed`) report their
-outcome through :class:`SimulationResult`; keeping the type (and the
-:data:`BlockPolicy` literal) in its own module lets both engines import
-it without cycles.
+The array-state engine (:mod:`repro.sim.indexed`) and the
+generator-based reference engine kept as a test oracle
+(``tests/oracles/sim_reference.py``) report their outcome through
+:class:`SimulationResult` and raise :class:`DeadlockError`; keeping the
+types (and the :data:`BlockPolicy` literal) in their own module lets
+both engines, and the service, import them without cycles.
 """
 
 from __future__ import annotations
@@ -12,9 +13,57 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Literal
 
-__all__ = ["BlockPolicy", "SimulationResult"]
+__all__ = ["BlockPolicy", "DeadlockError", "SimulationError", "SimulationResult"]
 
 BlockPolicy = Literal["barrier", "pe", "dataflow"]
+
+
+class SimulationError(RuntimeError):
+    """Generic simulation failure (bad yield, double trigger, ...)."""
+
+
+class DeadlockError(SimulationError):
+    """The event queue drained while processes were still blocked.
+
+    ``channels`` (when the raiser knows about them — both schedule
+    simulation engines attach it) maps each streaming channel's name
+    (``"u->v"``) to its ``(occupancy, capacity)`` at deadlock time, so
+    an undersized-FIFO failure (Figure 9) is diagnosable straight from
+    the exception: the full channels are the ones whose blocked
+    producers close the cycle.
+    """
+
+    def __init__(
+        self,
+        time: int,
+        blocked: list[str],
+        channels: dict[str, tuple[int, int]] | None = None,
+    ):
+        self.time = time
+        self.blocked = sorted(blocked)
+        self.channels = dict(channels) if channels else {}
+        preview = ", ".join(self.blocked[:8])
+        more = (
+            "" if len(self.blocked) <= 8 else f" (+{len(self.blocked) - 8} more)"
+        )
+        message = (
+            f"deadlock at t={time}: {len(self.blocked)} blocked "
+            f"process{'' if len(self.blocked) == 1 else 'es'}: {preview}{more}"
+        )
+        if self.channels:
+            full = [n for n, (occ, cap) in self.channels.items() if occ >= cap]
+            message += (
+                f"; {len(full)}/{len(self.channels)} FIFOs full"
+                + (f" ({', '.join(full[:4])}"
+                   + ("…" if len(full) > 4 else "") + ")" if full else "")
+            )
+        super().__init__(message)
+
+    def full_channels(self) -> dict[str, tuple[int, int]]:
+        """The channels at capacity when the simulation deadlocked."""
+        return {
+            name: oc for name, oc in self.channels.items() if oc[0] >= oc[1]
+        }
 
 
 @dataclass

@@ -23,7 +23,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from .engine import Environment, Event, SimulationError
+from repro.sim.result import SimulationError
+
+from .sim_engine import Environment, Event
 
 __all__ = ["FifoChannel", "MemoryStream"]
 

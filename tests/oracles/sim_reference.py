@@ -2,7 +2,7 @@
 
 This is the original Appendix B validation harness, preserved as the
 readable specification of the execution semantics: one Python generator
-:class:`~repro.sim.engine.Process` per computational task, FIFO channels
+:class:`~oracles.sim_engine.Process` per computational task, FIFO channels
 for the streaming edges (sized by the Section 6 pass, or overridden for
 ablations), memory streams for the buffered edges, and a heap-driven
 event loop.  The production path is the array-state engine in
@@ -22,7 +22,7 @@ The simulation respects:
 * the temporal multiplexing of spatial blocks (selectable policy).
 
 The simulated makespan is compared against the analytic one by the
-Figure 13 experiment; a :class:`~repro.sim.engine.DeadlockError` means
+Figure 13 experiment; a :class:`~repro.sim.result.DeadlockError` means
 the FIFO capacities were insufficient.
 """
 
@@ -31,11 +31,12 @@ from __future__ import annotations
 import math
 from typing import Hashable, Literal
 
-from ..core.node_types import NodeKind
-from ..core.scheduler import StreamingSchedule
-from .channel import FifoChannel, MemoryStream
-from .engine import DeadlockError, Environment, Event
-from .result import BlockPolicy, SimulationResult
+from repro.core.node_types import NodeKind
+from repro.core.scheduler import StreamingSchedule
+from repro.sim.result import BlockPolicy, DeadlockError, SimulationResult
+
+from .sim_channel import FifoChannel, MemoryStream
+from .sim_engine import Environment, Event
 
 __all__ = ["simulate_schedule_reference"]
 
@@ -55,7 +56,7 @@ def _task_process(
 
     Per cycle the task either ingests one element from *each* input edge
     (waiting until all of them hold one — non-eager consumption, see
-    :mod:`repro.sim.channel`) or, when enough input has accumulated,
+    :mod:`oracles.sim_channel`) or, when enough input has accumulated,
     emits one element to each output edge.  The loop realizes all three
     node kinds: for ``I == O`` it is an element-wise pipeline, for
     ``I > O`` a downsampler (accumulate, then emit), for ``O > I`` an

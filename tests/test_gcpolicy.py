@@ -160,28 +160,40 @@ class TestLibraryDefaults:
 
 
 class TestServingStack:
-    def test_serving_process_never_imports_the_oracles(self):
-        """The start-up import stack and a warmed pool worker load the
-        run-time engines only: the reference simulator is a test oracle
-        (the reference scheduler lives under ``tests/oracles``)."""
-        code = (
+    @staticmethod
+    def _no_oracle_loaded(setup: str) -> None:
+        """Run ``setup`` in a fresh interpreter that could import the
+        test oracles (``tests/`` is on its path) and assert it loaded
+        none of them."""
+        code = setup + (
             "import sys\n"
-            "from repro.service.gcpolicy import _import_serving_stack\n"
-            "from repro.service import portfolio, server\n"
-            "_import_serving_stack()\n"
-            "portfolio._warm_worker()\n"
-            "oracles = ('repro.sim.reference', 'repro.sim.channel')\n"
-            "loaded = [m for m in oracles if m in sys.modules]\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m == 'oracles' or m.startswith('oracles.')]\n"
             "assert not loaded, loaded\n"
             "print('ok')\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "tests")]))
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+    def test_serving_process_never_imports_the_oracles(self):
+        """The start-up import stack and a warmed pool worker load the
+        run-time engines only: the reference simulator and scheduler
+        are test oracles under ``tests/oracles``."""
+        self._no_oracle_loaded(
+            "from repro.service.gcpolicy import _import_serving_stack\n"
+            "from repro.service import portfolio, server\n"
+            "_import_serving_stack()\n"
+            "portfolio._warm_worker()\n"
+        )
+
+    def test_package_imports_load_no_oracle(self):
+        self._no_oracle_loaded("import repro, repro.sim, repro.service\n")
 
 
 class TestServeCommand:

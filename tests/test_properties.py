@@ -87,6 +87,53 @@ def canonical_dags(draw, max_layers: int = 4, max_width: int = 4):
     return g
 
 
+@st.composite
+def passive_dags(draw, max_layers: int = 4, max_width: int = 4):
+    """:func:`canonical_dags` with passive nodes: a SOURCE feeds every
+    entry task, a SINK drains every exit task, and some edges are split
+    by a BUFFER (where the Section 4.2.3 placement rule allows it)."""
+    from repro.core.graph import CanonicalityError
+    from repro.core.transform import check_buffer_placement
+
+    core = draw(canonical_dags(max_layers, max_width))
+    edges = list(core.edges)
+    split = draw(st.lists(st.sampled_from(edges), unique=True, max_size=3)
+                 if edges else st.just([]))
+
+    def build(buffered) -> CanonicalGraph:
+        g = CanonicalGraph()
+        for v in core.nodes:
+            g.add_node(core.spec(v))
+        for v in core.nodes:
+            spec = core.spec(v)
+            if not core.nx.in_degree(v):
+                g.add_source(f"src_{v}", spec.input_volume)
+                g.add_edge(f"src_{v}", v)
+            if not core.nx.out_degree(v):
+                g.add_sink(f"sink_{v}", spec.output_volume)
+                g.add_edge(v, f"sink_{v}")
+        for u, v in edges:
+            if (u, v) in buffered:
+                vol = core.spec(u).output_volume
+                g.add_buffer(f"buf_{u}_{v}", vol, vol)
+                g.add_edge(u, f"buf_{u}_{v}")
+                g.add_edge(f"buf_{u}_{v}", v)
+            else:
+                g.add_edge(u, v)
+        return g
+
+    buffered: set = set()
+    for edge in split:
+        try:
+            check_buffer_placement(build(buffered | {edge}))
+        except CanonicalityError:
+            continue  # a buffer inside one component: not canonical
+        buffered.add(edge)
+    g = build(buffered)
+    g.validate()
+    return g
+
+
 common = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -295,17 +342,51 @@ def _assert_same_partition(g, pes: int, variant: str) -> None:
 
 
 @common
-@given(canonical_dags(), st.integers(1, 6),
+@given(st.one_of(canonical_dags(), passive_dags()), st.integers(1, 6),
        st.sampled_from(["lts", "rlx", "work"]))
 def test_partition_matches_oracle(g: CanonicalGraph, pes: int, variant: str):
     _assert_same_partition(g, pes, variant)
 
 
+def test_passive_dags_reach_every_passive_kind():
+    """The strategy does generate sources, sinks and buffers."""
+    from hypothesis import find
+
+    for kind in (NodeKind.SOURCE, NodeKind.SINK, NodeKind.BUFFER):
+        find(passive_dags(),
+             lambda g, kind=kind: any(g.spec(v).kind is kind for v in g.nodes),
+             settings=settings(max_examples=200, deadline=None))
+
+
+def _schedule_doc(schedule) -> str:
+    from repro.core.serialize import schedule_to_dict
+
+    return json.dumps(schedule_to_dict(schedule))
+
+
+@common
+@given(st.one_of(canonical_dags(), passive_dags()), st.integers(1, 6),
+       st.sampled_from(["lts", "rlx", "work"]))
+def test_schedule_bytes_match_oracle(g: CanonicalGraph, pes: int, variant: str):
+    """The served pipeline's schedule document — partition, sweep and
+    FIFO sizing — equals the name-keyed oracle's byte for byte, on the
+    installed array path and on the pure-Python sweep."""
+    from oracles.scheduler_reference import schedule_streaming_reference
+    from repro.core.partition import partition_by_work
+    from repro.core.scheduler import schedule_sweep_python
+
+    want = _schedule_doc(schedule_streaming_reference(g, pes, variant))
+    assert _schedule_doc(schedule_streaming(g, pes, variant)) == want
+    part = (partition_by_work(g, pes) if variant == "work"
+            else compute_spatial_blocks(g, pes, variant))
+    assert _schedule_doc(schedule_sweep_python(g, part, pes)) == want
+
+
 @pytest.mark.parametrize("pes", [3, 128])
 @pytest.mark.parametrize("case", ["layered-2k", "serpar-2k", "transformer"])
 def test_partition_matches_oracle_fixed(case: str, pes: int):
-    """Serving-shaped graphs, and one with sources, buffers and sinks
-    (the passive cascade, which the generated DAGs above never reach)."""
+    """Serving-shaped graphs, and an ML graph with sources, buffers and
+    sinks at a size the generated DAGs above never reach."""
     if case == "transformer":
         from repro.ml import build_transformer_encoder
 

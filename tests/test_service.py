@@ -482,7 +482,9 @@ class TestScheduleService:
         assert not self.service.handle({"op": "schedule"})["ok"]
         bad_graph = {"op": "schedule", "graph": {"format": "x"}, "num_pes": 2}
         assert not self.service.handle(bad_graph)["ok"]
-        assert service_stat(self.service, "errors") == 3
+        # an unhashable op is an unknown op, not a crash of handle()
+        assert not self.service.handle({"op": ["schedule"]})["ok"]
+        assert service_stat(self.service, "errors") == 4
 
     @pytest.mark.parametrize("op", ["schedule", "simulate"])
     @pytest.mark.parametrize("num_pes", [
@@ -560,6 +562,60 @@ class TestScheduleService:
         for value in (None, False, True):
             assert self.service.handle(
                 {**self.doc, "op": op, "no_cache": value})["ok"]
+
+    @pytest.mark.parametrize("op", ["schedule", "simulate"])
+    @pytest.mark.parametrize("graph", [
+        None, [1, 2], "graph", 5,
+    ], ids=["missing", "list", "str", "int"])
+    def test_graph_must_be_a_json_object(self, op, graph):
+        doc = {**self.doc, "op": op}
+        if graph is None:
+            del doc["graph"]
+        else:
+            doc["graph"] = graph
+        refused = self._refused_before_fingerprint(doc, "graph")
+        assert refused["error"] == "graph must be a JSON object"
+
+    #: one wrong-typed value per declared field type
+    WRONG_TYPE = {dict: [1, 2], bool: "no", int: "8", float: "5",
+                  str: 5, list: "rlx"}
+
+    @pytest.mark.parametrize("op,field", [
+        (op, field) for op in server_module.COMPUTE_OPS
+        for field in server_module.OPS[op].fields
+    ])
+    def test_every_declared_field_is_checked_before_fingerprinting(
+            self, op, field):
+        """Walks the op table: a wrong-typed value in any declared field
+        of a keyed op is refused by name, before any graph work."""
+        kind = server_module.OPS[op].fields[field].kind
+        doc = {**self.doc, "op": op, field: self.WRONG_TYPE[kind]}
+        self._refused_before_fingerprint(doc, field)
+        assert service_stat(self.service, "computed") == 0
+
+    def test_retry_must_be_a_json_boolean(self):
+        retries = self.service.telemetry.registry.counter("service.retries")
+        self._refused_before_fingerprint(
+            {**self.doc, "retry": "no"}, "retry")
+        assert retries.value == 0
+        assert self.service.handle({**self.doc, "retry": True})["ok"]
+        assert retries.value == 1
+
+    @pytest.mark.parametrize("op", ["trace", "profile", "flight"])
+    @pytest.mark.parametrize("n", [True, 0, 2.0, "3"])
+    def test_control_op_n_must_be_a_positive_json_integer(self, op, n):
+        refused = self.service.handle({"op": op, "n": n})
+        assert not refused["ok"]
+        assert refused["error"] == "n must be an integer of at least 1"
+
+    @pytest.mark.parametrize("op,field", [
+        ("flight", "dump"), ("profile", "speedscope"),
+    ])
+    def test_control_op_flags_must_be_json_booleans(self, op, field):
+        refused = self.service.handle({"op": op, field: "no"})
+        assert not refused["ok"]
+        assert refused["error"] == f"{field} must be a JSON boolean"
+        assert not self.service.telemetry.flight.snapshot()["dumps"]
 
     @pytest.mark.parametrize("volume", [2.5, True, "4", None])
     def test_non_integer_volumes_are_refused(self, volume):

@@ -141,6 +141,30 @@ class TestRouting:
             router.stop()
 
 
+    @pytest.mark.parametrize("extra", [
+        {"num_pes": "4"}, {"num_pes": 0}, {"op": "simulate", "graph": [1]},
+        {"deadline_ms": -1},
+    ], ids=["str-pes", "zero-pes", "list-graph", "expired-deadline"])
+    def test_bad_compute_request_refused_by_the_router(self, tmp_path, extra):
+        """The router runs the shard's up-front check: a request a shard
+        would refuse gets the shard's exact bytes, and no shard sees it."""
+        line = json.dumps(schedule_doc(**extra)).encode() + b"\n"
+        expected, _ = ScheduleService().serve_line_slow(line)
+        router = make_router(tmp_path, shards=2, store=False)
+        try:
+            with socket.create_connection(("127.0.0.1", router.port),
+                                          timeout=10) as sock:
+                sock.sendall(line)
+                answer = sock.makefile("rb").readline()
+            assert answer == expected
+            assert json.loads(answer)["ok"] is False
+            with ServiceClient(port=router.port) as client:
+                rows = client.stats()["shards"]
+            assert [(r["served"], r["errors"]) for r in rows] == [(0, 0)] * 2
+        finally:
+            router.stop()
+
+
 # ----------------------------------------------------------------------
 # supervision: crash detection, respawn, failover
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.sim.engine import DeadlockError, Environment, SimulationError
-from repro.sim.channel import FifoChannel, MemoryStream
+from repro.sim import DeadlockError, SimulationError
+
+from oracles.sim_channel import FifoChannel, MemoryStream
+from oracles.sim_engine import Environment
 
 
 class TestEvents:

@@ -5,12 +5,12 @@ Two layers of protection, mirroring tests/test_indexed.py:
 * **golden differential equivalence** — the indexed engine must produce
   identical makespans, per-task start/finish times, deadlock verdicts
   and blocked-process sets to the process-based reference engine kept
-  in :mod:`repro.sim.reference`, swept across the campaign graph
+  in :mod:`oracles.sim_reference`, swept across the campaign graph
   families (layered / serpar, the paper topologies, a small ML graph),
   all three block policies, both pacing modes and deliberately
   undersized FIFOs;
 * **unit tests** for the front door, the richer
-  :class:`~repro.sim.engine.DeadlockError` diagnostics and the
+  :class:`~repro.sim.result.DeadlockError` diagnostics and the
   simulated-timeline trace exports.
 """
 
@@ -29,9 +29,9 @@ from repro.sim import (
     simulation_to_chrome_trace,
     simulation_to_dict,
 )
-from repro.sim.reference import simulate_schedule_reference
 
 from conftest import build_elementwise_chain
+from oracles.sim_reference import simulate_schedule_reference
 
 
 def assert_equivalent(schedule, **kwargs):
