@@ -21,8 +21,9 @@ Each profile replays the same Zipf-skewed workload twice — once with
 the schedule cache in front, once with ``no_cache`` forced recomputes —
 verifies that cached fingerprints return byte-identical schedules to
 cold runs, and writes ``BENCH_service.json`` with both reports, the
-resulting speedup and (with ``--baseline``) the req/s and latency
-improvements against the committed pre-ingest baseline
+resulting speedup, the service's fast-path count and wire-memo
+``bytes``/``clears`` (report only) and (with ``--baseline``) the req/s
+and latency improvements against the committed pre-ingest baseline
 (``benchmarks/baselines/service_smoke.json``).
 
 ``--telemetry-gate R`` additionally replays the ``fig10`` cache-hit
@@ -175,6 +176,7 @@ def run_profile(name: str, smoke: bool, seed: int = 0,
         if no_cache.throughput_rps
         else float("inf")
     )
+    stats = service.handle({"op": "stats"})
     result = {
         "profile": name,
         "telemetry": telemetry,
@@ -182,7 +184,9 @@ def run_profile(name: str, smoke: bool, seed: int = 0,
         "no_cache": no_cache.to_dict(),
         "cache_speedup": round(speedup, 2),
         "byte_identical": identical,
-        "fastpath_served": service.handle({"op": "stats"})["fastpath"],
+        "fastpath_served": stats["fastpath"],
+        # report only: shows a memo-budget change in the CI artifacts
+        "wire_memo": {k: stats["wire_memo"][k] for k in ("bytes", "clears")},
     }
     if degraded:
         result["degraded"] = True

@@ -1037,7 +1037,7 @@ def _cmd_reload(args) -> int:
         print(f"cannot reach service at {host}:{port}: {exc}", file=sys.stderr)
         return 1
     if not response.get("ok"):
-        print(f"reload refused: {response.get('error')}", file=sys.stderr)
+        print(f"reload failed: {response.get('error')}", file=sys.stderr)
         return 1
     shards = response.get("shards", "?")
     print(f"rolling restart started ({shards} shards)")

@@ -228,25 +228,12 @@ class ServiceClient:
         retries: int = 0,
     ) -> dict:
         """Request the best schedule for ``graph`` on ``num_pes`` PEs."""
-        doc: dict = {
-            "op": "schedule",
-            "graph": graph_to_dict(graph)
-            if isinstance(graph, CanonicalGraph)
-            else dict(graph),
-            "num_pes": num_pes,
-            "objective": objective,
-        }
-        if schedulers:
-            doc["schedulers"] = list(schedulers)
-        if budget_ms is not None:
-            doc["budget_ms"] = budget_ms
-        if no_cache:
-            doc["no_cache"] = True
-        if deadline_ms is not None:
-            doc["deadline_ms"] = deadline_ms
-        if retries:
-            return self.request_with_retry(doc, retries=retries)
-        return self.request(doc)
+        return self._keyed(
+            "schedule", graph, num_pes, retries, {"objective": objective},
+            schedulers=list(schedulers) if schedulers else None,
+            budget_ms=budget_ms, no_cache=True if no_cache else None,
+            deadline_ms=deadline_ms,
+        )
 
     def simulate(
         self,
@@ -264,22 +251,27 @@ class ServiceClient:
         the result under the cycle-accurate DES substrate; the response
         reports simulated vs analytic makespan and, on a deadlock, the
         blocked tasks and full channels."""
+        return self._keyed(
+            "simulate", graph, num_pes, retries,
+            {"scheduler": scheduler, "policy": policy, "pacing": pacing},
+            capacity=capacity, no_cache=True if no_cache else None,
+            deadline_ms=deadline_ms,
+        )
+
+    def _keyed(self, op: str, graph: CanonicalGraph | Mapping, num_pes: int,
+               retries: int, fields: dict, **optional) -> dict:
+        """Send one keyed request: ``op``, ``graph`` and ``num_pes``,
+        then ``fields``, then each ``optional`` field that is not
+        ``None``, in that order."""
         doc: dict = {
-            "op": "simulate",
+            "op": op,
             "graph": graph_to_dict(graph)
             if isinstance(graph, CanonicalGraph)
             else dict(graph),
             "num_pes": num_pes,
-            "scheduler": scheduler,
-            "policy": policy,
-            "pacing": pacing,
+            **fields,
         }
-        if capacity is not None:
-            doc["capacity"] = capacity
-        if no_cache:
-            doc["no_cache"] = True
-        if deadline_ms is not None:
-            doc["deadline_ms"] = deadline_ms
+        doc.update((k, v) for k, v in optional.items() if v is not None)
         if retries:
             return self.request_with_retry(doc, retries=retries)
         return self.request(doc)

@@ -32,19 +32,27 @@ Two layers, separately testable:
   ``simulate``, whose diagnostics name nodes, recomputes on any
   cross-document hit.
 
-  The wire path adds two memo layers on top of ``handle``:
+  The service keeps three memos, one record per key:
 
-  - a *line memo* mapping a previously served request line (exact
-    bytes) to its ``(request key, document digest)``, so replayed
-    requests skip JSON parsing and digest hashing entirely;
-  - a *response-prefix memo* holding each served entry pre-serialized
-    (minus the per-request ``cached``/``elapsed_ms`` tail), so a cache
-    hit splices three byte strings instead of re-dumping a multi-
-    hundred-kilobyte response.
+  - ``_lines``: a served request line (exact bytes) → ``(request key or
+    None, document digest)``, written for every ok, untruncated
+    ``schedule`` answer.  A line with a key replays through
+    :meth:`~ScheduleService.serve_line_fast` without a JSON parse or a
+    digest; a ``no_cache`` line keeps only its digest;
+  - ``_prefix_memo``: ``(key, digest)`` → the served entry serialized
+    as (meta bytes, schedule bytes), minus the per-request
+    ``cached``/``elapsed_ms`` tail, so an answer splices three byte
+    strings instead of re-dumping a multi-hundred-kilobyte response;
+  - ``_graphs``: a document digest → ``(fingerprint, IndexedGraph)``,
+    so a repeated document skips refinement and ingest.
 
-  Both are pure memoization — byte-for-byte the same responses the
-  dict path produces (asserted in the tests) — and share one bounded
-  byte budget, cleared wholesale when exceeded.
+  The first two share one byte budget,
+  :attr:`~ScheduleService._WIRE_MEMO_BUDGET`, charged the bytes each
+  record holds (a line's length, a prefix's two parts) and cleared
+  wholesale when exceeded; the graph memo is bounded by total node
+  count, :attr:`~ScheduleService._GRAPH_MEMO_NODES`, and cleared on its
+  own.  All three are pure memoization — byte-for-byte the same
+  responses the dict path produces (asserted in the tests).
 
 * :class:`ScheduleServer` — a stdlib-only TCP front-end built on a
   ``selectors`` event loop (see the class docstring).
@@ -55,6 +63,7 @@ The wire protocol is specified in the README: the per-op field table
 
 from __future__ import annotations
 
+import ipaddress
 import json
 import math
 import selectors
@@ -91,6 +100,7 @@ __all__ = [
     "ScheduleService", "ScheduleServer", "DeadlineExceeded",
     "DEFAULT_PORT", "MAX_PES", "SIM_SCHEDULERS",
     "COMPUTE_OPS", "OPS", "Field", "Op", "parse_request", "refusal",
+    "loopback_peer", "remote_refusal",
 ]
 
 DEFAULT_PORT = 7421
@@ -108,10 +118,25 @@ _SIM_PACINGS = ("steady", "greedy")
 #: the simulator's one engine; wire requests may name it, nothing else
 _SIM_ENGINE = "indexed"
 
-_SHUTDOWN_REFUSED = (
-    "shutdown refused: not a loopback peer "
-    "(serve with --allow-remote-shutdown to enable)"
-)
+
+def loopback_peer(sock: socket.socket) -> bool:
+    """Whether ``sock``'s peer is a loopback address (any of
+    ``127.0.0.0/8`` or ``::1``): the server and the shard router honour
+    ``shutdown``/``reload`` only from these unless remote control is
+    allowed."""
+    try:
+        return ipaddress.ip_address(sock.getpeername()[0]).is_loopback
+    except (OSError, ValueError):
+        return False
+
+
+def remote_refusal(op: str) -> dict:
+    """The answer to a ``shutdown``/``reload`` from a non-loopback peer."""
+    return {
+        "ok": False,
+        "error": f"{op} refused: not a loopback peer "
+                 "(serve with --allow-remote-shutdown to enable)",
+    }
 
 
 class DeadlineExceeded(Exception):
@@ -234,10 +259,8 @@ class ScheduleService:
     def __init__(
         self,
         cache: ScheduleCache | None = None,
-        fingerprint_memo_size: int = 4096,
         portfolio_workers: int = 0,
         validate_graphs: bool = True,
-        wire_memo_bytes: int = 32 << 20,
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
         keylock=None,
@@ -288,37 +311,22 @@ class ScheduleService:
         self.started = time.time()
         self._lock = threading.Lock()
         self._inflight: dict[str, _InFlight] = {}
-        # raw-document digest -> WL fingerprint; load generators resend
-        # identical graph documents, so this skips re-refinement entirely
-        self._fp_memo: dict[str, str] = {}
-        self._fp_memo_size = fingerprint_memo_size
-        # digest -> ingested IndexedGraph; a forced recompute of a
-        # repeated document (no_cache traffic, cache-collision retries)
-        # then skips re-parsing *and* reuses the view's memoized levels.
-        # IndexedGraphs are immutable; concurrent lazy-memo fills are
-        # idempotent, so sharing one view across request threads is safe.
-        # Bounded by *total node count* (a frozen view costs a few
-        # hundred bytes per node across its arrays and lazy memos), not
-        # by entry count — 256 ten-thousand-node views would otherwise
-        # pin hundreds of MB.
-        self._ig_memo: dict[str, object] = {}
-        self._ig_memo_nodes = 0
-        self._ig_memo_node_budget = 200_000
-        # wire-level memos (see the module docstring): request line ->
-        # (key, digest) for cache-servable lines, request line -> graph
-        # document digest for any schedule line (skips re-hashing on
-        # forced recomputes), and (key, digest) -> the response split as
-        # (meta prefix bytes, schedule document bytes).  One shared byte
-        # budget; cleared wholesale when exceeded.
-        self._line_memo: dict[bytes, tuple[str, str]] = {}
-        self._line_digest: dict[bytes, str] = {}
+        # the three memos (see the module docstring)
+        self._lines: dict[bytes, tuple[str | None, str]] = {}
         self._prefix_memo: dict[tuple[str, str], tuple[bytes, bytes]] = {}
-        # line -> parsed request document; replayed lines (including
-        # forced no_cache recomputes) skip the JSON parse.  The handler
-        # treats request documents as read-only, so sharing is safe.
-        self._doc_memo: dict[bytes, dict] = {}
         self._wire_memo_bytes = 0
-        self._wire_memo_budget = wire_memo_bytes
+        # ingested views are immutable (their lazy memo fills are
+        # idempotent), so request threads share them
+        self._graphs: dict[str, tuple[str, object]] = {}
+        self._graph_nodes = 0
+
+    #: bytes the line and prefix memos may hold before both are cleared
+    _WIRE_MEMO_BUDGET = 10 << 20
+    #: total node count the graph memo may hold before it is cleared: an
+    #: ingested view costs a few hundred bytes per node across its
+    #: arrays and lazy memos, so an entry count would let 10k-node views
+    #: pin hundreds of MB
+    _GRAPH_MEMO_NODES = 200_000
 
     # ------------------------------------------------------------------
     # instruments (the legacy counter attributes are views over these)
@@ -365,11 +373,8 @@ class ScheduleService:
         self._c_wire_clears = c(
             "service.wire_memo.clears", "wire-memo wholesale clears"
         )
-        self._c_fp_clears = c(
-            "service.fp_memo.clears", "fingerprint-memo wholesale clears"
-        )
         self._c_ig_clears = c(
-            "service.ig_memo.clears", "ingested-graph-memo wholesale clears"
+            "service.ig_memo.clears", "graph-memo wholesale clears"
         )
         reg.gauge(
             "service.wire_memo.bytes", "bytes charged to the wire memos",
@@ -555,11 +560,10 @@ class ScheduleService:
         :meth:`serve_line_slow`: a non-``None`` result is byte-for-byte
         what the slow path would have produced for the same cache tier.
         """
-        memo = self._line_memo.get(line)
-        if memo is None or self.cache is None:
+        key, digest = self._lines.get(line, (None, None))
+        if key is None:
             return None
         t0 = time.perf_counter()
-        key, digest = memo
         # the slow path re-probes and counts the miss on a None return
         hit = self.cache.get(key, count_miss=False)
         if hit is None:
@@ -578,7 +582,9 @@ class ScheduleService:
         self._c_served.inc()
         self._c_fastpath.inc()
         self._c_req_sched_ok.inc()
-        data = self._splice(parts, tier, t0)
+        data = self._splice(
+            parts, tier, round(1000.0 * (time.perf_counter() - t0), 3)
+        )
         self.telemetry.observe_request(
             "schedule", "fastpath", 1000.0 * (time.perf_counter() - t0)
         )
@@ -591,41 +597,32 @@ class ScheduleService:
         """Full wire handling of one request line.
 
         Returns ``(response bytes, shutdown accepted)``.  Populates the
-        line/prefix memos for eligible schedule responses so replays of
-        the same bytes take :meth:`serve_line_fast`.  For compute ops a
+        line and prefix memos for eligible schedule responses so replays
+        of the same bytes take :meth:`serve_line_fast`.  For compute ops a
         request span is opened here — around decode, dispatch *and*
         serialize — so the whole wire round trip is phase-accounted.
         """
-        doc = self._doc_memo.get(line)
-        if doc is None:
-            try:
-                doc = json.loads(line)
-                if not isinstance(doc, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as exc:
-                response = {"ok": False, "error": f"bad request: {exc}"}
-                return json.dumps(response).encode() + b"\n", False
-            if doc.get("op") == "schedule":
-                with self._lock:
-                    if line not in self._doc_memo:
-                        self._doc_memo[line] = doc
-                        # a parsed document costs several times its JSON
-                        # length in per-node dict/str objects
-                        self._charge_wire(4 * len(line))
-        if doc.get("op") == "shutdown" and not shutdown_permitted:
-            response = {"ok": False, "error": _SHUTDOWN_REFUSED}
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError("request must be a JSON object")
+        except ValueError as exc:
+            response = {"ok": False, "error": f"bad request: {exc}"}
             return json.dumps(response).encode() + b"\n", False
         op = doc.get("op")
+        if op == "shutdown" and not shutdown_permitted:
+            return json.dumps(remote_refusal(op)).encode() + b"\n", False
         span = NULL_SPAN
         if op in COMPUTE_OPS:
             span = self.telemetry.span(op, wire=True)
             if conn_id is not None:
                 span.annotate(conn=conn_id)
+        # a line served before skips re-hashing its graph document
+        _, digest_hint = self._lines.get(line, (None, None))
         outcome = "error"
         try:
             response = self.handle(
-                doc, work_slots, digest_hint=self._line_digest.get(line),
-                span=span,
+                doc, work_slots, digest_hint=digest_hint, span=span,
             )
             with span.phase("serialize"):
                 data = self._encode_response(line, doc, response)
@@ -636,54 +633,38 @@ class ScheduleService:
         return data, shutdown
 
     @staticmethod
-    def _splice(parts: tuple[bytes, bytes], tier, t0: float) -> bytes:
+    def _splice(parts: tuple[bytes, bytes], tier, elapsed_ms: float) -> bytes:
         """Assemble ``(meta, schedule bytes)`` + the per-request tail;
         byte-identical to ``json.dumps`` of the equivalent response."""
         meta, sched = parts
-        ms = round(1000.0 * (time.perf_counter() - t0), 3)
         return b'%s, "schedule": %s, "cached": %s, "elapsed_ms": %s}\n' % (
             meta,
             sched,
             json.dumps(tier).encode(),
-            json.dumps(ms).encode(),
+            json.dumps(elapsed_ms).encode(),
         )
 
     def _charge_wire(self, added: int) -> None:
-        """Account memo bytes; clear every wire memo over budget."""
+        """Account memo bytes (under the lock); clear the line and prefix
+        memos over budget."""
         self._wire_memo_bytes += added
-        if self._wire_memo_bytes > self._wire_memo_budget:
-            self._line_memo.clear()
-            self._line_digest.clear()
+        if self._wire_memo_bytes > self._WIRE_MEMO_BUDGET:
+            self._lines.clear()
             self._prefix_memo.clear()
-            self._doc_memo.clear()
             self._wire_memo_bytes = 0
             self._c_wire_clears.inc()
 
     def _remember_parts(self, key: str, digest: str,
                         parts: tuple[bytes, bytes]) -> None:
         with self._lock:
-            pk = (key, digest)
             # last write wins, mirroring cache.put: a forced recompute
             # overwrites the LRU entry, so the memoized bytes must track
             # the same (newest) response or fast and slow replies to one
             # line would diverge in the per-candidate timing fields
-            old = self._prefix_memo.get(pk)
-            self._prefix_memo[pk] = parts
-            added = len(parts[0]) + len(parts[1])
-            if old is not None:
-                added -= len(old[0]) + len(old[1])
-            self._charge_wire(added)
-
-    def _remember_line(self, line: bytes, key: str | None, digest: str) -> None:
-        with self._lock:
-            added = 0
-            if line not in self._line_digest:
-                added += len(line)
-            self._line_digest[line] = digest
-            if key is not None and line not in self._line_memo:
-                self._line_memo[line] = (key, digest)
-                added += len(line)
-            self._charge_wire(added)
+            old = self._prefix_memo.get((key, digest), (b"", b""))
+            self._prefix_memo[key, digest] = parts
+            self._charge_wire(len(parts[0]) + len(parts[1])
+                              - len(old[0]) - len(old[1]))
 
     @staticmethod
     def _split_response(response: dict,
@@ -712,51 +693,32 @@ class ScheduleService:
         return parts
 
     def _encode_response(self, line: bytes, doc: dict, response: dict) -> bytes:
-        """Serialize ``response``; memoize eligible schedule responses.
-
-        Line memo eligibility: an ``ok`` schedule answer that is
-        reproducible from the cache tiers — not truncated (never
-        cached), not a forced ``no_cache`` recompute (must recompute on
-        every replay).  The (key, digest) response parts and the
-        line → digest mapping are memoized for every deterministic
-        schedule answer, so even forced recomputes skip re-hashing the
-        graph document and re-serializing the schedule.
-        """
+        """Serialize ``response``; memoize an ok, untruncated schedule
+        answer (a truncated race is never cached, so its bytes are not
+        reproducible).  Its line maps to ``(key, digest)`` when the cache
+        can replay it, and to ``(None, digest)`` for a forced
+        ``no_cache`` recompute, whose replays recompute but skip
+        re-hashing the graph document."""
         if (
             response.get("op") == "schedule"
             and response.get("ok")
+            and not response.get("truncated")
             and isinstance(response.get("key"), str)
             and isinstance(response.get("graph_digest"), str)
             and isinstance(response.get("schedule"), dict)
             and "cached" in response
             and "elapsed_ms" in response
         ):
-            key = response["key"]
-            digest = response["graph_digest"]
-            if not response.get("truncated"):
-                cacheable = self.cache is not None and not doc.get("no_cache")
-                self._remember_line(
-                    bytes(line), key if cacheable else None, digest
-                )
-                parts = self._prefix_memo.get((key, digest))
-                if parts is None:
-                    parts = self._split_response(response)
-                    self._remember_parts(key, digest, parts)
-                meta, sched = parts
-                # the memoized schedule bytes are reusable (the answer
-                # is deterministic per key+digest), the rest of the
-                # response — elapsed, per-candidate timings — is not
-                meta_doc = {
-                    k: v for k, v in response.items()
-                    if k not in ("schedule", "cached", "elapsed_ms")
-                }
-                meta = json.dumps(meta_doc).encode()[:-1]
-                return b'%s, "schedule": %s, "cached": %s, "elapsed_ms": %s}\n' % (
-                    meta,
-                    sched,
-                    json.dumps(response["cached"]).encode(),
-                    json.dumps(response["elapsed_ms"]).encode(),
-                )
+            key, digest = response["key"], response["graph_digest"]
+            cacheable = self.cache is not None and not doc.get("no_cache")
+            with self._lock:
+                if line not in self._lines:
+                    self._lines[line] = (key if cacheable else None, digest)
+                    self._charge_wire(len(line))
+            return self._splice(
+                self._entry_prefix(key, digest, response),
+                response["cached"], response["elapsed_ms"],
+            )
         return json.dumps(response).encode() + b"\n"
 
     def health(self) -> dict:
@@ -833,12 +795,10 @@ class ScheduleService:
             wire_bytes = self._wire_memo_bytes
             stats["wire_memo"] = {
                 "bytes": wire_bytes,
-                "budget": self._wire_memo_budget,
-                "occupancy": round(wire_bytes / self._wire_memo_budget, 4),
-                "lines": len(self._line_memo),
-                "digests": len(self._line_digest),
+                "budget": self._WIRE_MEMO_BUDGET,
+                "occupancy": round(wire_bytes / self._WIRE_MEMO_BUDGET, 4),
+                "lines": len(self._lines),
                 "prefixes": len(self._prefix_memo),
-                "docs": len(self._doc_memo),
                 "clears": self._c_wire_clears.value,
             }
         stats["cache"] = self.cache.counters() if self.cache else None
@@ -855,7 +815,6 @@ class ScheduleService:
         stats["evictions"] = {
             "lru": self.cache.evictions if self.cache else 0,
             "wire_memo_clears": self._c_wire_clears.value,
-            "fp_memo_clears": self._c_fp_clears.value,
             "ig_memo_clears": self._c_ig_clears.value,
         }
         return stats
@@ -866,62 +825,41 @@ class ScheduleService:
             self.portfolio_pool.close()
 
     # ------------------------------------------------------------------
-    def _parse_graph(self, graph_doc: dict, trusted: bool = False,
-                     digest: str | None = None):
-        """Wire document → ingested :class:`~repro.core.indexed.IndexedGraph`.
-
-        With a ``digest`` the ingested view is memoized, so repeated
-        documents (no-cache recompute traffic, witness lookups) skip
-        the parse and share the view's memoized levels/labels.
-        """
-        if digest is not None:
-            ig = self._ig_memo.get(digest)
-            if ig is not None:
-                return ig
-        ig = ingest_graph_doc(
-            graph_doc, validate=self.validate_graphs and not trusted
-        )
-        if digest is not None:
-            self._remember_ig(digest, ig)
-        return ig
-
-    def _remember_ig(self, digest: str, ig) -> None:
+    def _remember_graph(self, digest: str, fp: str, graph) -> tuple:
+        """Memoize ``(fp, graph)`` under ``digest`` and return it; the
+        memo is cleared first when ``graph`` would overflow its node
+        budget."""
+        memo = fp, graph
         with self._lock:
-            if digest in self._ig_memo:
-                return
-            if self._ig_memo_nodes + ig.n > self._ig_memo_node_budget:
-                self._ig_memo.clear()
-                self._ig_memo_nodes = 0
-                self._c_ig_clears.inc()
-            self._ig_memo[digest] = ig
-            self._ig_memo_nodes += ig.n
+            if digest not in self._graphs:
+                if self._graph_nodes + graph.n > self._GRAPH_MEMO_NODES:
+                    self._graphs.clear()
+                    self._graph_nodes = 0
+                    self._c_ig_clears.inc()
+                self._graphs[digest] = memo
+                self._graph_nodes += graph.n
+        return memo
 
     def _fingerprint(self, graph_doc: dict, digest_hint: str | None = None):
         """``(graph, fingerprint, digest, graph bytes)``.
 
         The graph bytes are the canonical dump the digest hashed, kept
         for this request only (a cold miss splices them into its store
-        record); ``None`` when the digest came from the wire layer's
-        line → digest memo, whose replays skip the re-dump entirely."""
+        record); ``None`` when the digest came from the line memo, whose
+        replays skip the re-dump entirely."""
         graph_bytes = None
         if digest_hint is not None:
             digest = digest_hint
         else:
             graph_bytes = bytearray()
             digest = doc_digest(graph_doc, graph_bytes)
-        fp = self._fp_memo.get(digest)
-        if fp is not None:
-            # graph parsed lazily only when needed
-            return None, fp, digest, graph_bytes
-        graph, fp = fingerprint_graph_doc(
-            graph_doc, validate=self.validate_graphs
-        )
-        with self._lock:
-            if len(self._fp_memo) >= self._fp_memo_size:
-                self._fp_memo.clear()
-                self._c_fp_clears.inc()
-            self._fp_memo[digest] = fp
-        self._remember_ig(digest, graph)
+        memo = self._graphs.get(digest)
+        if memo is None:
+            graph, fp = fingerprint_graph_doc(
+                graph_doc, validate=self.validate_graphs
+            )
+            memo = self._remember_graph(digest, fp, graph)
+        fp, graph = memo
         return graph, fp, digest, graph_bytes
 
     def _serve_op(self, op: str, req: dict, slots, digest_hint, span) -> dict:
@@ -963,20 +901,19 @@ class ScheduleService:
         cached_doc = entry.get("graph")
         if cached_doc is None:
             return None
-        graph_doc = job.req["graph"]
-        if job.graph is None:
-            job.graph = self._parse_graph(graph_doc, digest=digest)
-        # the cached document was validated when its entry was computed
-        mapping = find_isomorphism(
-            self._parse_graph(
-                cached_doc, trusted=True, digest=entry.get("graph_digest")
-            ),
-            job.graph,
-        )
+        cached_digest = entry.get("graph_digest")
+        memo = self._graphs.get(cached_digest)
+        if memo is None:
+            # the cached document was validated when its entry was computed
+            memo = self._remember_graph(
+                cached_digest, entry["fingerprint"],
+                ingest_graph_doc(cached_doc, validate=False),
+            )
+        mapping = find_isomorphism(memo[1], job.graph)
         if mapping is None:
             return None
         self._c_remapped.inc()
-        return _remap_entry(entry, mapping, digest, graph_doc)
+        return _remap_entry(entry, mapping, digest, job.req["graph"])
 
     def _same_document(self, entry: dict, job: "_Job") -> dict | None:
         """``simulate``'s adapt: simulation diagnostics (blocked sets,
@@ -1010,7 +947,7 @@ class ScheduleService:
         returns ``None`` to force a recompute.
 
         Phase accounting: the leader's span records the compute phases
-        (parse/portfolio/…); a coalesced follower records only its
+        (portfolio/encode/…); a coalesced follower records only its
         ``coalesce`` wait and ``adapt`` — so phase histograms count one
         compute per cold key no matter how many requests it answered.
         """
@@ -1131,20 +1068,15 @@ class ScheduleService:
 
     def _compute(self, op: str, job: "_Job", slots) -> dict:
         """A cold compute of any keyed op: the op's body runs under a
-        work slot, after the deadline check, the ``compute.slow`` fault
-        site and a lazy parse; its entry is counted and, when the body
-        returns store arguments, cached."""
+        work slot, after the deadline check and the ``compute.slow``
+        fault site; its entry is counted and, when the body returns
+        store arguments, cached."""
         span = job.span
         with slots:  # the CPU-bound part runs under a work slot
             # queueing for the slot may have consumed the deadline:
             # refuse before spending compute on an answer nobody awaits
             self._check_deadline(job.deadline)
             self._maybe_slow(span)
-            if job.graph is None:  # fingerprint came from the memo
-                with span.phase("parse"):
-                    job.graph = self._parse_graph(
-                        job.req["graph"], digest=job.digest
-                    )
             entry, stored = OPS[op].body(self, job)
         self._c_cold[op].inc()
         if stored is not None and self.cache is not None:
@@ -1324,8 +1256,8 @@ class ScheduleService:
 
 class _Job:
     """One keyed request being served: its checked fields, deadline and
-    the graph state the fingerprint step found (``graph`` stays
-    ``None`` until a compute or a remap needs the ingested view)."""
+    what the fingerprint step found (the ingested view, fingerprint,
+    digest and canonical graph bytes)."""
 
     __slots__ = ("req", "span", "deadline", "graph", "fp", "digest",
                  "graph_bytes", "key")
@@ -1655,13 +1587,7 @@ class ScheduleServer:
             pass  # buffer full (a wake is already pending) or closing
 
     def _shutdown_permitted(self, conn: socket.socket) -> bool:
-        if self.allow_remote_shutdown:
-            return True
-        try:
-            peer = conn.getpeername()[0]
-        except OSError:
-            return False
-        return peer == "::1" or peer.startswith("127.")
+        return self.allow_remote_shutdown or loopback_peer(conn)
 
     # ------------------------------------------------------------------
     # event loop (single thread owns the selector and every socket)

@@ -65,7 +65,14 @@ from .. import __version__
 from ..obs import Telemetry
 from .faults import FaultInjector, FaultPlan
 from .fingerprint import doc_digest, is_current_key
-from .server import COMPUTE_OPS, DeadlineExceeded, parse_request, refusal
+from .server import (
+    COMPUTE_OPS,
+    DeadlineExceeded,
+    loopback_peer,
+    parse_request,
+    refusal,
+    remote_refusal,
+)
 from .supervisor import Slot, Supervisor, start_child
 
 __all__ = ["ShardConfig", "ShardRouter", "DEFAULT_SHARDS"]
@@ -521,12 +528,7 @@ class ShardRouter:
         return json.dumps(response).encode() + b"\n"
 
     def _peer_permitted(self, client: socket.socket) -> bool:
-        if self.allow_remote_shutdown:
-            return True
-        try:
-            return client.getpeername()[0] in ("127.0.0.1", "::1")
-        except OSError:
-            return False
+        return self.allow_remote_shutdown or loopback_peer(client)
 
     def _handle_line(
         self, line: bytes, upstreams: dict, client: socket.socket
@@ -566,22 +568,11 @@ class ShardRouter:
                 "ok": True, "op": "flight", "router": True,
                 **flight.snapshot(), "events": flight.last(n),
             }), False
+        if op in ("reload", "shutdown") and not self._peer_permitted(client):
+            return self._encode(remote_refusal(op)), False
         if op == "reload":
-            if not self._peer_permitted(client):
-                return self._encode({
-                    "ok": False,
-                    "error": "reload refused from a non-loopback peer",
-                }), False
             return self._encode(self.reload()), False
         if op == "shutdown":
-            if not self._peer_permitted(client):
-                return self._encode({
-                    "ok": False,
-                    "error": (
-                        "shutdown refused: remote shutdown is disabled "
-                        "(serve with --allow-remote-shutdown)"
-                    ),
-                }), False
             threading.Thread(target=self.stop, daemon=True,
                              name="repro-router-shutdown").start()
             return self._encode({"ok": True, "op": "shutdown"}), True

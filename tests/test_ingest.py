@@ -443,14 +443,31 @@ class TestWireFastPath:
         assert service_stat(service, "computed") == 2  # every replay recomputes
 
     def test_memo_budget_bounds_memory(self):
-        service = ScheduleService(
-            cache=ScheduleCache(None, capacity=64), wire_memo_bytes=1,
-        )
+        service = ScheduleService(cache=ScheduleCache(None, capacity=64))
+        service._WIRE_MEMO_BUDGET = 1
         for seed in range(3):
             service.serve_line_slow(self._line(seed=seed))
         # over-budget inserts clear the memos instead of growing them
-        assert len(service._line_memo) <= 1
+        assert len(service._lines) <= 1
         assert len(service._prefix_memo) <= 1
+
+    def test_refused_lines_are_not_memoized(self):
+        service = ScheduleService(cache=ScheduleCache(None, capacity=8))
+        for seed in range(3):
+            data, _ = service.serve_line_slow(
+                self._line(seed=seed, num_pes="64"))
+            assert not json.loads(data)["ok"]
+        assert service.handle({"op": "stats"})["wire_memo"]["bytes"] == 0
+
+    def test_served_line_is_charged_the_bytes_it_holds(self):
+        service = ScheduleService(cache=ScheduleCache(None, capacity=8))
+        line = self._line()
+        service.serve_line_slow(line)
+        [(meta, sched)] = service._prefix_memo.values()
+        charged = service.handle({"op": "stats"})["wire_memo"]["bytes"]
+        assert charged == len(line) + len(meta) + len(sched)
+        service.serve_line_slow(line)  # a replay holds nothing new
+        assert service.handle({"op": "stats"})["wire_memo"]["bytes"] == charged
 
     def test_pipelined_requests_answered_in_order(self):
         service = ScheduleService(cache=ScheduleCache(None, capacity=8))

@@ -504,7 +504,7 @@ class TestScheduleService:
         refused = self.service.handle(doc)
         assert not refused["ok"] and field in refused["error"]
         assert not refused.get("deadline_exceeded")
-        assert not self.service._fp_memo  # no graph work was done
+        assert not self.service._graphs  # no graph work was done
         return refused
 
     @pytest.mark.parametrize("budget_ms", [
@@ -533,7 +533,7 @@ class TestScheduleService:
         refused = self.service.handle({**self.doc, "deadline_ms": deadline_ms})
         assert not refused["ok"]
         assert refused["deadline_exceeded"] and refused["retryable"]
-        assert not self.service._fp_memo
+        assert not self.service._graphs
 
     @pytest.mark.parametrize("schedulers", [
         "rlx", ["rlx", 3], {"rlx": 1}, [["rlx"]],
@@ -1728,11 +1728,12 @@ class TestServiceTelemetry:
         assert wm["occupancy"] == pytest.approx(
             wm["bytes"] / wm["budget"], abs=5e-5  # reported at 4 decimals
         )
-        assert wm["lines"] == 1 and wm["clears"] == 0
-        ev = stats["evictions"]
-        assert set(ev) == {
-            "lru", "wire_memo_clears", "fp_memo_clears", "ig_memo_clears"
+        assert set(wm) == {
+            "bytes", "budget", "occupancy", "lines", "prefixes", "clears"
         }
+        assert wm["lines"] == 1 and wm["prefixes"] == 1 and wm["clears"] == 0
+        ev = stats["evictions"]
+        assert set(ev) == {"lru", "wire_memo_clears", "ig_memo_clears"}
         assert stats["telemetry"] is True
 
     def test_legacy_counter_attributes_track_registry(self):

@@ -17,6 +17,7 @@ from repro.core import graph_to_dict
 from repro.graphs import random_canonical_graph
 from repro.service import (
     ScheduleCache,
+    ScheduleServer,
     ScheduleService,
     ServiceClient,
     ShardConfig,
@@ -163,6 +164,46 @@ class TestRouting:
             assert [(r["served"], r["errors"]) for r in rows] == [(0, 0)] * 2
         finally:
             router.stop()
+
+
+class _Peer:
+    """A connected-socket stub whose peer is ``host``."""
+
+    def __init__(self, host: str) -> None:
+        self.host = host
+
+    def getpeername(self):
+        return (self.host, 40000)
+
+
+class TestRemoteControl:
+    """``shutdown``/``reload`` follow one loopback rule and one refusal
+    on the server and the router alike."""
+
+    @pytest.mark.parametrize("host, allowed", [
+        ("127.0.0.1", True), ("127.0.0.2", True), ("::1", True),
+        ("10.0.0.1", False), ("192.0.2.7", False),
+    ])
+    def test_one_loopback_rule(self, host, allowed):
+        server = ScheduleServer(ScheduleService(), port=0)
+        router = ShardRouter(shards=1)
+        assert server._shutdown_permitted(_Peer(host)) is allowed
+        assert router._peer_permitted(_Peer(host)) is allowed
+
+    def test_one_refusal_for_a_remote_peer(self):
+        peer = _Peer("10.0.0.1")
+        server = ScheduleServer(ScheduleService(), port=0)
+        router = ShardRouter(shards=1)
+        line = b'{"op": "shutdown"}'
+        served, stop = server.service.serve_line_slow(
+            line, shutdown_permitted=server._shutdown_permitted(peer))
+        routed, close = router._handle_line(line, {}, peer)
+        assert routed == served and not stop and not close
+        assert json.loads(served)["error"].startswith(
+            "shutdown refused: not a loopback peer")
+        reload, _ = router._handle_line(b'{"op": "reload"}', {}, peer)
+        assert json.loads(reload)["error"] == json.loads(served)[
+            "error"].replace("shutdown", "reload", 1)
 
 
 # ----------------------------------------------------------------------
