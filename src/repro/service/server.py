@@ -49,10 +49,11 @@ Two layers, separately testable:
   The first two share one byte budget,
   :attr:`~ScheduleService._WIRE_MEMO_BUDGET`, charged the bytes each
   record holds (a line's length, a prefix's two parts) and cleared
-  wholesale when exceeded; the graph memo is bounded by total node
-  count, :attr:`~ScheduleService._GRAPH_MEMO_NODES`, and cleared on its
-  own.  All three are pure memoization — byte-for-byte the same
-  responses the dict path produces (asserted in the tests).
+  wholesale before storing records that would exceed it; the graph
+  memo is bounded by total node count,
+  :attr:`~ScheduleService._GRAPH_MEMO_NODES`, and cleared on its own.
+  All three are pure memoization — byte-for-byte the same responses
+  the dict path produces (asserted in the tests).
 
 * :class:`ScheduleServer` — a stdlib-only TCP front-end built on a
   ``selectors`` event loop (see the class docstring).
@@ -644,27 +645,39 @@ class ScheduleService:
             json.dumps(elapsed_ms).encode(),
         )
 
-    def _charge_wire(self, added: int) -> None:
-        """Account memo bytes (under the lock); clear the line and prefix
-        memos over budget."""
-        self._wire_memo_bytes += added
-        if self._wire_memo_bytes > self._WIRE_MEMO_BUDGET:
-            self._lines.clear()
-            self._prefix_memo.clear()
-            self._wire_memo_bytes = 0
-            self._c_wire_clears.inc()
+    def _remember_wire(self, key: str, digest: str,
+                       parts: tuple[bytes, bytes], line: bytes | None = None,
+                       record: tuple | None = None) -> None:
+        """Memoize ``parts`` under ``(key, digest)`` and, given a
+        ``line``, map it to ``record``; each is charged its bytes.
 
-    def _remember_parts(self, key: str, digest: str,
-                        parts: tuple[bytes, bytes]) -> None:
+        The new records are charged before they are stored: when they
+        would cross the budget, the line and prefix memos are cleared
+        first (unless already empty), so the records just stored
+        survive to serve their first replay.  Last write wins,
+        mirroring cache.put: a forced recompute overwrites the LRU
+        entry, so the memoized bytes must track the same (newest)
+        response or fast and slow replies to one line would diverge in
+        the per-candidate timing fields."""
+        added = len(parts[0]) + len(parts[1])
         with self._lock:
-            # last write wins, mirroring cache.put: a forced recompute
-            # overwrites the LRU entry, so the memoized bytes must track
-            # the same (newest) response or fast and slow replies to one
-            # line would diverge in the per-candidate timing fields
-            old = self._prefix_memo.get((key, digest), (b"", b""))
+            old = self._prefix_memo.pop((key, digest), None)
+            if old is not None:
+                self._wire_memo_bytes -= len(old[0]) + len(old[1])
+            if line is not None:
+                if self._lines.pop(line, None) is not None:
+                    self._wire_memo_bytes -= len(line)
+                added += len(line)
+            if (self._wire_memo_bytes
+                    and self._wire_memo_bytes + added > self._WIRE_MEMO_BUDGET):
+                self._lines.clear()
+                self._prefix_memo.clear()
+                self._wire_memo_bytes = 0
+                self._c_wire_clears.inc()
             self._prefix_memo[key, digest] = parts
-            self._charge_wire(len(parts[0]) + len(parts[1])
-                              - len(old[0]) - len(old[1]))
+            if line is not None:
+                self._lines[line] = record
+            self._wire_memo_bytes += added
 
     @staticmethod
     def _split_response(response: dict,
@@ -689,7 +702,7 @@ class ScheduleService:
         parts = self._prefix_memo.get((key, digest))
         if parts is None:
             parts = self._split_response(entry)
-            self._remember_parts(key, digest, parts)
+            self._remember_wire(key, digest, parts)
         return parts
 
     def _encode_response(self, line: bytes, doc: dict, response: dict) -> bytes:
@@ -711,14 +724,13 @@ class ScheduleService:
         ):
             key, digest = response["key"], response["graph_digest"]
             cacheable = self.cache is not None and not doc.get("no_cache")
-            with self._lock:
-                if line not in self._lines:
-                    self._lines[line] = (key if cacheable else None, digest)
-                    self._charge_wire(len(line))
-            return self._splice(
-                self._entry_prefix(key, digest, response),
-                response["cached"], response["elapsed_ms"],
-            )
+            parts = (self._prefix_memo.get((key, digest))
+                     or self._split_response(response))
+            # line and prefix in one charge: a clear for either keeps both
+            self._remember_wire(key, digest, parts, line,
+                                (key if cacheable else None, digest))
+            return self._splice(parts, response["cached"],
+                                response["elapsed_ms"])
         return json.dumps(response).encode() + b"\n"
 
     def health(self) -> dict:
@@ -1154,7 +1166,7 @@ class ScheduleService:
         }
         if result.truncated:
             return entry, None
-        self._remember_parts(
+        self._remember_wire(
             job.key, job.digest, self._split_response(entry, schedule_bytes)
         )
         return entry, (job.graph_bytes, schedule_bytes)
@@ -1188,7 +1200,7 @@ class ScheduleService:
                 deadlocked = False
                 sim_makespan = sim.makespan
                 blocked: list[str] = []
-                channels = len(sim.channel_stats)
+                channels = sim.num_channels
                 full: dict[str, tuple[int, int]] = {}
             except DeadlockError as exc:
                 deadlocked = True

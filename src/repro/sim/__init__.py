@@ -1,11 +1,10 @@
 """Discrete-event simulation substrate (Appendix B validation).
 
 :func:`simulate_schedule` is the one run-time entry point: the
-array-state engine of :mod:`repro.sim.indexed` (flat integer
-task/channel state over the frozen
-:class:`~repro.core.indexed.IndexedGraph`, timestamp-dataflow
-evaluation, no generators and no per-element events).  There is no
-engine selector.
+array-state engine of :mod:`repro.sim.indexed` (flat integer channel
+state over the frozen :class:`~repro.core.indexed.IndexedGraph`,
+timestamp-dataflow evaluation, one generator per task and no
+per-element events).  There is no engine selector.
 
 The original simpy-like process engine is kept outside the package,
 as the readable specification and the differential-testing oracle:

@@ -6,33 +6,44 @@ it cycle-accurately and report simulated timing, channel statistics and
 deadlocks.  It is pure Python on every install.
 
 The reference engine (the test oracle ``tests/oracles/sim_reference.py``)
-drives one Python generator per task and one heap event per
-element transfer; at fig13/ablation scale those allocations dominate
-the whole validation campaign.  This module lowers a
+drives its task generators off a time-ordered heap with one event
+object per element transfer; at fig13/ablation scale those event
+allocations dominate the whole validation campaign.  This module lowers a
 :class:`~repro.core.scheduler.StreamingSchedule` over a frozen
 :class:`~repro.core.indexed.IndexedGraph` into flat integer arrays —
-per-task produced/consumed counters and anchors, CSR-ordered channel
-lists, per-block gate state — and executes the identical dataflow
-semantics as a *timestamp dataflow network*:
+CSR-ordered channel lists, per-block gate state, memory readiness —
+and executes the identical dataflow semantics as a *timestamp dataflow
+network*:
 
 * every streaming channel keeps the (monotone) sequence of element
   **accept times** and **pop times** instead of live element objects;
   the bounded-FIFO law ``accept(k) = max(attempt, pop(k - capacity))``
   then prices backpressure exactly, with no pending-put event objects;
-* every task is a small integer state machine replaying the canonical
-  dataflow loop of the reference engine's ``_task_process`` — same
-  need/emit arithmetic, same streaming-interval pacing (integer
+* every computational task is one Python generator running the
+  canonical dataflow loop of the reference engine's ``_task_process``
+  — same need/emit arithmetic, same streaming-interval pacing (integer
   ceilings over the interval's numerator/denominator), same gate
-  semantics for all three block policies;
-* a worklist advances each runnable task as far as its inputs' known
-  timestamps allow — typically a whole blocking horizon of cycles per
-  activation — and suspends it on the first *unknown* timestamp (an
-  element not yet produced, a pop not yet performed, an unfired gate).
-  Because each channel has a single producer and a single consumer and
-  all enabling conditions are monotone, this maximum-progress order
-  reaches the same unique fixed point as the reference engine's
-  time-ordered heap: identical makespans, start/finish times, deadlock
-  times and blocked sets (asserted by the golden differential tests).
+  semantics for all three block policies.  Its counters, clock, pacing
+  anchors and output index live in the generator frame; every suspend
+  point (an unfired gate, an element not yet produced, memory not yet
+  ready, a full FIFO whose freeing pop is not yet known) is a ``yield``
+  inside a ``while <timestamp unknown>`` loop;
+* a worklist resumes each runnable task (``next``) and lets it run as
+  far as its inputs' known timestamps allow.  Because each channel has
+  a single producer and a single consumer and all enabling conditions
+  are monotone, this maximum-progress order reaches the same unique
+  fixed point as the reference engine's time-ordered heap (so the
+  worklist order is free): identical makespans, start/finish times,
+  deadlock times and blocked sets (asserted by the golden differential
+  tests).
+
+Why a frame per task: on the served shapes (lts schedules of 1k-node
+layered/serpar graphs at 64 PEs) 97–98% of streaming FIFOs are sized to
+capacity 1, so no task runs more than one element ahead of its
+neighbour, and a simulation is tens of thousands of resumes that each
+advance about one element.  The price of a resume is the cost; a
+suspended generator frame keeps the task's state where the loop reads
+it, instead of reloading and storing it per activation.
 
 A drained worklist with unfinished tasks is exactly the reference
 engine's drained heap with live processes: a deadlock.  The blocked-on
@@ -41,7 +52,8 @@ strings are reconstructed in the reference engine's format
 :class:`~repro.sim.result.DeadlockError` carries every channel's
 occupancy/capacity at deadlock time.
 
-One knowingly weaker statistic: ``max_occupancy`` is reconstructed by
+One knowingly weaker statistic: ``max_occupancy`` is reconstructed (by
+:attr:`~repro.sim.result.SimulationResult.channel_stats`, on first read) by
 merging the accept/pop time sequences with pops winning ties, the
 minimal occupancy profile consistent with the timestamps.  The
 reference engine resolves same-instant accept/pop races by event
@@ -61,8 +73,9 @@ from .result import BlockPolicy, DeadlockError, SimulationResult
 
 __all__ = ["simulate_schedule"]
 
-#: task state-machine phases
-_GATE, _LOOP, _EMIT, _DONE = 0, 1, 2, 3
+#: the blocking reason of a task waiting on an input (an element or
+#: memory readiness): the reference engine's ``all_of`` wait
+_AVAIL = ("avail",)
 
 
 def simulate_schedule(
@@ -219,192 +232,116 @@ def simulate_schedule(
         if w is not None:
             so_n[i], so_d[i] = w.numerator, w.denominator
 
-    # ---- task state ----------------------------------------------------
-    phase = [_GATE] * n
-    cns = [0] * n  #: consumed
-    prd = [0] * n  #: produced
-    tau = [0] * n  #: task-local clock
-    ra = [-1] * n  #: read anchor
-    wa = [-1] * n  #: write anchor
-    oi = [0] * n  #: output index of a suspended emit
+    # ---- tasks: one generator each ------------------------------------
     started = [-1] * n
     finish_t = [-1] * n
     why: list[tuple | None] = [None] * n  #: blocking reason for diagnostics
     comp_waiters: list[list[int]] = [[] for _ in range(n)]
-    queued = [True] * n
-    horizon = 0  #: max realized event time == the engine clock at drain
-    remaining = len(comp_ids)
-
+    # every suspend registers the task with exactly one waker (a flag
+    # or a waiter list) that fires once, so no task is queued twice
     run_q = deque(comp_ids)
 
-    def wake(i: int) -> None:
-        if not queued[i] and phase[i] != _DONE:
-            queued[i] = True
-            run_q.append(i)
+    def task(i: int):
+        """Task ``i``'s dataflow loop; yields its clock on every
+        suspend, i.e. on the first timestamp it cannot know yet."""
+        # closure cells -> frame locals: these are touched every cycle
+        arrs, pops_, caps, cwait, pwait = ch_arr, ch_pop, ch_cap, cons_wait, prod_wait
+        enqueue = run_q.append
+        t = 0
+        b, g = gate_block[i], gate_task[i]
+        if b >= 0:
+            while block_gate[b] < 0:
+                block_waiters[b].append(i)
+                why[i] = ("gate_block", b)
+                yield t
+            t = block_gate[b]
+        elif g >= 0:
+            while finish_t[g] < 0:
+                comp_waiters[g].append(i)
+                why[i] = ("gate_task", g)
+                yield t
+            t = finish_t[g]
 
-    def advance(i: int) -> None:
-        """Run task ``i`` until it blocks on an unknown timestamp."""
-        nonlocal horizon, remaining
-        # closure cells -> locals: these are touched every cycle
-        arrs, pops_, caps = ch_arr, ch_pop, ch_cap
-        cwait, pwait = cons_wait, prod_wait
-        ph = phase[i]
-        t = tau[i]
-        c = cns[i]
-        p = prd[i]
-        vol_i = in_vol[i]
-        vol_o = out_vol[i]
-        o = oi[i] if ph == _EMIT else 0
-
-        if ph == _GATE:
-            b = gate_block[i]
-            if b >= 0:
-                gt = block_gate[b]
-                if gt < 0:
-                    block_waiters[b].append(i)
-                    why[i] = ("gate_block", b)
-                    phase[i] = _GATE
-                    return
-                if gt > t:
-                    t = gt
-            else:
-                g = gate_task[i]
-                if g >= 0:
-                    ft = finish_t[g]
-                    if ft < 0:
-                        comp_waiters[g].append(i)
-                        why[i] = ("gate_task", g)
-                        return
-                    if ft > t:
-                        t = ft
-            ph = _LOOP
-
-        fin = fifo_in[i]
-        mem = mem_in[i]
-        och = out_ch[i]
-        rn, rd = si_n[i], si_d[i]
-        wn, wd = so_n[i], so_d[i]
-
-        while True:
-            if ph == _LOOP:
-                if c >= vol_i and p >= vol_o:
-                    break  # the dataflow loop is complete
-                need = -(-((p + 1) * vol_i) // vol_o) if p < vol_o else vol_i
-                if c < need:
-                    # -- wait until every input holds element c ---------
-                    for e in fin:
-                        arr = arrs[e]
-                        if len(arr) <= c:  # not yet produced: suspend
-                            cwait[e] = True
-                            why[i] = ("avail",)
-                            cns[i], prd[i], tau[i], phase[i] = c, p, t, _LOOP
-                            if t > horizon:
-                                horizon = t
-                            return
-                        a = arr[c]
-                        if a > t:
-                            t = a
-                    for u in mem:
-                        rt = ready_t[u]
-                        if rt is None:
-                            rt = 0
-                            pend = -1
-                            for tk in contrib[u]:
-                                ft = finish_t[tk]
-                                if ft < 0:
-                                    pend = tk
-                                    break
-                                if ft > rt:
-                                    rt = ft
-                            if pend >= 0:  # producer still running
-                                comp_waiters[pend].append(i)
-                                why[i] = ("avail",)
-                                cns[i], prd[i], tau[i], phase[i] = c, p, t, _LOOP
-                                if t > horizon:
-                                    horizon = t
-                                return
-                            ready_t[u] = rt
-                        if rt > t:
-                            t = rt
-                    if rd:  # read pacing: element c no earlier than due
-                        anchor = ra[i]
-                        if anchor < 0:
-                            anchor = ra[i] = t
-                        due = anchor + -(-(c * rn) // rd)
-                        if due > t:
-                            t = due
-                    for e in fin:  # non-eager pop of one element each
-                        pops_[e].append(t)
-                        if pwait[e]:
-                            pwait[e] = False
-                            w = ch_src[e]
-                            if not queued[w]:
-                                queued[w] = True
-                                run_q.append(w)
-                    if started[i] < 0:
-                        started[i] = t
-                    c += 1
-                    t += 1
-                    if p < vol_o and c >= need:
-                        ph = _EMIT
-                        o = 0
-                else:
-                    if started[i] < 0:
-                        started[i] = t
-                    t += 1
-                    ph = _EMIT
-                    o = 0
-            else:  # _EMIT: one element to every output, in order
-                if wd:  # write pacing (idempotent on emit resume)
-                    anchor = wa[i]
-                    if anchor < 0:
-                        anchor = wa[i] = t
-                    due = anchor + -(-(p * wn) // wd)
+        fin, mem, och = fifo_in[i], mem_in[i], out_ch[i]
+        vol_i, vol_o = in_vol[i], out_vol[i]
+        rn, rd, wn, wd = si_n[i], si_d[i], so_n[i], so_d[i]
+        ra = wa = st = -1  #: read / write anchors, start time
+        c = p = 0  #: elements consumed / produced
+        while c < vol_i or p < vol_o:
+            need = -(-((p + 1) * vol_i) // vol_o) if p < vol_o else vol_i
+            if c < need:
+                # -- wait until every input holds element c -------------
+                for e in fin:
+                    arr = arrs[e]
+                    while len(arr) <= c:  # not yet produced
+                        cwait[e] = True
+                        why[i] = _AVAIL
+                        yield t
+                    if arr[c] > t:
+                        t = arr[c]
+                for u in mem:
+                    rt = ready_t[u]
+                    if rt is None:
+                        for tk in contrib[u]:
+                            while finish_t[tk] < 0:  # producer still running
+                                comp_waiters[tk].append(i)
+                                why[i] = _AVAIL
+                                yield t
+                        rt = ready_t[u] = max(
+                            (finish_t[tk] for tk in contrib[u]), default=0
+                        )
+                    if rt > t:
+                        t = rt
+                if rd:  # read pacing: element c no earlier than due
+                    if ra < 0:
+                        ra = t
+                    due = ra + -(-(c * rn) // rd)
                     if due > t:
                         t = due
-                nout = len(och)
-                while o < nout:
-                    e = och[o]
-                    arr = arrs[e]
-                    k = len(arr)
-                    cap = caps[e]
-                    if k >= cap:
-                        pops = pops_[e]
-                        j = k - cap
-                        if len(pops) <= j:  # space not freed yet: suspend
-                            pwait[e] = True
-                            why[i] = ("put", e)
-                            oi[i] = o
-                            cns[i], prd[i], tau[i], phase[i] = c, p, t, _EMIT
-                            if t > horizon:
-                                horizon = t
-                            return
-                        pt = pops[j]
-                        if pt > t:
-                            t = pt
-                    arr.append(t)
-                    if cwait[e]:
-                        cwait[e] = False
-                        w = ch_dst[e]
-                        if not queued[w]:
-                            queued[w] = True
-                            run_q.append(w)
-                    o += 1
-                p += 1
-                ph = _LOOP
+                for e in fin:  # non-eager pop of one element each
+                    pops_[e].append(t)
+                    if pwait[e]:
+                        pwait[e] = False
+                        enqueue(ch_src[e])
+                if st < 0:
+                    st = started[i] = t
+                c += 1
+                t += 1
+                if p >= vol_o or c < need:
+                    continue
+            else:
+                if st < 0:
+                    st = started[i] = t
+                t += 1
+            # -- emit one element to every output, in order -------------
+            if wd:  # write pacing
+                if wa < 0:
+                    wa = t
+                due = wa + -(-(p * wn) // wd)
+                if due > t:
+                    t = due
+            for e in och:
+                arr = arrs[e]
+                j = len(arr) - caps[e]
+                if j >= 0:  # full unless element j was popped
+                    pops = pops_[e]
+                    while len(pops) <= j:  # space not freed yet
+                        pwait[e] = True
+                        why[i] = ("put", e)
+                        yield t
+                    if pops[j] > t:
+                        t = pops[j]
+                arr.append(t)
+                if cwait[e]:
+                    cwait[e] = False
+                    enqueue(ch_dst[e])
+            p += 1
 
         # ---- task finished ---------------------------------------------
-        phase[i] = _DONE
-        tau[i] = t
         finish_t[i] = t
-        if t > horizon:
-            horizon = t
-        remaining -= 1
-        waiters = comp_waiters[i]
-        if waiters:
+        if comp_waiters[i]:
+            run_q.extend(comp_waiters[i])
             comp_waiters[i] = []
-            for w in waiters:
-                wake(w)
         if block_gate is not None:
             b = blk[i]
             if t > block_max[b]:
@@ -412,80 +349,51 @@ def simulate_schedule(
             block_rem[b] -= 1
             if block_rem[b] == 0 and b + 1 < num_blocks:
                 block_gate[b + 1] = block_max[b]
-                bw = block_waiters[b + 1]
-                if bw:
-                    block_waiters[b + 1] = []
-                    for w in bw:
-                        wake(w)
+                run_q.extend(block_waiters[b + 1])
+                block_waiters[b + 1] = []
 
+    # ---- worklist: resume runnable tasks until none can progress ------
+    tasks = [task(i) if comp[i] else None for i in range(n)]
+    horizon = 0  #: max realized event time == the engine clock at drain
+    pop_task = run_q.popleft
     while run_q:
-        i = run_q.popleft()
-        queued[i] = False
-        advance(i)
+        t = next(tasks[pop_task()], 0)
+        if t > horizon:
+            horizon = t
+    horizon = max(horizon, max(finish_t, default=0))
 
-    finish = {names[i]: finish_t[i] for i in comp_ids if finish_t[i] >= 0}
-    starts = {names[i]: started[i] for i in comp_ids if started[i] >= 0}
-
-    def channel_stats() -> dict:
-        out = {}
-        for e in range(nch):
-            occ = mx = ia = ip = 0
-            arr, pops = ch_arr[e], ch_pop[e]
-            na, npop = len(arr), len(pops)
-            while ia < na:
-                if ip < npop and pops[ip] <= arr[ia]:
-                    occ -= 1
-                    ip += 1
-                else:
-                    occ += 1
-                    ia += 1
-                    if occ > mx:
-                        mx = occ
-            out[(names[ch_src[e]], names[ch_dst[e]])] = (ch_cap[e], mx)
-        return out
-
-    if remaining:
-        blocked = []
-        for i in comp_ids:
-            if finish_t[i] >= 0:
-                continue
-            reason = why[i]
-            kind = reason[0] if reason else "?"
-            if kind == "gate_block":
-                ev = f"block{reason[1]}.start"
-            elif kind == "gate_task":
-                ev = f"{names[reason[1]]}.completion"
-            elif kind == "put":
-                e = reason[1]
-                ev = f"{names[ch_src[e]]}->{names[ch_dst[e]]}.put"
-            else:
-                ev = "all_of"
-            blocked.append(f"task:{names[i]} (on {ev})")
-        error = DeadlockError(
-            horizon,
-            blocked,
-            channels={
-                f"{names[ch_src[e]]}->{names[ch_dst[e]]}": (
-                    len(ch_arr[e]) - len(ch_pop[e]),
-                    ch_cap[e],
-                )
-                for e in range(nch)
-            },
-        )
-        if raise_on_deadlock:
-            raise error
-        return SimulationResult(
-            makespan=error.time,
-            finish_times=finish,
-            deadlocked=True,
-            blocked=error.blocked,
-            channel_stats=channel_stats(),
-            start_times=starts,
-            deadlock_channels=error.channels,
-        )
+    channels = ch_src, ch_dst, ch_cap, ch_arr, ch_pop
+    unfinished = [i for i in comp_ids if finish_t[i] < 0]
+    if not unfinished:
+        return SimulationResult(horizon, names, finish_t, started, channels)
+    blocked = []
+    for i in unfinished:
+        reason = why[i]
+        kind = reason[0] if reason else "?"
+        if kind == "gate_block":
+            ev = f"block{reason[1]}.start"
+        elif kind == "gate_task":
+            ev = f"{names[reason[1]]}.completion"
+        elif kind == "put":
+            e = reason[1]
+            ev = f"{names[ch_src[e]]}->{names[ch_dst[e]]}.put"
+        else:
+            ev = "all_of"
+        blocked.append(f"task:{names[i]} (on {ev})")
+    error = DeadlockError(
+        horizon,
+        blocked,
+        channels={
+            f"{names[ch_src[e]]}->{names[ch_dst[e]]}": (
+                len(ch_arr[e]) - len(ch_pop[e]),
+                ch_cap[e],
+            )
+            for e in range(nch)
+        },
+    )
+    if raise_on_deadlock:
+        raise error
     return SimulationResult(
-        makespan=horizon,
-        finish_times=finish,
-        channel_stats=channel_stats(),
-        start_times=starts,
+        error.time, names, finish_t, started, channels, deadlocked=True,
+        blocked=error.blocked, deadlock_channels=error.channels,
     )

@@ -10,7 +10,7 @@ both engines, and the service, import them without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Literal
 
 __all__ = ["BlockPolicy", "DeadlockError", "SimulationError", "SimulationResult"]
@@ -66,9 +66,17 @@ class DeadlockError(SimulationError):
         }
 
 
-@dataclass
 class SimulationResult:
-    """Outcome of one simulated execution.
+    """Outcome of one simulated execution, backed by the engine's columns.
+
+    The engine hands over id-indexed columns: ``names`` (id → node
+    name), ``finish``/``start`` (id → time, ``-1`` when never reached)
+    and ``channels``, the streaming FIFOs as ``(source ids, destination
+    ids, capacities, accept times, pop times)``.  ``makespan``,
+    ``deadlocked``, ``blocked``, ``deadlock_channels`` and
+    ``num_channels`` are plain attributes; the name-keyed views below
+    are built on first read, so a caller that needs only the makespan
+    (the service) never builds them.
 
     ``start_times`` records the instant each task began its first
     execution cycle (after its gate, first input availability and read
@@ -82,15 +90,71 @@ class SimulationResult:
     occupancies, by contrast, may differ by same-instant races).
     """
 
-    makespan: int
-    finish_times: dict[Hashable, int]
-    deadlocked: bool = False
-    blocked: list[str] = field(default_factory=list)
-    channel_stats: dict[tuple[Hashable, Hashable], tuple[int, int]] = field(
-        default_factory=dict
-    )  # edge -> (capacity, max occupancy)
-    start_times: dict[Hashable, int] = field(default_factory=dict)
-    deadlock_channels: dict[str, tuple[int, int]] = field(default_factory=dict)
+    def __init__(
+        self,
+        makespan: int,
+        names=(),
+        finish=(),
+        start=(),
+        channels=((), (), (), (), ()),
+        *,
+        deadlocked: bool = False,
+        blocked=(),
+        deadlock_channels: dict[str, tuple[int, int]] | None = None,
+    ):
+        self.makespan = makespan
+        self.deadlocked = deadlocked
+        self.blocked = list(blocked)
+        self.deadlock_channels = dict(deadlock_channels or {})
+        self.num_channels = len(channels[0])
+        self._columns = names, finish, start, channels
+
+    @classmethod
+    def from_tables(
+        cls,
+        makespan: int,
+        finish_times: dict[Hashable, int],
+        channel_stats: dict[tuple[Hashable, Hashable], tuple[int, int]],
+        start_times: dict[Hashable, int],
+        **diagnostics,
+    ) -> "SimulationResult":
+        """A result from name-keyed tables (the reference engine's)."""
+        result = cls(makespan, **diagnostics)
+        result.num_channels = len(channel_stats)
+        result.finish_times = finish_times
+        result.channel_stats = channel_stats
+        result.start_times = start_times
+        return result
+
+    @cached_property
+    def finish_times(self) -> dict[Hashable, int]:
+        names, finish, _, _ = self._columns
+        return {names[i]: t for i, t in enumerate(finish) if t >= 0}
+
+    @cached_property
+    def start_times(self) -> dict[Hashable, int]:
+        names, _, start, _ = self._columns
+        return {names[i]: t for i, t in enumerate(start) if t >= 0}
+
+    @cached_property
+    def channel_stats(self) -> dict[tuple[Hashable, Hashable], tuple[int, int]]:
+        """edge -> (capacity, max occupancy); the occupancy merges the
+        accept/pop times with pops winning ties, the minimal occupancy
+        profile consistent with the timestamps."""
+        names, _, _, (src, dst, caps, accepts, pops) = self._columns
+        out = {}
+        for u, v, cap, arr, popped in zip(src, dst, caps, accepts, pops):
+            occ = mx = ip = 0
+            npop = len(popped)
+            for a in arr:
+                while ip < npop and popped[ip] <= a:
+                    occ -= 1
+                    ip += 1
+                occ += 1
+                if occ > mx:
+                    mx = occ
+            out[names[u], names[v]] = (cap, mx)
+        return out
 
     def full_channels(self) -> dict[str, tuple[int, int]]:
         """The channels at capacity when the run deadlocked (the

@@ -282,20 +282,18 @@ def simulate_schedule_reference(
             raise DeadlockError(
                 exc.time, exc.blocked, channels=occupancies
             ) from None
-        return SimulationResult(
-            makespan=exc.time,
-            finish_times=finish,
+        return SimulationResult.from_tables(
+            exc.time,
+            finish,
+            {e: (c.capacity, c.max_occupancy) for e, c in channels.items()},
+            starts,
             deadlocked=True,
             blocked=exc.blocked,
-            channel_stats={
-                e: (c.capacity, c.max_occupancy) for e, c in channels.items()
-            },
-            start_times=starts,
             deadlock_channels=occupancies,
         )
-    return SimulationResult(
-        makespan=makespan,
-        finish_times=finish,
-        channel_stats={e: (c.capacity, c.max_occupancy) for e, c in channels.items()},
-        start_times=starts,
+    return SimulationResult.from_tables(
+        makespan,
+        finish,
+        {e: (c.capacity, c.max_occupancy) for e, c in channels.items()},
+        starts,
     )

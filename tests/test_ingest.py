@@ -451,6 +451,23 @@ class TestWireFastPath:
         assert len(service._lines) <= 1
         assert len(service._prefix_memo) <= 1
 
+    def test_line_that_crosses_the_budget_replays_fast(self):
+        service = ScheduleService(cache=ScheduleCache(None, capacity=8))
+        service.serve_line_slow(self._line(seed=0))
+        held = service.handle({"op": "stats"})["wire_memo"]["bytes"]
+        # the first line fits exactly; the second (a larger graph) crosses
+        service._WIRE_MEMO_BUDGET = held
+        g = random_canonical_graph("fft", 16, seed=1)
+        line = json.dumps({"op": "schedule", "graph": graph_to_dict(g),
+                           "num_pes": 8}).encode()
+        data, _ = service.serve_line_slow(line)
+        assert service.handle({"op": "stats"})["wire_memo"]["clears"] >= 1
+        replay = service.serve_line_fast(line)
+        assert replay is not None  # the crossing records were kept
+        first, again = json.loads(data), json.loads(replay)
+        assert again["cached"] == "lru"
+        assert again["schedule"] == first["schedule"]
+
     def test_refused_lines_are_not_memoized(self):
         service = ScheduleService(cache=ScheduleCache(None, capacity=8))
         for seed in range(3):

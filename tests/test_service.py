@@ -740,6 +740,27 @@ class TestSimulateOp:
         assert cold["error_pct"] is not None
         assert service_stat(self.service, "simulated") == 1  # one DES execution only
 
+    def test_served_simulation_builds_no_name_keyed_view(self, monkeypatch):
+        """The service reads the makespan and the channel count only:
+        the result's ``finish_times``/``start_times``/``channel_stats``
+        stay unbuilt."""
+        import repro.sim
+
+        made = []
+        real = repro.sim.simulate_schedule
+        monkeypatch.setattr(
+            repro.sim, "simulate_schedule",
+            lambda *a, **k: made.append(real(*a, **k)) or made[-1])
+        cold = self.service.handle(dict(self.doc))
+        [sim] = made
+        assert cold["ok"] and cold["sim_makespan"] == sim.makespan
+        assert cold["channels"] == sim.num_channels > 0
+        views = {"finish_times", "start_times", "channel_stats"}
+        assert not views & set(vars(sim))
+        # the views still build on demand, from the same columns
+        assert len(sim.channel_stats) == sim.num_channels
+        assert set(sim.finish_times) == set(self.graph.computational_nodes())
+
     def test_key_is_sim_tagged_and_distinct_from_schedule(self):
         sim = self.service.handle(dict(self.doc))
         sched = self.service.handle({**self.doc, "op": "schedule"})

@@ -138,6 +138,120 @@ class TestGoldenDifferential:
         assert not r.deadlocked and r.makespan == s.makespan
 
 
+class TestHandWorkedCases:
+    """Tiny graphs whose timelines are derived by hand in the comments.
+
+    Conventions of the engine (and of the reference): a task reads
+    element ``c`` at the latest of its clock, every input's accept time
+    of ``c`` and its read pacing; reading takes one cycle; it then
+    writes its output element at its clock, once the target FIFO has a
+    free slot (the pop of element ``k - capacity`` is known).  Every
+    interval below is 1 (element-wise tasks), so pacing never delays.
+    """
+
+    @staticmethod
+    def _graph(tasks, edges):
+        g = CanonicalGraph()
+        for name, vin, vout in tasks:
+            g.add_task(name, vin, vout)
+        for e in edges:
+            g.add_edge(*e)
+        return g
+
+    def test_two_task_elementwise_chain(self):
+        # a -> b, 4 elements each.  a reads element k at k and writes it
+        # at k + 1; b reads it at k + 1 (the accept time), popping it at
+        # once, so the capacity-1 FIFO never holds a write back.
+        # a: start 0, last write at 4 -> finish 4.
+        # b: start 1, reads element 3 at 4 -> finish 5 = makespan.
+        g = self._graph([("a", 4, 4), ("b", 4, 4)], [("a", "b")])
+        s = schedule_streaming(g, 4)
+        assert s.buffer_sizes == {("a", "b"): 1}
+        r = assert_equivalent(s)
+        assert (r.makespan, r.deadlocked) == (5, False)
+        assert r.start_times == {"a": 0, "b": 1}
+        assert r.finish_times == {"a": 4, "b": 5}
+        assert r.channel_stats == {("a", "b"): (1, 0)}  # pops win ties
+
+    def test_fork_backs_up_on_a_capacity_one_fifo(self):
+        # a forks to b -> c -> d (slow branch, two hops) and straight to
+        # d (short branch); 4 elements each, one block.  d reads element
+        # k once both a->d[k] and c->d[k] are in: c->d[k] lands two
+        # cycles after a->d[k], so a->d holds each element for 2 cycles.
+        # Section 6 sizes a->d to 2 and nothing waits: d finishes at
+        # 4 + 3 hops = 7, the analytic makespan.
+        g = self._graph(
+            [(v, 4, 4) for v in "abcd"],
+            [("a", "b"), ("a", "d"), ("b", "c"), ("c", "d")],
+        )
+        s = schedule_streaming(g, 4, "lts")
+        assert s.buffer_sizes[("a", "d")] == 2 and s.makespan == 7
+        sized = assert_equivalent(s)
+        assert sized.makespan == 7
+        assert sized.finish_times == {"a": 4, "b": 5, "c": 6, "d": 7}
+        # At capacity 1, a's write of element k waits for d's pop of
+        # element k - 1:
+        #   k=0: a writes at 1 (a->b 1, a->d 1); b 2, c 3: d pops at 3.
+        #   k=1: a writes a->b at 2, then a->d waits for pop 3 -> 3;
+        #        b reads at 2 -> c->d[1] = 4; d pops element 1 at 4.
+        #   k=2: a reads at 3, writes at 4 (a->d free since 4);
+        #        b reads a->b[2] at 4 -> c->d[2] = 6; d pops at 6.
+        #   k=3: a reads at 4, writes a->b at 5, a->d waits until 6:
+        #        a finishes at 6.  b reads at 5 -> finish 6, c 7, and d
+        #        reads element 3 at 7 -> finish 8 = makespan.
+        starved = assert_equivalent(s, capacity_override=1)
+        assert (starved.makespan, starved.deadlocked) == (8, False)
+        assert starved.start_times == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert starved.finish_times == {"a": 6, "b": 6, "c": 7, "d": 8}
+        assert starved.channel_stats[("a", "d")] == (1, 1)
+
+    def test_capacity_one_deadlock(self):
+        # a forks to d directly and through b1 (4:1 reducer) -> b2 (1:4
+        # expander).  d needs b2's first element, which exists only
+        # after b1 has read all 4 of a's elements; with a 1-slot a->d,
+        # a can write only one element there until d pops:
+        #   a reads 0 at 0, writes at 1 to a->b1 and a->d;
+        #   b1 reads element 0 at 1;  a reads 1 at 1, writes a->b1 at 2,
+        #   then blocks on the full a->d (d never pops: it waits for
+        #   b2->d[0]);  b1 reads element 1 at 2, clock 3, and waits for
+        #   element 2;  b2 and d wait on their first input element.
+        # Nothing can move: deadlock at t = 3 (b1's clock).
+        g = self._graph(
+            [("a", 4, 4), ("b1", 4, 1), ("b2", 1, 4), ("d", 4, 4)],
+            [("a", "b1"), ("a", "d"), ("b1", "b2"), ("b2", "d")],
+        )
+        s = schedule_streaming(g, 4, "lts")
+        assert s.buffer_sizes[("a", "d")] == 4
+        assert not assert_equivalent(s).deadlocked
+        r = assert_equivalent(s, capacity_override=1)
+        assert (r.makespan, r.deadlocked) == (3, True)
+        assert r.blocked == [
+            "task:a (on a->d.put)",
+            "task:b1 (on all_of)",
+            "task:b2 (on all_of)",
+            "task:d (on all_of)",
+        ]
+        assert r.deadlock_channels == {
+            "a->b1": (0, 1), "a->d": (1, 1), "b1->b2": (0, 1), "b2->d": (0, 1),
+        }
+        assert r.full_channels() == {"a->d": (1, 1)}
+        assert r.start_times == {"a": 0, "b1": 1} and r.finish_times == {}
+
+
+class TestServedShape:
+    """The shape a served ``simulate`` runs: an ``lts`` schedule of a
+    layered graph at 64 PEs, where almost every FIFO has capacity 1."""
+
+    @pytest.mark.parametrize("capacity", [None, 1])
+    def test_layered_300_at_64_pes(self, capacity):
+        g = random_canonical_graph("layered", 300, seed=0)
+        s = schedule_streaming(g, 64, "lts")
+        caps = list(s.buffer_sizes.values())
+        assert sum(c == 1 for c in caps) >= 0.9 * len(caps)
+        r = assert_equivalent(s, capacity_override=capacity)
+        assert r.num_channels == len(r.channel_stats) > 0
+
+
 class TestRandomizedDifferential:
     """Seeded sweep over graph families × policies × undersized FIFOs:
     parity on makespan, deadlock detection and blocked-process sets."""
