@@ -30,7 +30,10 @@ Two measurements, both against the original implementation preserved in
 * an **ingest** section reporting the wire→graph split — the networkx
   parse kept in ``tests/oracles/graph_parse.py`` (+ freeze) vs
   :func:`repro.core.ingest.ingest_graph_doc` (validated and trusted),
-  the one parse path ``graph_from_dict`` wraps, the cg3 fingerprint on
+  the one parse path ``graph_from_dict`` wraps, the digest's canonical
+  bytes written by the validated ingest (``digest_writer_s``, ingest
+  included) against ``json.dumps(sort_keys=True)`` of the document
+  (``digest_dump_s``; both report-only), the cg3 fingerprint on
   each available implementation, called directly on a fresh untimed
   ingest (median of at least three calls, report-only; the run fails
   when their hexes differ), and
@@ -371,7 +374,7 @@ def bench_ingest(smoke: bool) -> list[dict]:
         _wl_seed_labels,
     )
     from repro.core.indexed import freeze
-    from repro.core.ingest import ingest_graph_doc
+    from repro.core.ingest import canonical_bytes, ingest_graph_doc
     from repro.core.serialize import graph_to_dict, schedule_doc_bytes
 
     # the cg3 fingerprint on each implementation, by direct call
@@ -402,6 +405,11 @@ def bench_ingest(smoke: bool) -> list[dict]:
         parse_freeze_s = timed(lambda: freeze(parse_graph_doc(doc)))
         ingest_s = timed(lambda: ingest_graph_doc(doc))
         trusted_s = timed(lambda: ingest_graph_doc(doc, validate=False))
+        # the digest's canonical bytes two ways (report-only): written by
+        # the validated ingest from its columns (ingest included), and
+        # re-dumped from the document by json.dumps(sort_keys=True)
+        writer_s = timed(lambda: ingest_graph_doc(doc, out=bytearray()))
+        dump_s = timed(lambda: canonical_bytes(doc))
         # fingerprint over a fresh, untimed ingest each round: the full
         # cost a service pays the first time it sees a document (on
         # numpy that includes the CSR mirror the streaming candidates
@@ -433,6 +441,8 @@ def bench_ingest(smoke: bool) -> list[dict]:
             "oracle_parse_freeze_s": round(parse_freeze_s, 4),
             "ingest_s": round(ingest_s, 4),
             "ingest_trusted_s": round(trusted_s, 4),
+            "digest_writer_s": round(writer_s, 4),
+            "digest_dump_s": round(dump_s, 4),
             "fingerprint_python_s": round(fingerprint_s["python"], 4),
             "fingerprint_numpy_s": (
                 round(fingerprint_s["numpy"], 4) if HAVE_NUMPY else None
@@ -627,11 +637,13 @@ def main(argv: list[str] | None = None) -> int:
     ))
     print(format_table(
         ["scenario", "nodes", "oracle parse+freeze", "ingest", "trusted",
-         "fp python", "fp numpy", "sched dict+dumps", "sched bytes",
+         "ingest+bytes", "dump bytes", "fp python", "fp numpy", "sched dict+dumps", "sched bytes",
          "ingest speedup"],
         [
             [r["scenario"], r["nodes"], f"{r['oracle_parse_freeze_s']*1e3:.1f} ms",
              f"{r['ingest_s']*1e3:.1f} ms", f"{r['ingest_trusted_s']*1e3:.1f} ms",
+             f"{r['digest_writer_s']*1e3:.1f} ms",
+             f"{r['digest_dump_s']*1e3:.1f} ms",
              f"{r['fingerprint_python_s']*1e3:.1f} ms",
              "-" if r["fingerprint_numpy_s"] is None
              else f"{r['fingerprint_numpy_s']*1e3:.1f} ms",

@@ -51,10 +51,17 @@ one graph pays the freeze exactly once.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import lcm
 from typing import TYPE_CHECKING, Hashable, Iterator
 
-from .node_types import CanonicalityError, NodeKind, NodeSpec, PASSIVE_KINDS
+from .node_types import (
+    COMPUTATIONAL_KINDS,
+    PASSIVE_KINDS,
+    CanonicalityError,
+    NodeKind,
+    NodeSpec,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import CanonicalGraph
@@ -175,11 +182,11 @@ class IndexedGraph:
         self.in_vol = in_vol
         self.out_vol = out_vol
         self.labels = labels
-        comp = [k.is_computational for k in kinds]
+        comp = [k in COMPUTATIONAL_KINDS for k in kinds]
         self.comp = comp
         self.work = [
-            0 if kinds[i] in PASSIVE_KINDS else max(in_vol[i], out_vol[i])
-            for i in range(n)
+            0 if k in PASSIVE_KINDS else max(iv, ov)
+            for k, iv, ov in zip(kinds, in_vol, out_vol)
         ]
         self.num_tasks = sum(comp)
 
@@ -416,12 +423,9 @@ class IndexedGraph:
 
 
 def _csr(adj: list[list[int]]) -> tuple[list[int], list[int]]:
-    ptr = [0] * (len(adj) + 1)
-    flat: list[int] = []
-    for i, row in enumerate(adj):
-        flat.extend(row)
-        ptr[i + 1] = len(flat)
-    return ptr, flat
+    ptr = [0]
+    ptr += accumulate(map(len, adj))
+    return ptr, list(chain.from_iterable(adj))
 
 
 def freeze(graph: "CanonicalGraph | IndexedGraph") -> IndexedGraph:

@@ -52,6 +52,11 @@ class NodeKind(enum.Enum):
     SOURCE = "source"
     SINK = "sink"
 
+    # Enum's ``__hash__`` is a Python-level ``hash(self._name_)``; members
+    # compare by identity, so the identity hash is equivalent and runs in
+    # C (every kind-set test and kind-keyed lookup pays it per node)
+    __hash__ = object.__hash__
+
     @property
     def is_computational(self) -> bool:
         """True for nodes that occupy a processing element when scheduled."""

@@ -11,12 +11,11 @@ one in-flight computation — exactly when all four coincide.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Mapping, Sequence
 
 from ..core.graph import graph_fingerprint
 from ..core.indexed import IndexedGraph
-from ..core.ingest import ingest_graph_doc
+from ..core.ingest import canonical_bytes, ingest_graph_doc
 
 __all__ = [
     "SCHEDULE_KEY_VERSION",
@@ -49,32 +48,28 @@ def is_current_key(key: str) -> bool:
     return key.startswith(f"{SCHEDULE_KEY_VERSION}:")
 
 
-def canonical_bytes(doc: Mapping) -> bytes:
-    """The canonical dump :func:`doc_digest` hashes: sorted keys,
-    compact separators."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-def doc_digest(doc: Mapping, out: bytearray | None = None) -> str:
-    """Cheap content hash of a JSON document (canonical dump, SHA-256).
+def doc_digest(doc: Mapping | bytes | bytearray) -> str:
+    """Cheap content hash of a JSON document: SHA-256 of its
+    :func:`~repro.core.ingest.canonical_bytes` (sorted keys, compact
+    separators).
 
     Not isomorphism-stable — two dumps of the *same* document collide,
     renamed nodes do not.  Used only to memoize the expensive WL
     fingerprint per wire-level graph document.
 
-    ``out`` is an optional ``bytearray`` the canonical dump is appended
-    to: the serving path keeps it for the rest of the request, so the
-    store record splices the hashed bytes instead of re-encoding the
-    graph (``sha256(out) == digest``).
+    ``doc`` may be those canonical bytes already, hashed as given: the
+    serving path passes the bytes ``ingest_graph_doc(doc, out=...)``
+    wrote, which it keeps for the rest of the request so the store
+    record splices the hashed bytes instead of re-encoding the graph
+    (``sha256(bytes) == digest``).
     """
-    blob = canonical_bytes(doc)
-    if out is not None:
-        out += blob
-    return hashlib.sha256(blob).hexdigest()
+    if not isinstance(doc, (bytes, bytearray)):
+        doc = canonical_bytes(doc)
+    return hashlib.sha256(doc).hexdigest()
 
 
 def fingerprint_graph_doc(
-    doc: Mapping, *, validate: bool = True
+    doc: Mapping | IndexedGraph, *, validate: bool = True
 ) -> tuple[IndexedGraph, str]:
     """Ingest a graph document and fingerprint the result.
 
@@ -84,10 +79,15 @@ def fingerprint_graph_doc(
     cache hit never pays freeze cost.  The golden tests assert the
     fingerprint equals that of the networkx oracle parse of ``doc``.
     ``validate=False`` is the trusted-input contract of
-    :func:`~repro.core.ingest.ingest_graph_doc`.
+    :func:`~repro.core.ingest.ingest_graph_doc`.  An already-ingested
+    view (the serving path ingests before it digests) is fingerprinted
+    as it is.
     """
-    ig = ingest_graph_doc(doc if isinstance(doc, dict) else dict(doc),
-                          validate=validate)
+    if isinstance(doc, IndexedGraph):
+        ig = doc
+    else:
+        ig = ingest_graph_doc(doc if isinstance(doc, dict) else dict(doc),
+                              validate=validate)
     return ig, graph_fingerprint(ig)
 
 

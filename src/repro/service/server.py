@@ -44,7 +44,11 @@ Two layers, separately testable:
     ``cached``/``elapsed_ms`` tail, so an answer splices three byte
     strings instead of re-dumping a multi-hundred-kilobyte response;
   - ``_graphs``: a document digest → ``(fingerprint, IndexedGraph)``,
-    so a repeated document skips refinement and ingest.
+    so a repeated document skips the 1-WL refinement.  The digest
+    hashes the canonical bytes the validated ingest writes, so a
+    first-seen line pays the ingest before this probe; only a line
+    whose digest ``_lines`` holds probes first and, on a hit, skips the
+    ingest too.
 
   The first two share one byte budget,
   :attr:`~ScheduleService._WIRE_MEMO_BUDGET`, charged the bytes each
@@ -855,21 +859,23 @@ class ScheduleService:
     def _fingerprint(self, graph_doc: dict, digest_hint: str | None = None):
         """``(graph, fingerprint, digest, graph bytes)``.
 
-        The graph bytes are the canonical dump the digest hashed, kept
-        for this request only (a cold miss splices them into its store
-        record); ``None`` when the digest came from the line memo, whose
-        replays skip the re-dump entirely."""
-        graph_bytes = None
+        A digest from the line memo probes the graph memo first: a hit
+        skips the ingest and returns no graph bytes.  Otherwise the
+        ingest is the one walk of the document: it writes the canonical
+        bytes the digest hashes (kept for this request only: a cold miss
+        splices them into its store record), and only a digest the
+        graph memo lacks pays the fingerprint."""
         if digest_hint is not None:
-            digest = digest_hint
-        else:
-            graph_bytes = bytearray()
-            digest = doc_digest(graph_doc, graph_bytes)
+            memo = self._graphs.get(digest_hint)
+            if memo is not None:
+                fp, graph = memo
+                return graph, fp, digest_hint, None
+        graph_bytes = bytearray()
+        graph = ingest_graph_doc(graph_doc, self.validate_graphs, graph_bytes)
+        digest = doc_digest(graph_bytes)
         memo = self._graphs.get(digest)
         if memo is None:
-            graph, fp = fingerprint_graph_doc(
-                graph_doc, validate=self.validate_graphs
-            )
+            graph, fp = fingerprint_graph_doc(graph)
             memo = self._remember_graph(digest, fp, graph)
         fp, graph = memo
         return graph, fp, digest, graph_bytes

@@ -11,7 +11,11 @@ protection:
   whose cg3 fingerprint and scheduled documents are byte-identical;
 * **validation parity** — with ``validate=True`` the ingest (and so
   ``graph_from_dict``) raises the same exception types and messages as
-  the oracle parse for every malformed-document class;
+  the oracle parse for every malformed-document class, and with two
+  faults names the one first in document order;
+* **canonical bytes** — the bytes the ingest writes into ``out`` equal
+  ``canonical_bytes(doc)`` (a Hypothesis differential), through the
+  column writer or its fallback;
 * **service equivalence** — the served fingerprint, request key and
   winning schedule document equal those computed directly on
   ``parse_graph_doc(doc)`` across the layered/serpar/paper/ML sweeps,
@@ -21,14 +25,19 @@ protection:
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CanonicalGraph, schedule_streaming
+from repro.core import ingest as ingest_module
 from repro.core.graph import CanonicalityError, graph_fingerprint
 from repro.core.indexed import IndexedGraph, freeze
-from repro.core.ingest import ingest_graph_doc
+from repro.core.ingest import canonical_bytes, ingest_graph_doc
 from repro.core.serialize import (
+    _name_to_json,
     graph_from_dict,
     graph_to_dict,
     schedule_doc_bytes,
@@ -291,6 +300,124 @@ class TestValidationParity:
         assert msg == (
             f"node 't': volumes must be integers, got I={volume!r}, O=4")
 
+    def _chain(self):
+        """s -> t1 -> t2 -> t3 -> k, every volume 4."""
+        g = CanonicalGraph()
+        g.add_source("s", 4)
+        for i in (1, 2, 3):
+            g.add_task(f"t{i}", 4, 4)
+        g.add_sink("k", 4)
+        for u, v in [("s", "t1"), ("t1", "t2"), ("t2", "t3"), ("t3", "k")]:
+            g.add_edge(u, v)
+        return graph_to_dict(g)
+
+    def test_first_node_fault_wins_over_a_later_bad_kind(self):
+        doc = self._chain()
+        doc["nodes"][3]["kind"] = "quantum"
+        doc["nodes"][1]["input_volume"] = 0
+        exc_type, msg = self._both(doc)
+        assert exc_type is ValueError
+        assert "input_volume > 0" in msg and "quantum" not in msg
+
+    def test_first_edge_fault_wins_over_a_later_unknown_endpoint(self):
+        doc = self._chain()
+        doc["nodes"][1]["input_volume"] = doc["nodes"][1]["output_volume"] = 2
+        doc["edges"][2] = ["t2", "ghost"]
+        exc_type, msg = self._both(doc)
+        assert exc_type is CanonicalityError
+        assert msg.startswith("edge ('s', 't1'): producer volume")
+
+
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\u2028", "é", "名前", "😀"]),
+)
+
+
+@st.composite
+def _graph_docs(draw):
+    """A valid graph document (a source, then elementwise tasks, forward
+    edges with repeats) and whether it has something the column writer
+    does not model."""
+    tuples, unlabelled, node_extra, doc_extra = (
+        draw(st.integers(0, 4)) == 0 for _ in range(4))
+    name = st.one_of(st.integers(-(10**12), 10**12), _TEXT)
+    if tuples:
+        name = st.one_of(name, st.tuples(st.integers(0, 9), _TEXT))
+    names = draw(st.lists(name, min_size=1, max_size=8, unique=True))
+    volume = draw(st.sampled_from([1, 4, 64]))
+    nodes = []
+    for i, v in enumerate(names):
+        node = {"name": _name_to_json(v),
+                "kind": "elementwise" if i else "source",
+                "input_volume": volume if i else 0, "output_volume": volume,
+                "label": draw(_TEXT)}
+        nodes.append({k: node[k] for k in draw(st.permutations(list(node)))})
+    if unlabelled:
+        del draw(st.sampled_from(nodes))["label"]
+    if node_extra:
+        draw(st.sampled_from(nodes))["metadata"] = draw(_TEXT)
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(names) - 1),
+                                    st.integers(0, len(names) - 1)),
+                          max_size=12))
+    doc = {
+        "format": "canonical-task-graph", "version": 1, "nodes": nodes,
+        "edges": [[_name_to_json(names[min(a, b)]),
+                   _name_to_json(names[max(a, b)])]
+                  for a, b in pairs if a != b],
+    }
+    if doc_extra:
+        doc["comment"] = draw(_TEXT)
+    doc = {k: doc[k] for k in draw(st.permutations(list(doc)))}
+    fallback = (unlabelled or node_extra or doc_extra
+                or any(type(v) is tuple for v in names))
+    return json.loads(json.dumps(doc)), fallback
+
+
+class TestCanonicalWriter:
+    """``ingest_graph_doc(doc, out=...)`` appends exactly
+    ``canonical_bytes(doc)``, written from the columns when the writer
+    models the document and by the fallback dump when it does not."""
+
+    @given(case=_graph_docs())
+    @settings(max_examples=200, deadline=None)
+    def test_written_bytes_equal_the_canonical_dump(self, case):
+        doc, fallback = case
+        expected = canonical_bytes(doc)
+        for validate in (True, False):
+            out = bytearray(b"head")
+            with mock.patch.object(ingest_module, "canonical_bytes",
+                                   wraps=canonical_bytes) as dump:
+                ingest_graph_doc(doc, validate, out)
+            assert out == b"head" + expected
+            assert dump.called == fallback
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: doc["edges"].append([1.0, 2]),
+                     id="float-endpoint"),
+        pytest.param(lambda doc: doc["edges"].append([True, 2]),
+                     id="bool-endpoint"),
+        pytest.param(lambda doc: doc.update(version=True),
+                     id="bool-version"),
+        pytest.param(lambda doc: doc["nodes"][1].update(label=None),
+                     id="null-label"),
+        pytest.param(lambda doc: doc["edges"].append((0, 1)),
+                     id="tuple-edge"),
+    ])
+    def test_values_the_writer_does_not_encode_take_the_dump(self, edit):
+        g = CanonicalGraph()
+        g.add_source(0, 4)
+        g.add_task(1, 4, 4)
+        g.add_task(2, 4, 4)
+        g.add_edge(0, 1)
+        g.add_edge(1, 2)
+        doc = graph_to_dict(g)
+        edit(doc)
+        for validate in (True, False):
+            out = bytearray()
+            ingest_graph_doc(doc, validate, out)
+            assert out == canonical_bytes(doc)
+
 
 class TestOneParsePath:
     def test_graph_from_dict_is_the_ingest(self):
@@ -441,6 +568,35 @@ class TestWireFastPath:
         assert service.serve_line_fast(line) is None
         service.serve_line_slow(line)
         assert service_stat(service, "computed") == 2  # every replay recomputes
+
+    def test_hinted_replay_skips_the_ingest(self, monkeypatch):
+        from repro.service import server as server_module
+
+        calls = {"ingest": 0, "fingerprint": 0}
+
+        def counting(name):
+            real = getattr(server_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name.split("_")[0]] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(server_module, name, wrapper)
+
+        counting("ingest_graph_doc")
+        counting("fingerprint_graph_doc")
+        service = ScheduleService(cache=ScheduleCache(None, capacity=8))
+        line = self._line(no_cache=True)
+        service.serve_line_slow(line)
+        assert service._lines[line][0] is None  # the record holds a digest
+        assert calls == {"ingest": 1, "fingerprint": 1}
+        # the replay's digest hits the graph memo before any ingest
+        assert json.loads(service.serve_line_slow(line)[0])["ok"]
+        assert calls == {"ingest": 1, "fingerprint": 1}
+        # a first-seen line of a known document ingests to find its
+        # digest, then finds the fingerprint memoized
+        other = self._line(no_cache=True, num_pes=4)
+        assert json.loads(service.serve_line_slow(other)[0])["ok"]
+        assert calls == {"ingest": 2, "fingerprint": 1}
 
     def test_memo_budget_bounds_memory(self):
         service = ScheduleService(cache=ScheduleCache(None, capacity=64))

@@ -1,6 +1,11 @@
 """Unit tests for the canonical node taxonomy."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +95,37 @@ class TestKindSets:
         assert not NodeKind.BUFFER.is_computational
         assert NodeKind.BUFFER.is_passive
         assert not NodeKind.DOWNSAMPLER.is_passive
+
+
+class TestKindHash:
+    """``NodeKind`` hashes by identity (a C-level hash): members compare
+    by identity, so kind sets and kind-keyed dicts behave as before."""
+
+    def test_pickled_kind_keeps_its_set_membership(self):
+        back = {k: pickle.loads(pickle.dumps(k)) for k in NodeKind}
+        assert {k for k, b in back.items() if b in PASSIVE_KINDS} == {
+            NodeKind.BUFFER, NodeKind.SOURCE, NodeKind.SINK}
+        assert {k for k, b in back.items() if b in COMPUTATIONAL_KINDS} == {
+            NodeKind.ELEMENTWISE, NodeKind.DOWNSAMPLER, NodeKind.UPSAMPLER}
+        assert {b: k for k, b in back.items()} == {k: k for k in NodeKind}
+
+    def test_fingerprint_and_schedule_bytes_ignore_the_hash_seed(self):
+        code = (
+            "import hashlib\n"
+            "from repro.core import schedule_streaming\n"
+            "from repro.core.graph import graph_fingerprint\n"
+            "from repro.core.serialize import schedule_doc_bytes\n"
+            "from repro.graphs import random_canonical_graph\n"
+            "g = random_canonical_graph('layered', 300, seed=4)\n"
+            "s = schedule_doc_bytes(schedule_streaming(g, 16, 'rlx'))\n"
+            "print(graph_fingerprint(g), hashlib.sha256(s).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=240)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].strip()

@@ -1451,8 +1451,8 @@ class TestStoreRecord:
         return ScheduleService(cache=ScheduleCache(path, capacity=8))
 
     @staticmethod
-    def _request_lines() -> list[bytes]:
-        graph = graph_to_dict(random_canonical_graph("fft", 8, seed=1))
+    def _request_lines(family: str = "fft") -> list[bytes]:
+        graph = graph_to_dict(random_canonical_graph(family, 8, seed=1))
         return [
             json.dumps({"op": op, "graph": graph, "num_pes": 8}).encode()
             for op in ("schedule", "simulate")
@@ -1486,6 +1486,16 @@ class TestStoreRecord:
     def test_served_record_graph_bytes_hash_to_the_digest(
         self, tmp_path, monkeypatch
     ):
+        # fft names are tuples: the ingest's fallback dump writes the bytes
+        self._check_record_graph_bytes(tmp_path, monkeypatch, "fft")
+
+    def test_column_written_record_graph_bytes_hash_to_the_digest(
+        self, tmp_path, monkeypatch
+    ):
+        # layered names are ints: the ingest's column writer writes them
+        self._check_record_graph_bytes(tmp_path, monkeypatch, "layered")
+
+    def _check_record_graph_bytes(self, tmp_path, monkeypatch, family):
         from repro.service import cache as cache_module
 
         def refuse(doc):
@@ -1494,7 +1504,7 @@ class TestStoreRecord:
         # the store append splices the digest's bytes, never re-dumps
         monkeypatch.setattr(cache_module, "canonical_bytes", refuse)
         service = self._service(tmp_path / "schedules.jsonl")
-        sched_line = self._request_lines()[0]
+        sched_line = self._request_lines(family)[0]
         service.serve_line_slow(sched_line)
         (line,) = self._lines(service)
         key, entry = decode_record(line)
