@@ -15,9 +15,8 @@ Two measurements, both against the original implementation preserved in
   documents;
 * **portfolio-miss throughput**: distinct graphs raced through the
   scheduler portfolio from 4 concurrent threads, the way service misses
-  arrive — the new stack (indexed core + persistent 4-worker
-  :class:`~repro.service.portfolio.PortfolioPool`) vs the pre-indexed
-  sequential in-process race;
+  arrive — the in-process race on the indexed core vs the pre-indexed
+  in-process race;
 * a **backend** section splitting the indexed scheduling core by array
   implementation — :func:`repro.core.scheduler.schedule_sweep_python`
   vs the numpy structure-of-arrays
@@ -90,7 +89,7 @@ from repro.core import schedule_streaming
 from repro.core.serialize import schedule_to_dict
 from repro.core.tabulate import format_table
 from repro.graphs import random_canonical_graph
-from repro.service import PortfolioPool, run_portfolio
+from repro.service import run_portfolio
 
 #: (label, topology, size, PEs, variant); the 1k-node layered scenario
 #: is the acceptance anchor and stays in the smoke sweep
@@ -206,17 +205,8 @@ def _drain(graphs, threads: int, fn) -> float:
 
 
 def bench_portfolio(misses: int, workers: int) -> dict:
-    """Miss throughput: the new stack vs the pre-indexed serial race.
-
-    The new stack is measured both ways it deploys — racing on the
-    persistent :class:`PortfolioPool` (wins on multicore: candidates
-    escape the GIL and misses pipeline through the workers) and racing
-    in-process on the indexed core (wins on machines where process
-    dispatch overhead exceeds the available parallelism).  The headline
-    ``miss_per_sec`` is the better of the two, i.e. what a correctly
-    configured service achieves on this machine; both sub-measurements
-    are recorded.
-    """
+    """Miss throughput: the in-process race on the indexed core vs the
+    pre-indexed serial race, both from ``workers`` client threads."""
     size, pes = 400, 64  # service-scale misses: compute dominates IPC
     graphs = [random_canonical_graph("layered", size, seed=s) for s in range(misses)]
 
@@ -238,33 +228,18 @@ def bench_portfolio(misses: int, workers: int) -> dict:
         workers,
         lambda g: run_portfolio(g, pes, schedulers=PORTFOLIO_SCHEDULERS),
     )
-
-    with PortfolioPool(workers) as pool:
-        # warm the workers before timing (pool start-up is a one-off)
-        run_portfolio(graphs[0], pes, schedulers=PORTFOLIO_SCHEDULERS, pool=pool)
-        pooled_s = _drain(
-            list(graphs),
-            workers,
-            lambda g: run_portfolio(
-                g, pes, schedulers=PORTFOLIO_SCHEDULERS, pool=pool
-            ),
-        )
-
-    best_s = min(pooled_s, inproc_s)
     return {
         "misses": misses,
         "workers": workers,
         "graph": f"layered/{size}",
         "num_pes": pes,
         "schedulers": list(PORTFOLIO_SCHEDULERS),
-        "pooled_s": round(pooled_s, 4),
         "inproc_s": round(inproc_s, 4),
         "reference_s": round(ref_s, 4),
-        "pooled_miss_per_sec": round(misses / pooled_s, 2),
         "inproc_miss_per_sec": round(misses / inproc_s, 2),
-        "miss_per_sec": round(misses / best_s, 2),
+        "miss_per_sec": round(misses / inproc_s, 2),
         "ref_miss_per_sec": round(misses / ref_s, 2),
-        "speedup": round(ref_s / best_s, 2),
+        "speedup": round(ref_s / inproc_s, 2),
     }
 
 
@@ -587,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--misses", type=int, default=None,
                         help="portfolio misses (default 6 smoke / 16 full)")
     parser.add_argument("--workers", type=int, default=4,
-                        help="portfolio pool workers / client threads")
+                        help="portfolio client threads")
     parser.add_argument("--output", default="BENCH_hotpaths.json")
     parser.add_argument("--baseline", default=None,
                         help="committed baseline JSON to gate against")
@@ -678,9 +653,7 @@ def main(argv: list[str] | None = None) -> int:
         f"portfolio misses on {portfolio['graph']} "
         f"({portfolio['workers']} workers, "
         f"{'+'.join(portfolio['schedulers'])}): "
-        f"{portfolio['miss_per_sec']:.2f}/s "
-        f"(pooled {portfolio['pooled_miss_per_sec']:.2f}/s, in-process "
-        f"{portfolio['inproc_miss_per_sec']:.2f}/s) vs "
+        f"{portfolio['miss_per_sec']:.2f}/s in-process vs "
         f"{portfolio['ref_miss_per_sec']:.2f}/s pre-indexed serial "
         f"-> {portfolio['speedup']:.1f}x"
     )

@@ -193,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="honour the shutdown op from non-loopback peers too",
     )
     srv.add_argument(
-        "--portfolio-workers", type=int, default=0,
-        help="race portfolio candidates on this many worker processes "
-             "(0/1 = sequential in-process race)",
-    )
-    srv.add_argument(
         "--trusted", action="store_true",
         help="skip wire-document validation on ingest (only behind a "
              "validating gateway; see the README wire-format section)",
@@ -709,7 +704,6 @@ def _serve_sharded(args) -> int:
         store=store,
         cache_size=args.cache_size,
         workers=args.workers,
-        portfolio_workers=args.portfolio_workers,
         trusted=args.trusted,
         telemetry=not args.no_telemetry,
         fault_plan=plan.to_dict() if plan is not None else None,
@@ -814,8 +808,7 @@ def _cmd_serve(args) -> int:
             print(f"bad fault plan {args.fault_plan}: {exc}", file=sys.stderr)
             return 2
     service = ScheduleService(
-        cache=cache, portfolio_workers=args.portfolio_workers,
-        validate_graphs=not args.trusted,
+        cache=cache, validate_graphs=not args.trusted,
         telemetry=telemetry, faults=faults,
     )
     if args.trusted:
@@ -830,8 +823,6 @@ def _cmd_serve(args) -> int:
         print(f"flight dumps: JSONL under {args.flight_dir}/")
     if args.slow_ms is not None:
         print(f"slow-request threshold: {args.slow_ms:g} ms")
-    if service.portfolio_pool is not None:
-        print(f"portfolio pool: {args.portfolio_workers} worker processes")
     if faults is not None:
         print(
             f"fault injection: {len(faults.plan.rules)} rules from "

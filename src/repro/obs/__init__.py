@@ -11,10 +11,9 @@ Five layers, all stdlib-only:
   read-only views.
 * :mod:`~repro.obs.tracing` — request spans: a trace context created
   when a request enters the wire layer and carried through
-  parse → fingerprint → cache → coalesce → portfolio race (across the
-  multiprocessing pool via the inherited trace id) → serialize, each
-  phase timed in wall *and* CPU ms; completed spans land in a bounded
-  ring and optionally in a rotating JSONL log, exportable as
+  parse → fingerprint → cache → coalesce → portfolio race → serialize,
+  each phase timed in wall *and* CPU ms; completed spans land in a
+  bounded ring and optionally in a rotating JSONL log, exportable as
   chrome-trace JSON in the simulator's schema.
 * :mod:`~repro.obs.profiler` — a continuous sampling profiler: a
   background thread folding every live thread's stack into aggregated

@@ -24,7 +24,7 @@ Design constraints, in priority order:
 Events are small flat dicts: ``{"seq": 17, "t": <unix s>, "kind":
 "deadlock", ...kind-specific fields}``.  The service feeds the ring
 from its existing instrumented call sites (request admitted/refused,
-cache tier transitions, coalesce leader/follower, pool dispatch,
+cache tier transitions, coalesce leader/follower, portfolio dispatch,
 eviction, deadlock, slow request, transport error); see
 :class:`repro.service.server.ScheduleService`.
 """

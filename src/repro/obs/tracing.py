@@ -5,11 +5,9 @@ follows it through parse → fingerprint → cache lookup → single-flight
 coalesce → portfolio race → serialize, recording wall *and* CPU time
 per phase (``time.thread_time`` — so a phase that waited on a lock or a
 coalescing leader shows near-zero CPU next to its wall time, which is
-exactly the "where did this 73 ms go?" answer).  Phases executed
-elsewhere — portfolio candidates racing on worker processes — are
-attached with :meth:`Span.add_phase` from the timings the workers
-report, tagged with the same trace id the parent shipped in the task
-payload.
+exactly the "where did this 73 ms go?" answer).  Phases timed
+elsewhere — each portfolio candidate, timed by the race itself — are
+attached with :meth:`Span.add_phase`.
 
 Completed spans land in a bounded in-memory ring
 (:class:`TraceRecorder`, the ``trace`` op's backing store) and
@@ -46,7 +44,7 @@ _seq = itertools.count(1)
 
 def new_trace_id() -> str:
     """Process-unique trace id: pid + sequence (stable, collision-free
-    across the portfolio pool's worker processes)."""
+    across shard processes)."""
     return f"{os.getpid():x}-{next(_seq):x}"
 
 
@@ -116,7 +114,7 @@ class Span:
                   cpu_ms: float | None = None,
                   start_ms: float | None = None) -> None:
         """Attach one phase; used directly for work timed elsewhere
-        (portfolio candidates on worker processes)."""
+        (the portfolio race's candidates)."""
         if start_ms is None:
             start_ms = max(
                 0.0, 1000.0 * (time.perf_counter() - self._t0) - wall_ms

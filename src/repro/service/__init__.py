@@ -27,8 +27,8 @@ Pieces
 * :mod:`~repro.service.faults` — deterministic fault injection
   (``repro serve --fault-plan``) and the circuit breaker behind the
   disk cache tier; the reliability layer (per-request deadlines,
-  supervised portfolio workers, crash-safe cache, graceful
-  degradation and drain) is exercised through these primitives;
+  supervised shards, crash-safe cache, graceful degradation and
+  drain) is exercised through these primitives;
 * :mod:`~repro.service.shard` — the sharded tier
   (``repro serve --shards N``): a supervising router forwarding by
   rendezvous hash over the graph fingerprint to N shard processes
@@ -128,7 +128,6 @@ from .portfolio import (
     DEFAULT_SCHEDULERS,
     OBJECTIVES,
     CandidateResult,
-    PortfolioPool,
     PortfolioResult,
     register_scheduler,
     run_portfolio,
@@ -157,7 +156,6 @@ __all__ = [
     "MIN_RELIABLE_SAMPLES",
     "OBJECTIVES",
     "OpsConsole",
-    "PortfolioPool",
     "PortfolioResult",
     "ScheduleCache",
     "ScheduleServer",

@@ -222,12 +222,6 @@ class OpsConsole:
                     f"breaker {breaker.get('state', '?')} "
                     f"(opens {breaker.get('opens', 0)})"
                 )
-            pool = stats.get("pool") or {}
-            if pool:
-                parts.append(
-                    f"pool {pool.get('alive', 0)}/{pool.get('workers', 0)} "
-                    f"respawns {pool.get('respawns', 0)}"
-                )
             faults = stats.get("faults") or {}
             if faults:
                 parts.append(

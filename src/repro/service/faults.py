@@ -7,10 +7,9 @@ rest of the stack builds on:
 ``FaultPlan`` / ``FaultInjector``
     A seedable, JSON-loadable description of *which* failures to inject
     *where* (``repro serve --fault-plan plan.json``).  Each rule names an
-    injection site — ``disk.read``, ``disk.write``, ``worker.crash``,
-    ``worker.hang``, ``conn.drop``, ``conn.partial``, ``compute.slow``,
-    ``shard.kill`` —
-    and fires with a given probability, bounded by an optional count and
+    injection site — ``disk.read``, ``disk.write``, ``conn.drop``,
+    ``conn.partial``, ``compute.slow``, ``shard.kill`` — and fires
+    with a given probability, bounded by an optional count and
     warm-up skip.  Decisions are driven by one ``random.Random`` per
     site seeded from ``plan.seed``, so a plan replays identically across
     runs regardless of thread interleaving at *other* sites.  Every fire
@@ -56,8 +55,6 @@ FAULT_SITES = frozenset(
     (
         "disk.read",  # ScheduleCache store reads -> OSError
         "disk.write",  # ScheduleCache appends/compaction -> OSError
-        "worker.crash",  # portfolio worker os._exit mid-candidate
-        "worker.hang",  # portfolio worker sleeps past the hang cutoff
         "conn.drop",  # server closes the socket instead of replying
         "conn.partial",  # server sends a half reply, then closes
         "compute.slow",  # artificial delay inside compute/simulate
@@ -72,7 +69,7 @@ class FaultRule:
 
     ``count`` bounds total fires (None = unlimited), ``after`` skips the
     first N opportunities (lets traffic warm up before chaos starts),
-    ``seconds`` parameterizes hang/slow faults, and ``error`` is the
+    ``seconds`` parameterizes ``compute.slow``, and ``error`` is the
     message carried by injected I/O errors.
     """
 
@@ -109,7 +106,7 @@ class FaultRule:
             doc["count"] = self.count
         if self.after:
             doc["after"] = self.after
-        if self.site in ("worker.hang", "compute.slow"):
+        if self.site == "compute.slow":
             doc["seconds"] = self.seconds
         return doc
 
@@ -120,7 +117,6 @@ class FaultPlan:
     JSON shape::
 
         {"seed": 42, "rules": [
-            {"site": "worker.crash", "rate": 1.0, "count": 2},
             {"site": "disk.read", "rate": 0.5, "count": 4, "after": 10},
             {"site": "conn.drop", "rate": 0.2, "count": 3}
         ]}

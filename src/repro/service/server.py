@@ -96,7 +96,6 @@ from .gcpolicy import gc_stats
 from .portfolio import (
     DEFAULT_SCHEDULERS,
     OBJECTIVES,
-    PortfolioPool,
     run_portfolio,
     scheduler_names,
 )
@@ -264,7 +263,6 @@ class ScheduleService:
     def __init__(
         self,
         cache: ScheduleCache | None = None,
-        portfolio_workers: int = 0,
         validate_graphs: bool = True,
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
@@ -281,8 +279,8 @@ class ScheduleService:
         #: passes a disabled one (spans/histograms off, counters live).
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: active fault plan, if any (``repro serve --fault-plan``);
-        #: the cache, the portfolio pool and the socket server all
-        #: consult this one injector so a plan replays deterministically
+        #: the cache and the socket server both consult this one
+        #: injector so a plan replays deterministically
         self.faults = faults
         #: set by the owning server during SIGTERM drain: new compute
         #: requests are refused while in-flight ones finish
@@ -301,18 +299,6 @@ class ScheduleService:
         #: False engages the trusted-ingest contract (documents provably
         #: produced by graph_to_dict, e.g. behind a validating gateway)
         self.validate_graphs = validate_graphs
-        # the miss path: with >= 2 portfolio workers the candidate race
-        # runs on a persistent process pool (created eagerly here, from
-        # the owning thread — forking lazily under server threads risks
-        # inheriting held locks) instead of sequentially under the GIL
-        self.portfolio_pool = (
-            PortfolioPool(portfolio_workers) if portfolio_workers >= 2 else None
-        )
-        if self.portfolio_pool is not None:
-            self.portfolio_pool.bind(
-                registry=self.telemetry.registry,
-                flight=self.telemetry.flight,
-            )
         self.started = time.time()
         self._lock = threading.Lock()
         self._inflight: dict[str, _InFlight] = {}
@@ -746,8 +732,8 @@ class ScheduleService:
         — without traffic the breaker could sit half-open forever, and
         a server that would serve fine is not degraded.  ``draining``
         wins over everything (the server is finishing in-flight work
-        after SIGTERM).  The response carries each breaker's state, the
-        supervised pool's counters and the fault plan's progress, so
+        after SIGTERM).  The response carries each breaker's state and the
+        fault plan's progress, so
         one probe explains *why* as well as *what*.
         """
         breakers = []
@@ -767,10 +753,6 @@ class ScheduleService:
             "draining": self.draining,
             "breakers": breakers,
             "tripped": tripped,
-            "pool": (
-                self.portfolio_pool.snapshot()
-                if self.portfolio_pool is not None else None
-            ),
             "faults": (
                 self.faults.snapshot() if self.faults is not None else None
             ),
@@ -802,9 +784,6 @@ class ScheduleService:
             "schedulers": scheduler_names(),
             "sim_schedulers": list(SIM_SCHEDULERS),
             "objectives": list(OBJECTIVES),
-            "portfolio_workers": (
-                self.portfolio_pool.workers if self.portfolio_pool else 0
-            ),
             "telemetry": self.telemetry.enabled,
         }
         with self._lock:
@@ -821,8 +800,6 @@ class ScheduleService:
         stats["gc"] = gc_stats(self.telemetry.registry)
         stats["draining"] = self.draining
         stats["health"] = self.health()["status"]
-        if self.portfolio_pool is not None:
-            stats["pool"] = self.portfolio_pool.snapshot()
         if self.faults is not None:
             stats["faults"] = self.faults.snapshot()
         # every way a cached/memoized byte can leave this process, in
@@ -834,11 +811,6 @@ class ScheduleService:
             "ig_memo_clears": self._c_ig_clears.value,
         }
         return stats
-
-    def close(self) -> None:
-        """Release owned resources (the portfolio worker pool)."""
-        if self.portfolio_pool is not None:
-            self.portfolio_pool.close()
 
     # ------------------------------------------------------------------
     def _remember_graph(self, digest: str, fp: str, graph) -> tuple:
@@ -1123,23 +1095,18 @@ class ScheduleService:
             budget_s = (
                 remaining if budget_s is None else min(budget_s, remaining)
             )
-        graph_doc = req["graph"]
         with span.phase("portfolio"):
             result = run_portfolio(
                 job.graph, req["num_pes"], objective=req["objective"],
                 schedulers=req["schedulers"], budget_s=budget_s,
-                pool=self.portfolio_pool, graph_doc=dict(graph_doc),
                 trace_id=span.trace_id or None,
                 flight=self.telemetry.flight,
-                task_key=job.fp, faults=self.faults,
             )
         self._c_races.inc()
         self._c_wins.labels(scheduler=result.winner.name).inc()
         if result.truncated:
             self._c_truncated.inc()
         for c in result.candidates:
-            # candidate timings measured where they ran (possibly a pool
-            # worker process), attached to this request's span
             span.add_phase(
                 f"cand:{c.name}",
                 wall_ms=1000.0 * c.elapsed,
@@ -1158,7 +1125,7 @@ class ScheduleService:
             # the exact wire document and its digest ride along so a
             # later hit from a renamed isomorphic copy can be remapped
             "graph_digest": job.digest,
-            "graph": dict(graph_doc),
+            "graph": dict(req["graph"]),
             "num_pes": req["num_pes"],
             "objective": req["objective"],
             "schedulers": list(req["schedulers"]),
@@ -1549,9 +1516,6 @@ class ScheduleServer:
             return
         self._stop.set()
         self._wake()
-        if self._loop_thread is None:
-            # never started: release owned resources directly
-            self.service.close()
 
     def drain(self, grace_s: float = 5.0) -> None:
         """Graceful drain (SIGTERM semantics): stop accepting, refuse new
@@ -1701,7 +1665,6 @@ class ScheduleServer:
             sel.close()
         except OSError:
             pass
-        self.service.close()
 
     def _accept_ready(self) -> None:
         assert self._sock is not None

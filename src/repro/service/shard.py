@@ -17,11 +17,11 @@ the router itself — ``stats`` and ``health`` aggregate the shards and
 carry a per-shard row for ``repro top``; anything else is relayed to a
 healthy shard.
 
-Supervision.  Shards run under the same
-:class:`~repro.service.supervisor.Supervisor` as the portfolio pool's
-workers: a crash (SIGKILL included — the ``shard.kill`` fault site does
-exactly that) is detected within one tick and the shard respawned after
-its one backoff rule, reset once it answers a health probe ``ok``.
+Supervision.  Shards run under a
+:class:`~repro.service.supervisor.Supervisor`: a crash (SIGKILL
+included — the ``shard.kill`` fault site does exactly that) is
+detected within one tick and the shard respawned after its one backoff
+rule, reset once it answers a health probe ``ok``.
 In-flight requests to a dead shard fail over: every request is
 idempotent, so the router replays the line once against the next shard
 in the rendezvous order (``router.failovers``).  Shards whose own
@@ -95,14 +95,13 @@ class ShardConfig:
     regardless of start method.  ``store`` is the *shared* JSONL path
     (``None`` = memory-only LRU per shard, no cross-shard tier);
     ``fault_plan`` is the full plan document — shards consult their own
-    sites (``disk.*``, ``conn.*``, ``worker.*``, ``compute.slow``)
-    while the router alone consults ``shard.kill``.
+    sites (``disk.*``, ``conn.*``, ``compute.slow``) while the router
+    alone consults ``shard.kill``.
     """
 
     store: str | None = None
     cache_size: int = 1024
     workers: int = 4
-    portfolio_workers: int = 0
     trusted: bool = False
     telemetry: bool = True
     fault_plan: dict | None = None
@@ -143,7 +142,6 @@ def _shard_main(idx: int, config: ShardConfig, conn) -> None:
     )
     service = ScheduleService(
         cache=cache,
-        portfolio_workers=config.portfolio_workers,
         validate_graphs=not config.trusted,
         telemetry=telemetry,
         faults=faults,

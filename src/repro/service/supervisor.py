@@ -1,5 +1,5 @@
-"""One process supervisor (:class:`Supervisor`) for the portfolio pool's
-workers and the shard router's shards."""
+"""The process supervisor (:class:`Supervisor`) that keeps the shard
+router's shards running."""
 
 from __future__ import annotations
 
@@ -80,9 +80,6 @@ class Supervisor:
         return [s for s in self.slots
                 if (proc := s.proc) is not None and proc.is_alive()]
 
-    def alive_count(self) -> int:
-        return len(self.live())
-
     def kill(self, idx: int) -> None:
         """SIGKILL slot ``idx``'s process, if any (an unexpected loss)."""
         proc = self.slots[idx].proc
@@ -102,12 +99,11 @@ class Supervisor:
                 slot.spawns += 1
                 slot.conn, slot.proc = conn, proc
 
-    def step(self, extra=()) -> None:
-        """Wait up to :data:`TICK_S` for a sentinel, a slot ``conn`` or
-        one of the owner's ``extra`` waitables (the owner drains those),
+    def step(self) -> None:
+        """Wait up to :data:`TICK_S` for a sentinel or a slot ``conn``,
         then dispatch messages, reap exits and respawn what is due."""
         by_conn = {s.conn: s for s in self.slots if s.conn is not None}
-        waitables = [*extra, *by_conn, *(
+        waitables = [*by_conn, *(
             p.sentinel for s in self.slots if (p := s.proc) is not None
         )]
         try:

@@ -182,14 +182,15 @@ class TestServingStack:
         assert proc.stdout.strip() == "ok"
 
     def test_serving_process_never_imports_the_oracles(self):
-        """The start-up import stack and a warmed pool worker load the
-        run-time engines only: the reference simulator and scheduler
-        are test oracles under ``tests/oracles``."""
+        """The start-up import stack and the scheduler stack a miss
+        runs load the run-time engines only: the reference simulator
+        and scheduler are test oracles under ``tests/oracles``."""
         self._no_oracle_loaded(
             "from repro.service.gcpolicy import _import_serving_stack\n"
             "from repro.service import portfolio, server\n"
             "_import_serving_stack()\n"
-            "portfolio._warm_worker()\n"
+            "from repro import baselines, core\n"
+            "from repro.core import indexed, ingest\n"
         )
 
     def test_package_imports_load_no_oracle(self):

@@ -1,7 +1,6 @@
 """Tests for the reliability layer: fault plans and injection, the
 circuit breaker, crash-safe cache recovery (torn tails, corrupt records,
-interrupted compaction), supervised portfolio workers, per-request
-deadlines, client transport recovery and retries, shed/drain/health, and
+interrupted compaction), per-request deadlines, client transport recovery and retries, shed/drain/health, and
 an in-process chaos smoke run."""
 
 import json
@@ -11,7 +10,6 @@ import shutil
 import socket
 import struct
 import threading
-import time
 import zlib
 
 import pytest
@@ -33,18 +31,9 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     run_loadgen,
-    run_portfolio,
 )
 from repro.service.cache import decode_record
 from repro.service.cache import record_crc as cache_record_crc
-from repro.service.portfolio import (
-    HANG_TIMEOUT_S,
-    PortfolioPool,
-    QuarantinedError,
-    WorkerCrashError,
-    WorkerHangError,
-)
-from repro.service.supervisor import BACKOFF_MAX_S, BACKOFF_MIN_S, TICK_S
 
 from conftest import STORE_LAYOUTS, store_line, wait_until
 
@@ -65,8 +54,8 @@ def schedule_doc(topology="chain", size=6, seed=0, num_pes=4, **extra):
 class TestFaultPlan:
     def test_known_sites_cover_the_stack(self):
         assert FAULT_SITES == {
-            "disk.read", "disk.write", "worker.crash", "worker.hang",
-            "conn.drop", "conn.partial", "compute.slow", "shard.kill",
+            "disk.read", "disk.write", "conn.drop", "conn.partial",
+            "compute.slow", "shard.kill",
         }
 
     def test_unknown_site_rejected(self):
@@ -74,6 +63,14 @@ class TestFaultPlan:
             FaultRule(site="disk.reed")
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultPlan.from_dict({"rules": [{"site": "nope", "rate": 1.0}]})
+
+    def test_retired_worker_sites_refused_at_load(self):
+        # the portfolio pool's sites are gone: an old plan naming one
+        # must fail loudly, not load and silently never fire
+        for kind in ("crash", "hang"):
+            rule = {"site": f"worker.{kind}", "rate": 1.0}
+            with pytest.raises(ValueError, match="unknown fault site"):
+                FaultPlan.from_dict({"seed": 7, "rules": [rule]})
 
     def test_unknown_rule_field_rejected(self):
         with pytest.raises(ValueError, match="unknown rule fields"):
@@ -98,14 +95,14 @@ class TestFaultPlan:
     def test_plan_round_trips_through_dict(self):
         plan = FaultPlan.from_dict(
             {"seed": 9, "rules": [
-                {"site": "worker.hang", "rate": 0.5, "count": 2,
+                {"site": "compute.slow", "rate": 0.5, "count": 2,
                  "after": 3, "seconds": 0.2},
                 {"site": "conn.drop", "rate": 0.1},
             ]}
         )
         again = FaultPlan.from_dict(plan.to_dict())
         assert again.seed == 9
-        assert [r.site for r in again.rules] == ["worker.hang", "conn.drop"]
+        assert [r.site for r in again.rules] == ["compute.slow", "conn.drop"]
         assert again.rules[0].seconds == 0.2 and again.rules[0].after == 3
 
     def test_fire_sequence_is_deterministic(self):
@@ -220,7 +217,7 @@ class TestFaultPlan:
         plan = FaultPlan.load("benchmarks/faultplans/smoke.json")
         assert plan.seed == 7
         sites = {r.site for r in plan.rules}
-        assert "worker.crash" in sites and "conn.partial" in sites
+        assert "disk.write" in sites and "conn.partial" in sites
         # every rule is bounded, so the plan drains and health recovers
         assert all(r.count is not None for r in plan.rules)
 
@@ -734,127 +731,11 @@ class TestCampaignStoreCrc:
 
 
 # ----------------------------------------------------------------------
-# supervised portfolio pool
+# deadlines
 # ----------------------------------------------------------------------
 GRAPH_DOC = graph_to_dict(random_canonical_graph("chain", 6, seed=0))
 
 
-class TestPortfolioPool:
-    def test_crash_is_detected_and_worker_respawned(self, clock):
-        with PortfolioPool(workers=2, clock=clock) as pool:
-            task = pool.submit(GRAPH_DOC, 2, "lts", fault={"kind": "crash"})
-            with pytest.raises(WorkerCrashError):
-                pool.wait(task, None)
-            assert pool.crashes == 1
-            clock.advance(BACKOFF_MIN_S)
-            assert wait_until(lambda: pool.respawns >= 1)
-            assert wait_until(lambda: pool.snapshot()["alive"] == 2)
-            # the pool keeps serving after the respawn
-            healthy = pool.submit(GRAPH_DOC, 2, "lts")
-            result = pool.wait(healthy, None)
-            assert result["name"] == "lts" and result["makespan"] > 0
-
-    def test_hung_candidate_is_cut_off(self, clock):
-        with PortfolioPool(workers=2, clock=clock) as pool:
-            task = pool.submit(
-                GRAPH_DOC, 2, "lts", fault={"kind": "hang", "seconds": 30.0}
-            )
-            # the cutoff counts from the dispatch, on the pool's clock
-            assert wait_until(
-                lambda: any(s.task is task for s in pool._slots)
-            )
-            clock.advance(HANG_TIMEOUT_S + 1.0)
-            with pytest.raises(WorkerHangError):
-                pool.wait(task, None)
-            assert pool.hangs == 1
-            clock.advance(BACKOFF_MIN_S)
-            assert wait_until(lambda: pool.snapshot()["alive"] == 2)
-
-    def test_poison_task_quarantined_after_repeated_crashes(self, clock):
-        with PortfolioPool(workers=2, clock=clock) as pool:
-            for _ in range(2):
-                task = pool.submit(GRAPH_DOC, 2, "lts", task_key="poison",
-                                   fault={"kind": "crash"})
-                with pytest.raises(WorkerCrashError):
-                    pool.wait(task, None)
-                clock.advance(BACKOFF_MAX_S)
-                wait_until(lambda: pool.snapshot()["alive"] == 2)
-            with pytest.raises(QuarantinedError):
-                pool.submit(GRAPH_DOC, 2, "lts", task_key="poison")
-            assert pool.snapshot()["quarantined"] == ["poison"]
-            # other keys are unaffected by the quarantine
-            ok = pool.submit(GRAPH_DOC, 2, "lts", task_key="fine")
-            assert pool.wait(ok, None)["makespan"] > 0
-
-    def test_faulted_race_still_returns_the_right_answer(self, clock):
-        g = random_canonical_graph("fft", 8, seed=1)
-        baseline = run_portfolio(g, 4)
-        inj = FaultInjector(
-            FaultPlan([FaultRule(site="worker.crash", rate=1.0, count=1)],
-                      seed=0)
-        )
-        with PortfolioPool(workers=2, clock=clock) as pool:
-            faulted = run_portfolio(g, 4, pool=pool, faults=inj,
-                                    task_key="t")
-            assert pool.crashes == 1
-        # the crashed candidate was recomputed in-process: same winner
-        assert faulted.winner.name == baseline.winner.name
-        assert faulted.winner.makespan == baseline.winner.makespan
-        assert faulted.schedule_doc() == baseline.schedule_doc()
-
-    def test_backoff_doubles_per_crash_and_a_task_resets_it(self, clock):
-        with PortfolioPool(workers=2, clock=clock) as pool:
-            slot = pool._slots[0]
-            for delay in (0.05, 0.1, 0.2):
-                # both workers idle: the dispatcher hands slot 0 the task
-                task = pool.submit(GRAPH_DOC, 2, "lts",
-                                   fault={"kind": "crash"})
-                with pytest.raises(WorkerCrashError):
-                    pool.wait(task, None)
-                assert slot.respawn_at - clock() == pytest.approx(delay)
-                # the slot stays down while the clock stands still
-                time.sleep(3 * TICK_S)
-                assert pool.snapshot()["alive"] == 1
-                clock.advance(delay)
-                assert wait_until(lambda: pool.snapshot()["alive"] == 2)
-            assert slot.backoff_s == pytest.approx(0.4)
-            ok = pool.submit(GRAPH_DOC, 2, "lts")
-            assert pool.wait(ok, None)["makespan"] > 0
-            assert slot.backoff_s == pytest.approx(BACKOFF_MIN_S)
-
-    def test_snapshot_reads_each_slot_once(self):
-        # the dispatcher tears slots down without the snapshot's lock; a
-        # slot cleared right after the observer's first read of it must
-        # count as what that read saw, never raise
-        class Stub:
-            def is_alive(self):
-                return True
-
-        class VanishingSlot:
-            def __init__(self):
-                self._proc = Stub()
-
-            @property
-            def proc(self):
-                proc, self._proc = self._proc, None
-                return proc
-
-        pool = PortfolioPool(workers=2)
-        pool.close()
-        pool._slots[0] = VanishingSlot()
-        assert pool.snapshot()["alive"] == 1
-
-    def test_snapshot_shape(self):
-        with PortfolioPool(workers=2) as pool:
-            snap = pool.snapshot()
-        assert snap["workers"] == 2
-        assert {"alive", "closed", "respawns", "crashes", "hangs",
-                "quarantined"} <= set(snap)
-
-
-# ----------------------------------------------------------------------
-# deadlines
-# ----------------------------------------------------------------------
 class TestDeadlines:
     def setup_method(self):
         self.service = ScheduleService(cache=ScheduleCache(None, capacity=16))

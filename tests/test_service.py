@@ -278,12 +278,21 @@ class TestScheduleCache:
 
 class TestPortfolio:
     def test_default_race_and_winner(self):
-        g = random_canonical_graph("fft", 8, seed=0)
-        result = run_portfolio(g, 8)
-        assert [c.name for c in result.candidates] == list(DEFAULT_SCHEDULERS)
-        assert result.winner.makespan == min(c.makespan for c in result.candidates)
-        assert result.schedule_doc()["makespan"] == result.winner.makespan
-        assert not result.truncated
+        # the default race, and all five candidates in a named order
+        for g, schedulers in (
+            (random_canonical_graph("fft", 8, seed=0), None),
+            (random_canonical_graph("fft", 16, seed=1),
+             ("rlx", "lts", "work", "nstr", "heft")),
+        ):
+            result = run_portfolio(g, 8, schedulers=schedulers)
+            assert [c.name for c in result.candidates] == list(
+                schedulers or DEFAULT_SCHEDULERS
+            )
+            assert result.winner.makespan == min(
+                c.makespan for c in result.candidates
+            )
+            assert result.schedule_doc()["makespan"] == result.winner.makespan
+            assert not result.truncated
 
     def test_registry_contains_all_five(self):
         assert set(scheduler_names()) >= {"lts", "rlx", "work", "nstr", "heft"}

@@ -73,6 +73,12 @@ class TestRouting:
     def test_repeats_of_one_graph_keep_one_shard_hot(self, tmp_path):
         router = make_router(tmp_path)
         try:
+            # routing demotes shards no health poll has reached yet: a
+            # home shard turning "ok" between two requests takes the
+            # graph over, and the repeat is answered from the store
+            assert wait_until(lambda: all(
+                s.health_status == "ok" for s in router.shards
+            ))
             with ServiceClient(port=router.port) as client:
                 doc = schedule_doc(seed=3)
                 first = client.request_with_retry(doc)

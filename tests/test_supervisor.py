@@ -1,6 +1,6 @@
-"""Tests for the process supervisor shared by the portfolio pool and the
-shard router: the one backoff rule on a fake clock, and real child
-processes through a crash, an expected exit and teardown."""
+"""Tests for the process supervisor behind the shard router: the one
+backoff rule on a fake clock, observers racing a teardown, and real
+child processes through a crash, an expected exit and teardown."""
 
 import os
 import signal
@@ -55,6 +55,30 @@ class TestBackoffRule:
         assert slot.backoff_s == BACKOFF_MIN_S  # a drain is not a crash
 
 
+class TestObservers:
+    def test_live_reads_each_slot_once(self):
+        # the owner tears slots down without the observer's lock; a slot
+        # cleared right after the observer's first read of it must count
+        # as what that read saw, never raise
+        class Stub:
+            def is_alive(self):
+                return True
+
+        class VanishingSlot:
+            def __init__(self):
+                self._proc = Stub()
+
+            @property
+            def proc(self):
+                proc, self._proc = self._proc, None
+                return proc
+
+        vanishing = VanishingSlot()
+        sup = Supervisor([vanishing, Slot(1)], start=None)
+        assert sup.live() == [vanishing]
+        assert sup.live() == []  # the second read sees the hole
+
+
 class TestSupervisedChildren:
     def test_crash_expected_exit_and_teardown(self, clock):
         exits = []
@@ -68,7 +92,7 @@ class TestSupervisedChildren:
         )
         sup.spawn_due()
         try:
-            assert sup.alive_count() == 2
+            assert len(sup.live()) == 2
             assert [s.spawns for s in slots] == [1, 1]
 
             # crash: slot 0's child exits on its own
@@ -80,10 +104,10 @@ class TestSupervisedChildren:
             assert slots[0].proc is None and slots[0].conn is None
             assert slots[0].respawn_at == clock() + BACKOFF_MIN_S
             sup.step()  # the clock stands still: the slot stays down
-            assert slots[0].proc is None and sup.alive_count() == 1
+            assert slots[0].proc is None and len(sup.live()) == 1
             clock.advance(BACKOFF_MIN_S)
             sup.step()
-            assert slots[0].spawns == 2 and sup.alive_count() == 2
+            assert slots[0].spawns == 2 and len(sup.live()) == 2
 
             # expected exit: retired (SIGTERM), respawned without backoff
             retired = slots[1].proc
@@ -111,4 +135,4 @@ class TestSupervisedChildren:
         assert all(s.proc is None and s.conn is None for s in slots)
         clock.advance(BACKOFF_MAX_S)
         sup.step()
-        assert sup.alive_count() == 0
+        assert len(sup.live()) == 0
