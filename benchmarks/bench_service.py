@@ -187,6 +187,8 @@ def run_profile(name: str, smoke: bool, seed: int = 0,
         "fastpath_served": stats["fastpath"],
         # report only: shows a memo-budget change in the CI artifacts
         "wire_memo": {k: stats["wire_memo"][k] for k in ("bytes", "clears")},
+        # report only: the encoded graph + schedule bytes the LRU holds
+        "lru_bytes": stats["cache"]["lru_bytes"],
     }
     if degraded:
         result["degraded"] = True

@@ -26,12 +26,14 @@ automatically on load and can be forced with :meth:`compact`.
 All operations are thread-safe (the server handles requests from worker
 threads) and counted: ``hits`` (memory), ``store_hits`` (disk),
 ``misses``, ``evictions``, ``puts``, ``compactions`` feed the ``stats``
-op and the load generator's report.  The counters are named instruments
-in a :class:`repro.obs.MetricsRegistry` (``cache.hits{tier}``,
-``cache.misses``, …) — the attribute names remain as read-only views,
-and :meth:`ScheduleCache.bind_registry` re-homes them into a service's
-registry (carrying accumulated counts along) so one ``metrics``
-exposition covers the whole request path.
+op and the load generator's report; the ``cache.lru_bytes`` gauge
+(``lru_bytes`` in :meth:`ScheduleCache.counters`) sums the graph and
+schedule bytes the LRU's entries hold, kept on insert and evict.  The
+counters are named instruments in a :class:`repro.obs.MetricsRegistry`
+(``cache.hits{tier}``, ``cache.misses``, …) — the attribute names
+remain as read-only views, and :meth:`ScheduleCache.bind_registry`
+re-homes them into a service's registry (carrying accumulated counts
+along) so one ``metrics`` exposition covers the whole request path.
 
 The cache itself is a dumb map: staleness across code changes is the
 *key's* problem, and the service's request keys carry a schema version
@@ -42,22 +44,24 @@ let compaction reclaim their bytes too.
 
 Crash safety.  Records written by this version carry an ``entry_crc``
 field: the CRC-32 of the entry bytes exactly as written, which are the
-tail of the line.  :func:`encode_record` and :func:`decode_record` are
-the only code that knows the layout.  Writing splices bytes the request
-already encoded (the graph's canonical dump, the answer's schedule
-document), and the check runs over the raw bytes before any parse, so
-neither an append, a load nor a store hit re-encodes an entry; load
-does not even parse one.  The entry keeps its insertion order, so a
-store-tier answer repeats the cold answer's bytes.  Records written
-before this layout still load: those with a ``crc`` field (CRC-32 of
-the canonical ``[key, entry]`` re-dump, :func:`record_crc`) are
-checked as before, and those without one are accepted.  Both checks
-run at load and on every store read.  Load distinguishes two failure
-shapes: a *torn tail* — the
-final line lacking its newline, the signature of a writer killed
-mid-append — is truncated away so subsequent appends cannot merge into
-it, while corrupt interior lines (unparseable, or failing their
-checksum) are copied to a ``<store>.quarantine`` sibling and counted as
+tail of the line.  :func:`encode_record`, :func:`decode_record` and the
+store-hit reader beside them are the only code that knows the layout.
+A served entry holds its graph (the canonical dump) and its schedule
+document as encoded bytes, in the LRU as in the record: writing splices
+them as they are, and a store hit slices them back out of the
+CRC-checked line, so neither an append, a load nor a store hit
+re-encodes an entry; load does not even parse one.  The entry keeps its
+insertion order, so a store-tier answer repeats the cold answer's
+bytes.  Records written before this layout still load: those with a
+``crc`` field (CRC-32 of the canonical ``[key, entry]`` re-dump,
+:func:`record_crc`) are checked as before, and those without one are
+accepted; a store hit on one re-encodes its graph and schedule into the
+LRU's shape.  Both checks run at load and on every store read.  Load
+distinguishes two failure shapes: a *torn tail* — the final line
+lacking its newline, the signature of a writer killed mid-append — is
+truncated away so subsequent appends cannot merge into it, while
+corrupt interior lines (unparseable, or failing their checksum) are
+copied to a ``<store>.quarantine`` sibling and counted as
 ``cache.corrupt_records`` instead of raising.  A stale ``.compact``
 temp file from an interrupted compaction is deleted on open: the
 ``os.replace`` swap is atomic, so the original store is intact whenever
@@ -130,24 +134,20 @@ _HEADER = re.compile(
 _LEGACY_FIELDS = frozenset(("crc", "entry", "key"))
 
 
-def encode_record(
-    key: str,
-    entry: dict,
-    graph: bytes | bytearray | None = None,
-    schedule: bytes | bytearray | None = None,
-) -> bytes:
+def encode_record(key: str, entry: dict) -> bytes:
     """The store line for ``(key, entry)``, newline included.
 
     The line is ``{"entry_crc": C, "key": K, "entry": BODY}`` where BODY
     is ``entry`` in insertion order and ``C`` is the CRC-32 of exactly
-    the BODY bytes.  Two fields are spliced rather than re-encoded:
-    ``graph`` is the canonical dump :func:`~repro.service.fingerprint.
-    doc_digest` hashed (so the record's graph bytes hash to the entry's
-    ``graph_digest``) and ``schedule`` is the document the wire answer
-    carries.  A caller without those bytes at hand omits them and the
-    same encodings are made here, so the line does not depend on who
-    supplied them.  Every other field is ``json.dumps``'d with default
-    separators, which makes BODY the exact bytes a cold answer carries.
+    the BODY bytes.  A bytes-valued field is spliced as it is: a served
+    entry holds its ``graph`` as the canonical dump :func:`~repro.
+    service.fingerprint.doc_digest` hashed (so the record's graph bytes
+    hash to the entry's ``graph_digest``) and its ``schedule`` as the
+    document the wire answer carries.  A ``graph`` given as a document
+    is written as that same canonical dump, so the line does not depend
+    on who encoded it.  Every other field is ``json.dumps``'d with
+    default separators, which makes BODY the exact bytes a cold answer
+    carries.
     """
     # BODY stays in pieces, joined once into the line: the spliced
     # fields are the bulk of a record, and copying them into a field
@@ -155,14 +155,12 @@ def encode_record(
     body = []
     for name, value in entry.items():
         body.append(b", " if body else b"{")
-        if name == "graph":
-            blob = canonical_bytes(value) if graph is None else graph
-        elif name == "schedule":
-            blob = json.dumps(value).encode() if schedule is None else schedule
+        if name == "graph" and not isinstance(value, (bytes, bytearray)):
+            value = canonical_bytes(value)
+        if isinstance(value, (bytes, bytearray)):
+            body += (json.dumps(name).encode() + b": ", value)
         else:
             body.append(json.dumps({name: value})[1:-1].encode())
-            continue
-        body += (b'"%s": ' % name.encode(), blob)
     body.append(b"}" if body else b"{}")
     crc = 0
     for piece in body:
@@ -171,6 +169,29 @@ def encode_record(
         crc, json.dumps(key).encode(),
     )
     return b"".join((head, *body, b"}\n"))
+
+
+def _crc_body(line: bytes) -> tuple[str, bytes] | None:
+    """``(key, entry bytes)`` of a stripped ``entry_crc`` line, ``None``
+    for another layout; raises :class:`ValueError` when the CRC-32 over
+    the entry bytes fails."""
+    header = _HEADER.match(line)
+    if header is None:
+        return None
+    body = line[header.end():-1]
+    if not line.endswith(b"}") or zlib.crc32(body) != int(header[1]):
+        raise ValueError("entry_crc mismatch")
+    return json.loads(header[2]), body
+
+
+def _own_entry(key: str, entry) -> dict:
+    """``entry``, checked to be an object naming ``key`` if any key.
+
+    The CRC does not cover the key, so a parsed entry that names a key
+    of its own (every served entry does) must name the record's."""
+    if not isinstance(entry, dict) or entry.get("key", key) != key:
+        raise ValueError("entry names another key")
+    return entry
 
 
 def decode_record(
@@ -182,25 +203,18 @@ def decode_record(
     failing its checksum.  An ``entry_crc`` record is checked by a
     CRC-32 over its raw entry bytes before anything is parsed, and
     ``parse=False`` stops there (``entry`` is then ``None``): indexing
-    a store never parses or re-encodes its entries.  The CRC does not
-    cover the key, so a parsed entry that names a key of its own (every
-    served entry does) must name the record's.  Lines in the legacy
-    layout are parsed whole; their ``crc``, when present, is checked
-    by :func:`record_crc`, and lines without one are accepted.
+    a store never parses or re-encodes its entries.  ``entry`` is the
+    parsed document, every field decoded (a store hit keeps the graph
+    and schedule as bytes instead, see :meth:`ScheduleCache.get`).
+    Lines in the legacy layout are parsed whole; their ``crc``, when
+    present, is checked by :func:`record_crc`, and lines without one
+    are accepted.
     """
     line = line.strip()
-    header = _HEADER.match(line)
-    if header is not None:
-        body = line[header.end():-1]
-        if not line.endswith(b"}") or zlib.crc32(body) != int(header[1]):
-            raise ValueError("entry_crc mismatch")
-        key = json.loads(header[2])
-        if not parse:
-            return key, None
-        entry = json.loads(body)
-        if not isinstance(entry, dict) or entry.get("key", key) != key:
-            raise ValueError("entry names another key")
-        return key, entry
+    record = _crc_body(line)
+    if record is not None:
+        key, body = record
+        return key, _own_entry(key, json.loads(body)) if parse else None
     doc = json.loads(line)
     if not (
         isinstance(doc, dict)
@@ -215,6 +229,72 @@ def decode_record(
     ):
         raise ValueError("crc mismatch")
     return doc["key"], doc["entry"]
+
+
+#: the fields a served entry holds as encoded bytes: the record splices
+#: them and a store hit slices them back out
+_SPLICED = ("graph", "schedule")
+_scan = json.JSONDecoder().raw_decode
+
+
+def _sliced_entry(body: bytes) -> dict:
+    """The entry :func:`encode_record` wrote as ``body``, with an
+    object-valued ``graph`` or ``schedule`` kept as its bytes.
+
+    Walks the fields with the layout's own separators, so each sliced
+    value is exactly the bytes that were spliced (and that the record's
+    CRC covers); any other shape is refused as corrupt."""
+    text = body.decode()
+    entry: dict = {}
+    if text == "{}":
+        return entry
+    at = 1
+    while True:
+        name, at = _scan(text, at)
+        if type(name) is not str or not text.startswith(": ", at):
+            raise ValueError("not an encode_record entry")
+        value, end = _scan(text, at + 2)
+        if name in _SPLICED and text.startswith("{", at + 2):
+            value = text[at + 2:end].encode()
+        entry[name] = value
+        if text.startswith(", ", end):
+            at = end + 2
+        elif end == len(text) - 1 and text.startswith("}", end):
+            return entry
+        else:
+            raise ValueError("not an encode_record entry")
+
+
+def _served_record(line: bytes) -> tuple[str, dict] | None:
+    """``(key, entry)`` of one store line in the shape the LRU holds:
+    :func:`decode_record`'s, except that ``graph`` and ``schedule``
+    documents are bytes.  An ``entry_crc`` record's are sliced out of
+    the line; a legacy record's are re-encoded as
+    :func:`encode_record` would write them."""
+    line = line.strip()
+    record = _crc_body(line)
+    if record is not None:
+        key, body = record
+        return key, _own_entry(key, _sliced_entry(body))
+    record = decode_record(line)
+    if record is not None:
+        entry = record[1]
+        for name in _SPLICED:
+            value = entry.get(name)
+            if isinstance(value, dict):
+                entry[name] = (canonical_bytes(value) if name == "graph"
+                               else json.dumps(value).encode())
+    return record
+
+
+def _held_bytes(entry: dict) -> int:
+    """The encoded bytes an LRU entry holds (its graph and schedule)."""
+    held = 0
+    for name in _SPLICED:
+        value = entry.get(name)
+        if isinstance(value, (bytes, bytearray)):
+            held += len(value)
+    return held
 
 
 class ScheduleCache:
@@ -255,6 +335,8 @@ class ScheduleCache:
             with contextlib.suppress(OSError):
                 self._quarantine_bytes = os.path.getsize(self._qpath())
         self._lru: OrderedDict[str, dict] = OrderedDict()
+        #: summed graph + schedule bytes the LRU entries hold
+        self._lru_bytes = 0
         #: key -> (byte offset, line length) in the file
         self._disk: dict[str, tuple[int, int]] = {}
         self._file_bytes = 0
@@ -312,6 +394,11 @@ class ScheduleCache:
         registry.gauge(
             "cache.lru_entries", "entries resident in the memory tier",
             fn=lambda: len(self._lru),
+        )
+        registry.gauge(
+            "cache.lru_bytes",
+            "graph and schedule bytes held by the memory tier's entries",
+            fn=lambda: self._lru_bytes,
         )
         registry.gauge(
             "cache.store_entries", "live keys in the disk-tier index",
@@ -573,7 +660,8 @@ class ScheduleCache:
         """Look up ``key``; returns ``(entry, tier)`` or ``None``.
 
         ``tier`` is ``"lru"`` for a memory hit, ``"store"`` for a disk
-        hit (re-read from the file and promoted into the LRU).  Pass
+        hit (re-read from the file, its graph and schedule sliced out of
+        the record as bytes, and promoted into the LRU).  Pass
         ``count_miss=False`` for a re-probe of a key whose miss was
         already counted (the service's single-flight double-check), so
         one cold request never inflates ``misses`` twice.
@@ -633,7 +721,7 @@ class ScheduleCache:
                 return None
         self._io_success()
         try:
-            record = decode_record(raw)
+            record = _served_record(raw)
         except ValueError:
             record = None
         if record is None or record[0] != key:
@@ -648,18 +736,13 @@ class ScheduleCache:
             return None
         return record[1]
 
-    def put(
-        self,
-        key: str,
-        entry: dict,
-        graph: bytes | bytearray | None = None,
-        schedule: bytes | bytearray | None = None,
-    ) -> None:
+    def put(self, key: str, entry: dict) -> None:
         """Insert into the LRU; appends to the JSONL file if backed.
 
-        ``graph`` and ``schedule`` are the already-encoded fields the
-        record splices (see :func:`encode_record`); the LRU keeps only
-        ``entry``."""
+        The LRU keeps ``entry`` as given.  A served entry holds its
+        graph and schedule as encoded bytes, which the store record
+        splices as they are (see :func:`encode_record`), so neither
+        tier re-encodes them; a store hit yields the same shape."""
         with self._lock:
             self._c_puts.inc()
             self._insert(key, entry)
@@ -671,7 +754,7 @@ class ScheduleCache:
                 with self._lock:
                     if key in self._disk:  # a concurrent put won the race
                         return
-                line = encode_record(key, entry, graph, schedule)
+                line = encode_record(key, entry)
                 try:
                     rule = (
                         self._faults.fire("disk.write", key=key[:48])
@@ -700,10 +783,14 @@ class ScheduleCache:
             self._io_success()
 
     def _insert(self, key: str, entry: dict) -> None:
+        old = self._lru.pop(key, None)
+        if old is not None:
+            self._lru_bytes -= _held_bytes(old)
         self._lru[key] = entry
-        self._lru.move_to_end(key)
+        self._lru_bytes += _held_bytes(entry)
         while len(self._lru) > self.capacity:
-            evicted, _ = self._lru.popitem(last=False)
+            evicted, dropped = self._lru.popitem(last=False)
+            self._lru_bytes -= _held_bytes(dropped)
             self._c_evictions.inc()
             if self._flight is not None:
                 self._flight.record(
@@ -769,6 +856,7 @@ class ScheduleCache:
             return {
                 "capacity": self.capacity,
                 "lru_entries": len(self._lru),
+                "lru_bytes": self._lru_bytes,
                 "store_entries": len(self._disk),
                 "store_bytes": self._file_bytes,
                 "dead_bytes": max(0, self._file_bytes - self._live_bytes()),

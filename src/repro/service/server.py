@@ -7,6 +7,14 @@ Two layers, separately testable:
   wire-level byte path (:meth:`~ScheduleService.serve_line_fast` /
   :meth:`~ScheduleService.serve_line_slow`) the server uses.
 
+  A cached entry holds the bytes it serves: the winner's schedule
+  document, encoded once when the race ends, and the graph's canonical
+  dump the ingest wrote (kept for remaps, and spliced into the store
+  record).  Wire answers and store records splice those bytes; only
+  :meth:`~ScheduleService.handle`, at its boundary for in-process
+  callers, and a remap, which renames the nodes, decode a schedule
+  into dicts.
+
   Every op is one row of :data:`OPS`: its declared fields
   (:class:`Field`: JSON type, range, allowed names read from the
   registries at call time) and how it is answered.
@@ -87,6 +95,7 @@ from ..obs import NULL_SPAN, Telemetry
 from .cache import ScheduleCache
 from .faults import FaultInjector
 from .fingerprint import (
+    canonical_bytes,
     doc_digest,
     fingerprint_graph_doc,
     request_key,
@@ -239,21 +248,20 @@ def _remap_name(obj, mapping):
     return _name_to_json(mapping[_name_from_json(obj)])
 
 
-def _remap_entry(entry: dict, mapping: dict, digest: str, graph_doc: dict) -> dict:
-    """A deep copy of ``entry`` whose schedule names every node the way
-    the requester's graph document does (``mapping``: cached → requester).
-    The cached graph document is replaced, so it is not copied."""
-    remapped = json.loads(json.dumps(
-        {k: v for k, v in entry.items() if k != "graph"}
-    ))
+def _remap_entry(entry: dict, mapping: dict, digest: str) -> dict:
+    """``entry`` answering the requester's graph document: its schedule
+    bytes decoded once, every node renamed the way that document names
+    it (``mapping``: cached → requester) and encoded again.  The cached
+    graph is left out: an answer never carries it."""
+    remapped = {k: v for k, v in entry.items() if k != "graph"}
     remapped["graph_digest"] = digest
-    remapped["graph"] = dict(graph_doc)
-    schedule = remapped.get("schedule") or {}
+    schedule = json.loads(entry["schedule"])
     for task in schedule.get("tasks", ()):
         task["name"] = _remap_name(task["name"], mapping)
     for fifo in schedule.get("fifo_sizes", ()):
         fifo["src"] = _remap_name(fifo["src"], mapping)
         fifo["dst"] = _remap_name(fifo["dst"], mapping)
+    remapped["schedule"] = json.dumps(schedule).encode()
     return remapped
 
 
@@ -391,6 +399,23 @@ class ScheduleService:
     def handle(self, doc: dict, work_slots=None, *, digest_hint=None,
                span=None) -> dict:
         """Dispatch one request document; never raises.
+
+        The answer is all dicts: a schedule answer's ``schedule``, which
+        the service holds as the bytes the wire splices, is decoded here
+        for in-process callers (the wire path calls the undecoded core).
+        See :meth:`_handle` for the arguments.
+        """
+        response = self._handle(doc, work_slots, digest_hint=digest_hint,
+                                span=span)
+        schedule = response.get("schedule")
+        if isinstance(schedule, bytes):
+            response["schedule"] = json.loads(schedule)
+        return response
+
+    def _handle(self, doc: dict, work_slots=None, *, digest_hint=None,
+                span=None) -> dict:
+        """:meth:`handle`, with a schedule answer's ``schedule`` left as
+        its encoded bytes.
 
         ``work_slots`` (an acquirable context manager, typically a
         semaphore) is held only around actual scheduling computation:
@@ -612,7 +637,7 @@ class ScheduleService:
         _, digest_hint = self._lines.get(line, (None, None))
         outcome = "error"
         try:
-            response = self.handle(
+            response = self._handle(
                 doc, work_slots, digest_hint=digest_hint, span=span,
             )
             with span.phase("serialize"):
@@ -670,20 +695,16 @@ class ScheduleService:
             self._wire_memo_bytes += added
 
     @staticmethod
-    def _split_response(response: dict,
-                        sched: bytes | None = None) -> tuple[bytes, bytes]:
+    def _split_response(response: dict) -> tuple[bytes, bytes]:
         """(meta minus closing brace, schedule document bytes); the
         schedule rides last in the entry layout, so splicing the two
-        back together reproduces ``json.dumps`` of the whole dict.
-        ``sched`` is the schedule's encoding when already at hand."""
+        back together reproduces ``json.dumps`` of the whole answer
+        with its schedule decoded."""
         meta_doc = {
             k: v for k, v in response.items()
             if k not in ("graph", "schedule", "cached", "elapsed_ms")
         }
-        meta = json.dumps(meta_doc).encode()[:-1]
-        if sched is None:
-            sched = json.dumps(response["schedule"]).encode()
-        return meta, sched
+        return json.dumps(meta_doc).encode()[:-1], response["schedule"]
 
     def _entry_prefix(self, key: str, digest: str,
                       entry: dict) -> tuple[bytes, bytes]:
@@ -696,32 +717,25 @@ class ScheduleService:
         return parts
 
     def _encode_response(self, line: bytes, doc: dict, response: dict) -> bytes:
-        """Serialize ``response``; memoize an ok, untruncated schedule
-        answer (a truncated race is never cached, so its bytes are not
-        reproducible).  Its line maps to ``(key, digest)`` when the cache
-        can replay it, and to ``(None, digest)`` for a forced
-        ``no_cache`` recompute, whose replays recompute but skip
-        re-hashing the graph document."""
-        if (
-            response.get("op") == "schedule"
-            and response.get("ok")
-            and not response.get("truncated")
-            and isinstance(response.get("key"), str)
-            and isinstance(response.get("graph_digest"), str)
-            and isinstance(response.get("schedule"), dict)
-            and "cached" in response
-            and "elapsed_ms" in response
-        ):
-            key, digest = response["key"], response["graph_digest"]
+        """Serialize ``response``, splicing a schedule answer's bytes;
+        memoize an untruncated one (a truncated race is never cached,
+        so its bytes are not reproducible).  Its line maps to ``(key,
+        digest)`` when the cache can replay it, and to ``(None,
+        digest)`` for a forced ``no_cache`` recompute, whose replays
+        recompute but skip re-hashing the graph document."""
+        if not isinstance(response.get("schedule"), bytes):
+            return json.dumps(response).encode() + b"\n"
+        key, digest = response["key"], response["graph_digest"]
+        if response.get("truncated"):
+            parts = self._split_response(response)
+        else:
             cacheable = self.cache is not None and not doc.get("no_cache")
             parts = (self._prefix_memo.get((key, digest))
                      or self._split_response(response))
             # line and prefix in one charge: a clear for either keeps both
             self._remember_wire(key, digest, parts, line,
                                 (key if cacheable else None, digest))
-            return self._splice(parts, response["cached"],
-                                response["elapsed_ms"])
-        return json.dumps(response).encode() + b"\n"
+        return self._splice(parts, response["cached"], response["elapsed_ms"])
 
     def health(self) -> dict:
         """The ``health`` op: ok / degraded / draining, with evidence.
@@ -888,8 +902,8 @@ class ScheduleService:
         digest = job.digest
         if entry.get("graph_digest") == digest:
             return entry
-        cached_doc = entry.get("graph")
-        if cached_doc is None:
+        cached_graph = entry.get("graph")
+        if cached_graph is None:
             return None
         cached_digest = entry.get("graph_digest")
         memo = self._graphs.get(cached_digest)
@@ -897,13 +911,13 @@ class ScheduleService:
             # the cached document was validated when its entry was computed
             memo = self._remember_graph(
                 cached_digest, entry["fingerprint"],
-                ingest_graph_doc(cached_doc, validate=False),
+                ingest_graph_doc(json.loads(cached_graph), validate=False),
             )
         mapping = find_isomorphism(memo[1], job.graph)
         if mapping is None:
             return None
         self._c_remapped.inc()
-        return _remap_entry(entry, mapping, digest, job.req["graph"])
+        return _remap_entry(entry, mapping, digest)
 
     def _same_document(self, entry: dict, job: "_Job") -> dict | None:
         """``simulate``'s adapt: simulation diagnostics (blocked sets,
@@ -1059,19 +1073,19 @@ class ScheduleService:
     def _compute(self, op: str, job: "_Job", slots) -> dict:
         """A cold compute of any keyed op: the op's body runs under a
         work slot, after the deadline check and the ``compute.slow``
-        fault site; its entry is counted and, when the body returns
-        store arguments, cached."""
+        fault site; its entry is counted and, when the body says it may
+        be, cached."""
         span = job.span
         with slots:  # the CPU-bound part runs under a work slot
             # queueing for the slot may have consumed the deadline:
             # refuse before spending compute on an answer nobody awaits
             self._check_deadline(job.deadline)
             self._maybe_slow(span)
-            entry, stored = OPS[op].body(self, job)
+            entry, cacheable = OPS[op].body(self, job)
         self._c_cold[op].inc()
-        if stored is not None and self.cache is not None:
+        if cacheable and self.cache is not None:
             with span.phase("store"):
-                self.cache.put(job.key, entry, *stored)
+                self.cache.put(job.key, entry)
         return entry
 
     def _schedule_key(self, job: "_Job") -> str:
@@ -1080,7 +1094,7 @@ class ScheduleService:
             job.fp, req["num_pes"], req["objective"], req["schedulers"]
         )
 
-    def _race(self, job: "_Job") -> tuple[dict, tuple | None]:
+    def _race(self, job: "_Job") -> tuple[dict, bool]:
         """``schedule``'s body: race the portfolio and encode the winner
         once; a budget-truncated race is not reproducible, so it is
         never cached (nor are its answer bytes memoized)."""
@@ -1112,11 +1126,11 @@ class ScheduleService:
                 wall_ms=1000.0 * c.elapsed,
                 cpu_ms=1000.0 * c.cpu,
             )
-        # the winner is encoded once: the store record and the wire
-        # answer splice these bytes instead of re-dumping the document
+        # the winner is encoded once: the entry holds these bytes, and
+        # the store record and every wire answer splice them
         with span.phase("encode"):
-            schedule = result.schedule_doc()
-            schedule_bytes = result.schedule_bytes()
+            schedule = result.schedule_bytes()
+        graph = job.graph_bytes
         entry = {
             "ok": True,
             "op": "schedule",
@@ -1125,7 +1139,8 @@ class ScheduleService:
             # the exact wire document and its digest ride along so a
             # later hit from a renamed isomorphic copy can be remapped
             "graph_digest": job.digest,
-            "graph": dict(req["graph"]),
+            "graph": (canonical_bytes(req["graph"]) if graph is None
+                      else bytes(graph)),
             "num_pes": req["num_pes"],
             "objective": req["objective"],
             "schedulers": list(req["schedulers"]),
@@ -1138,11 +1153,9 @@ class ScheduleService:
             "schedule": schedule,
         }
         if result.truncated:
-            return entry, None
-        self._remember_wire(
-            job.key, job.digest, self._split_response(entry, schedule_bytes)
-        )
-        return entry, (job.graph_bytes, schedule_bytes)
+            return entry, False
+        self._remember_wire(job.key, job.digest, self._split_response(entry))
+        return entry, True
 
     def _simulate_key(self, job: "_Job") -> str:
         req = job.req
@@ -1151,7 +1164,7 @@ class ScheduleService:
             req["pacing"], req["capacity"],
         )
 
-    def _replay(self, job: "_Job") -> tuple[dict, tuple]:
+    def _replay(self, job: "_Job") -> tuple[dict, bool]:
         """``simulate``'s body: schedule with one streaming variant, run
         it under the DES and report the deadlock diagnostics."""
         # resolved per call from the package namespaces, so wrappers
@@ -1228,7 +1241,7 @@ class ScheduleService:
                 for name, (occ, cap) in full.items()
             ],
         }
-        return entry, ()
+        return entry, True
 
     def _respond(self, entry: dict, tier, t0: float) -> dict:
         response = dict(entry)
@@ -1260,7 +1273,7 @@ class Op(NamedTuple):
     instead names the parts :meth:`ScheduleService._serve_op` runs:
     ``key(service, job)`` (the cache / coalescing key), ``body(service,
     job)`` (the cold compute under a work slot, returning the entry and
-    the extra ``cache.put`` arguments, or ``None`` to not cache it) and
+    whether it may be cached) and
     ``adapt(service, entry, job)`` (a cached entry for this request, or
     ``None`` to recompute).
     """

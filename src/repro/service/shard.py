@@ -639,8 +639,11 @@ class ShardRouter:
         return order
 
     def _route_order(self, pref: tuple[int, ...]) -> list[int]:
-        """Health-aware candidate list: ok shards first (in preference
-        order), then degraded/unknown, then anything still up."""
+        """Health-aware candidate list: ok shards first, in preference
+        order, then degraded, then anything still up.  A shard not yet
+        polled (``unknown``, as after a start or respawn) ranks with the
+        ok ones: demoting it would send a graph's first requests to a
+        sibling, and its repeats home again once the first poll lands."""
         ok: list[int] = []
         demoted: list[int] = []
         last: list[int] = []
@@ -649,9 +652,9 @@ class ShardRouter:
             if not shard.attemptable:
                 continue
             status = shard.health_status
-            if status == "ok":
+            if status in ("ok", "unknown"):
                 ok.append(idx)
-            elif status in ("degraded", "unknown"):
+            elif status == "degraded":
                 demoted.append(idx)
             else:  # draining, unreachable: only if nothing better
                 last.append(idx)
@@ -827,7 +830,8 @@ class ShardRouter:
                             cache_totals = dict.fromkeys(
                                 ("hits", "store_hits", "misses",
                                  "evictions", "puts", "lru_entries",
-                                 "store_entries", "capacity"), 0,
+                                 "lru_bytes", "store_entries", "capacity"),
+                                0,
                             )
                         for key in cache_totals:
                             cache_totals[key] += cache.get(key) or 0

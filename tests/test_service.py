@@ -4,6 +4,7 @@ server/client wire protocol, load generator and CLI wiring."""
 import gc
 import hashlib
 import json
+import re
 import threading
 import time
 import zlib
@@ -33,11 +34,11 @@ from repro.service import (
     scheduler_names,
 )
 from repro.service import server as server_module
-from repro.service.cache import decode_record, encode_record
+from repro.service.cache import _served_record, decode_record, encode_record
 from repro.service.fingerprint import canonical_bytes, is_current_key
 from repro.service.gcpolicy import YOUNG_GEN_THRESHOLD
 
-from conftest import service_stat, store_line
+from conftest import service_stat, store_line, wait_until
 
 #: both array implementations; numpy is an optional extra
 BACKEND_PARAMS = [
@@ -262,6 +263,17 @@ class TestScheduleCache:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             ScheduleCache(None, capacity=0)
+
+    def test_lru_bytes_tracks_insert_and_evict(self):
+        cache = ScheduleCache(None, capacity=2)
+        cache.put("a", {"graph": b"g" * 10, "schedule": b"s" * 5, "v": 1})
+        cache.put("b", {"graph": b"g" * 7, "schedule": b"s" * 3})
+        assert cache.counters()["lru_bytes"] == 25
+        cache.put("a", {"graph": b"g", "schedule": b"s"})  # replaced
+        assert cache.counters()["lru_bytes"] == 12
+        cache.put("c", {"v": "c"})  # evicts b, holds no bytes
+        assert cache.counters()["lru_bytes"] == 2
+        assert "cache_lru_bytes 2" in cache.registry.render()
 
     def test_store_entries_stay_on_disk_until_hit(self, tmp_path):
         # the disk tier is an offset index, not resident entries: a key
@@ -1484,13 +1496,13 @@ class TestStoreRecord:
         graph = {"nodes": [{"name": "b", "kind": "x"}], "edges": []}
         schedule = {"tasks": [{"name": "b", "pe": 0}], "format": "s"}
         entry = {"key": "sv3:k", "graph": graph, "schedule": schedule}
-        line = encode_record(
-            "sv3:k", entry,
-            graph=canonical_bytes(graph),
-            schedule=json.dumps(schedule).encode(),
-        )
+        held = {**entry, "graph": canonical_bytes(graph),
+                "schedule": json.dumps(schedule).encode()}
+        line = encode_record("sv3:k", held)
         assert line == encode_record("sv3:k", entry)
         assert decode_record(line) == ("sv3:k", entry)
+        # a store hit slices the spliced bytes back out of the line
+        assert _served_record(line) == ("sv3:k", held)
 
     def test_served_record_graph_bytes_hash_to_the_digest(
         self, tmp_path, monkeypatch
@@ -1585,6 +1597,173 @@ class TestStoreRecord:
         assert cache.get(key) is None
         assert cache.get(key.replace(":p8:", ":p9:")) is None
         assert cache.corrupt_records == 1
+
+
+    #: SHA-256 of (cold, lru, store, remap) wire answers and the store
+    #: record with every timing field and the record's CRC zeroed: the
+    #: bytes the service served while its entries held dicts
+    SERVED_BYTES = {
+        "fft": (
+            "f667431686156ab0db963d91fbe3ece0f488194921d1db60817726738ab680c6",
+            "21afd4dc01e7fc5e0be8f3b60a5263d6e6cb2798f850f78c9d1a3c5f46490cac",
+            "4775237ba449c0b0b59a13108ec293886d061e89d3c3e0d3363441fc5b09740d",
+            "1e3c8a88998b12e142771177d47472024fba6e454a1d3089ca701e0d52a74aa5",
+            "53beb44ae8f9abd4a5710e2e9ee02c8d31984272daa105a215c67ac0f8044f57",
+        ),
+        "layered": (
+            "f13f4dd14040cabef17b51a8c2a9d3290fbace5c889e43a2690f808b2eecf647",
+            "153d8d313c06de62353789c138e0b3f2a312ec19fc199529039070ae5febdc21",
+            "9d675f5e1f5562612afb4eee3001f90aef9896d45604c2f3bef0cf9898ff7bc5",
+            "9ab2d4abe993831103e7a21b38306a1cd8c8a17dcb8bc23a9b5927d6b4a04561",
+            "9211534d787875fe2d76b8b19f06bdd6ff423dae0ddc93705662f250eec65d71",
+        ),
+    }
+
+    @staticmethod
+    def _untimed(data: bytes) -> str:
+        data = re.sub(rb'^\{"entry_crc": \d+', b'{"entry_crc": 0', data)
+        data = re.sub(rb'"(elapsed_ms|cpu_ms)": [-+.\deE]+', rb'"\1": 0', data)
+        return hashlib.sha256(data).hexdigest()
+
+    # fft names are tuples, layered names ints
+    @pytest.mark.parametrize("family", ["fft", "layered"])
+    def test_served_bytes_are_pinned(self, tmp_path, family):
+        path = tmp_path / "schedules.jsonl"
+        graph = random_canonical_graph(family, 8, seed=1)
+        doc = {"op": "schedule", "graph": graph_to_dict(graph), "num_pes": 8}
+        line = json.dumps(doc).encode()
+        renamed = json.dumps({**doc, "graph": graph_to_dict(relabel(graph))})
+        first = self._service(path)
+        cold = first.serve_line_slow(line)[0]
+        lru = first.serve_line_fast(line)
+        remap = first.serve_line_slow(renamed.encode())[0]
+        store = self._service(path).serve_line_slow(line)[0]
+        (record,) = self._lines(first)
+        answers = (cold, lru, store, remap)
+        assert [json.loads(a)["cached"] for a in answers] == [
+            False, "lru", "store", "lru"]
+        assert service_stat(first, "remapped") == 1
+        assert tuple(map(self._untimed, (*answers, record))) == \
+            self.SERVED_BYTES[family]
+
+
+class TestEntriesHoldBytes:
+    """A cached schedule entry holds the bytes it serves, its graph's
+    canonical dump and its schedule document, whichever tier filled it;
+    ``handle`` decodes the schedule for in-process callers."""
+
+    def setup_method(self):
+        self.graph = random_canonical_graph("fft", 8, seed=1)
+        self.doc = {
+            "op": "schedule", "graph": graph_to_dict(self.graph), "num_pes": 8,
+        }
+        self.line = json.dumps(self.doc).encode()
+
+    def _held(self, service) -> dict:
+        (entry,) = service.cache._lru.values()
+        assert type(entry["graph"]) is bytes
+        assert type(entry["schedule"]) is bytes
+        assert entry["graph"] == canonical_bytes(self.doc["graph"])
+        assert service.cache.counters()["lru_bytes"] == (
+            len(entry["graph"]) + len(entry["schedule"]))
+        return entry
+
+    @staticmethod
+    def _wire(service, line: bytes) -> dict:
+        return json.loads(service.serve_line_slow(line)[0])
+
+    def test_cold_lru_and_remap(self):
+        service = ScheduleService(cache=ScheduleCache(None, capacity=8))
+        cold = self._wire(service, self.line)
+        entry = self._held(service)
+        assert json.loads(entry["schedule"]) == cold["schedule"]
+        in_process = service.handle(dict(self.doc))
+        wire = self._wire(service, self.line)
+        assert in_process["cached"] == wire["cached"] == "lru"
+        assert in_process["schedule"] == wire["schedule"]
+        renamed = {**self.doc, "graph": graph_to_dict(relabel(self.graph))}
+        # the remap ingests the cached graph from the entry's bytes
+        service._graphs.clear()
+        in_process = service.handle(dict(renamed))
+        wire = self._wire(service, json.dumps(renamed).encode())
+        assert in_process["cached"] == wire["cached"] == "lru"
+        assert service_stat(service, "remapped") == 2
+        assert in_process["schedule"] == wire["schedule"] != cold["schedule"]
+        assert self._held(service) is entry
+
+    def test_store_hit(self, tmp_path):
+        path = tmp_path / "schedules.jsonl"
+        first = ScheduleService(cache=ScheduleCache(path, capacity=8))
+        self._wire(first, self.line)
+        held = self._held(first)
+        by_handle = ScheduleService(cache=ScheduleCache(path, capacity=8))
+        in_process = by_handle.handle(dict(self.doc))
+        assert in_process["cached"] == "store"
+        assert self._held(by_handle) == held
+        by_wire = ScheduleService(cache=ScheduleCache(path, capacity=8))
+        wire = self._wire(by_wire, self.line)
+        assert wire["cached"] == "store"
+        assert in_process["schedule"] == wire["schedule"]
+        assert self._held(by_wire) == held
+
+    def test_legacy_store_hit_is_encoded_once(self, tmp_path):
+        path = tmp_path / "schedules.jsonl"
+        self._wire(ScheduleService(cache=ScheduleCache(path)), self.line)
+        key, entry = decode_record(path.read_bytes())
+        path.write_bytes(store_line(key, entry, layout="legacy"))
+        reopened = ScheduleService(cache=ScheduleCache(path))
+        wire = self._wire(reopened, self.line)
+        assert wire["cached"] == "store"
+        assert wire["schedule"] == entry["schedule"]
+        # the legacy record's keys are sorted, and are served that way
+        assert self._held(reopened)["schedule"] == json.dumps(
+            entry["schedule"], sort_keys=True).encode()
+
+    def test_coalesced_answers(self):
+        from repro.service import portfolio as portfolio_mod
+        from repro.service import register_scheduler
+
+        entered, release = threading.Event(), threading.Event()
+
+        def slow(graph, num_pes):
+            entered.set()
+            release.wait(10.0)
+            return portfolio_mod._SCHEDULERS["rlx"](graph, num_pes)
+
+        register_scheduler("slowbytes", slow)
+        try:
+            service = ScheduleService(cache=ScheduleCache(None, capacity=8))
+            doc = {**self.doc, "schedulers": ["slowbytes"]}
+            answers = {}
+
+            def call(name):
+                if name == "wire":
+                    answers[name] = self._wire(service, json.dumps(doc).encode())
+                else:
+                    answers[name] = service.handle(dict(doc))
+
+            threads = [threading.Thread(target=call, args=(name,))
+                       for name in ("leader", "handle", "wire")]
+            threads[0].start()
+            assert entered.wait(10.0)
+            for t in threads[1:]:
+                t.start()
+            # both followers are bound to the leader's flight
+            assert wait_until(lambda: sum(
+                e["kind"] == "coalesce_follower"
+                for e in service.telemetry.flight.last()) == 2)
+            release.set()
+            for t in threads:
+                t.join(10.0)
+            assert answers["leader"]["cached"] is False
+            assert answers["handle"]["cached"] == "inflight"
+            assert answers["wire"]["cached"] == "inflight"
+            assert answers["handle"]["schedule"] == answers["wire"]["schedule"]
+            assert answers["leader"]["schedule"] == answers["wire"]["schedule"]
+            self._held(service)
+        finally:
+            release.set()
+            portfolio_mod._SCHEDULERS.pop("slowbytes", None)
 
 
 class TestQuantiles:

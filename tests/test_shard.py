@@ -25,6 +25,7 @@ from repro.service import (
     StoreKeyLock,
 )
 from repro.service.faults import FaultInjector, FaultPlan
+from repro.service.server import parse_request
 from repro.service.supervisor import BACKOFF_MIN_S, TICK_S
 
 from conftest import STORE_LAYOUTS, service_stat, store_line, wait_until
@@ -73,9 +74,8 @@ class TestRouting:
     def test_repeats_of_one_graph_keep_one_shard_hot(self, tmp_path):
         router = make_router(tmp_path)
         try:
-            # routing demotes shards no health poll has reached yet: a
-            # home shard turning "ok" between two requests takes the
-            # graph over, and the repeat is answered from the store
+            # every shard polled first, so the test reads the same
+            # whenever the poller's ticks land
             assert wait_until(lambda: all(
                 s.health_status == "ok" for s in router.shards
             ))
@@ -93,12 +93,34 @@ class TestRouting:
         finally:
             router.stop()
 
+    def test_unpolled_home_shard_keeps_its_graphs(self, tmp_path):
+        # the health poller never ticks: statuses are set by hand
+        router = make_router(tmp_path, health_interval_s=3600.0)
+        try:
+            doc = schedule_doc(seed=3)
+            home, sibling = router._rendezvous(
+                json.dumps(doc).encode(), parse_request(doc)
+            )
+            router.shards[home].health_status = "unknown"
+            router.shards[sibling].health_status = "ok"
+            with ServiceClient(port=router.port) as client:
+                first = client.request_with_retry(doc)
+                assert first["cached"] is False
+                # the home shard's first poll lands between the requests
+                router.shards[home].health_status = "ok"
+                again = client.request_with_retry(doc)
+                assert again["cached"] == "lru"
+                rows = client.stats()["shards"]
+            assert rows[home]["computed"] == 1
+            assert rows[sibling]["computed"] == 0
+        finally:
+            router.stop()
+
     def test_distinct_graphs_spread_over_shards(self, tmp_path):
         router = make_router(tmp_path, shards=2)
         try:
-            # routing puts "ok" shards before ones no health poll has
-            # reached yet: a shard that came up just after a poll would
-            # otherwise miss every request until the next one
+            # every shard polled first, so the test reads the same
+            # whenever the poller's ticks land
             assert wait_until(lambda: all(
                 s.health_status == "ok" for s in router.shards
             ))
