@@ -208,7 +208,7 @@ SHARDS_STALL_S = 0.025
 def run_shards_profile(smoke: bool, seed: int = 0) -> dict:
     """Aggregate cache-miss throughput through the router at 1 vs 4
     shards (per-shard ``workers=1``, all requests forced recomputes)."""
-    from repro.service import ShardConfig, ShardRouter
+    from repro.service import ServeConfig, ShardRouter
 
     requests = 120 if smoke else 400
     plan = {
@@ -219,7 +219,7 @@ def run_shards_profile(smoke: bool, seed: int = 0) -> dict:
     }
     reports = {}
     for shards in (1, 4):
-        config = ShardConfig(workers=1, store=None, fault_plan=plan)
+        config = ServeConfig(workers=1, store=None, fault_plan=plan)
         router = ShardRouter(shards=shards, config=config)
         router.start()
         try:

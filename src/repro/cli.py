@@ -193,11 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="honour the shutdown op from non-loopback peers too",
     )
     srv.add_argument(
-        "--trusted", action="store_true",
-        help="skip wire-document validation on ingest (only behind a "
-             "validating gateway; see the README wire-format section)",
-    )
-    srv.add_argument(
         "--trace-dir", default=None,
         help="write completed request spans to rotating JSONL files in "
              "this directory (see the README Observability section)",
@@ -684,55 +679,41 @@ def _resolve_store(args) -> str | None:
     )
 
 
-def _serve_sharded(args) -> int:
-    """``repro serve --shards N``: router + N supervised shard processes."""
-    import signal
-
-    from .obs import FlightRecorder, Telemetry, get_registry
-    from .service import ShardConfig, ShardRouter
-    from .service.faults import FaultInjector, FaultPlan
-
-    plan = None
-    if args.fault_plan:
-        try:
-            plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError) as exc:
-            print(f"bad fault plan {args.fault_plan}: {exc}", file=sys.stderr)
-            return 2
-    store = _resolve_store(args)
-    config = ShardConfig(
-        store=store,
-        cache_size=args.cache_size,
-        workers=args.workers,
-        trusted=args.trusted,
-        telemetry=not args.no_telemetry,
-        fault_plan=plan.to_dict() if plan is not None else None,
-        drain_grace=args.drain_grace,
-        flight_dir=args.flight_dir,
-        slow_ms=args.slow_ms,
-    )
-    telemetry = Telemetry(
-        registry=get_registry(),
-        enabled=not args.no_telemetry,
-        flight=FlightRecorder(dump_dir=args.flight_dir),
-        slow_request_ms=args.slow_ms,
-    )
-    router = ShardRouter(
-        shards=args.shards,
-        host=args.host,
-        port=args.port,
-        config=config,
-        telemetry=telemetry,
-        faults=FaultInjector(plan) if plan is not None else None,
-        allow_remote_shutdown=args.allow_remote_shutdown,
-    )
-    tier = store if store else "memory-only (per shard)"
-    print(f"schedule cache: {tier}, shared across {args.shards} shards")
+def _print_serve_flags(args, plan) -> None:
+    """The serve start-up lines for the observability and fault flags
+    (each shard of ``--shards`` writes in its own ``shard-<i>/``)."""
+    shard_dirs = "shard-<i>/" if args.shards > 1 else ""
+    if args.no_telemetry:
+        print("telemetry disabled: no request spans or latency histograms")
+    elif args.trace_dir:
+        print(f"request spans: rotating JSONL under {args.trace_dir}/"
+              f"{shard_dirs}")
+    if args.profile_hz > 0:
+        print(f"sampling profiler: {args.profile_hz:g} Hz (profile op live)")
+    if args.flight_dir:
+        print(f"flight dumps: JSONL under {args.flight_dir}/{shard_dirs}")
+    if args.slow_ms is not None:
+        print(f"slow-request threshold: {args.slow_ms:g} ms")
     if plan is not None:
         print(
             f"fault injection: {len(plan.rules)} rules from "
             f"{args.fault_plan} (seed {plan.seed})"
         )
+
+
+def _serve_sharded(args, config) -> int:
+    """``repro serve --shards N``: router + N supervised shard processes."""
+    import signal
+
+    from .service import ShardRouter
+
+    router = ShardRouter(
+        shards=args.shards,
+        host=args.host,
+        port=args.port,
+        config=config,
+        allow_remote_shutdown=args.allow_remote_shutdown,
+    )
     router.start()
     try:
         # SIGTERM drains the whole tier; SIGHUP rolling-restarts it
@@ -751,114 +732,65 @@ def _serve_sharded(args) -> int:
         router.serve_forever()
     except KeyboardInterrupt:
         router.stop()
-    finally:
-        telemetry.close()
     print("router stopped")
     return 0
 
 
 def _cmd_serve(args) -> int:
-    from .obs import FlightRecorder, SamplingProfiler, Telemetry, get_registry
-    from .service import (
-        ScheduleCache,
-        ScheduleServer,
-        ScheduleService,
-        is_current_key,
-    )
-    from .service.gcpolicy import serving_gc
+    from .obs import get_registry
+    from .service import ServeConfig
+    from .service.faults import FaultPlan
+    from .service.shard import build_service, run_service
 
     if args.shards < 1:
         print("--shards must be at least 1", file=sys.stderr)
         return 2
-    if args.shards > 1:
-        return _serve_sharded(args)
-    cache = None
-    if not args.no_cache:
-        path = _resolve_store(args)
-        # entries persisted under an older schema version are
-        # unreachable by construction; refusing to index them lets the
-        # store compaction reclaim their bytes
-        cache = ScheduleCache(
-            path, capacity=args.cache_size, retain=is_current_key,
-        )
-        tier = path if path else "memory-only"
-        print(f"schedule cache: {tier} ({len(cache)} stored entries)")
-    profiler = None
-    if args.profile_hz > 0:
-        profiler = SamplingProfiler(hz=args.profile_hz)
-        profiler.start()
-    # the served process binds its instruments into the process-wide
-    # registry, so anything else living in this process (an embedded
-    # campaign run, custom gauges) shares the one metrics exposition
-    telemetry = Telemetry(
-        registry=get_registry(),
-        enabled=not args.no_telemetry,
-        trace_dir=args.trace_dir,
-        flight=FlightRecorder(dump_dir=args.flight_dir),
-        profiler=profiler,
-        slow_request_ms=args.slow_ms,
-    )
-    faults = None
+    plan = None
     if args.fault_plan:
-        from .service.faults import FaultInjector, FaultPlan
-
         try:
-            faults = FaultInjector(FaultPlan.load(args.fault_plan))
+            plan = FaultPlan.load(args.fault_plan)
         except (OSError, ValueError) as exc:
             print(f"bad fault plan {args.fault_plan}: {exc}", file=sys.stderr)
             return 2
-    service = ScheduleService(
-        cache=cache, validate_graphs=not args.trusted,
-        telemetry=telemetry, faults=faults,
+    config = ServeConfig(
+        store=_resolve_store(args),
+        no_cache=args.no_cache,
+        cache_size=args.cache_size,
+        workers=args.workers,
+        telemetry=not args.no_telemetry,
+        trace_dir=args.trace_dir,
+        profile_hz=args.profile_hz,
+        flight_dir=args.flight_dir,
+        slow_ms=args.slow_ms,
+        fault_plan=plan.to_dict() if plan is not None else None,
+        drain_grace=args.drain_grace,
     )
-    if args.trusted:
-        print("trusted ingest: wire-document validation disabled")
-    if args.no_telemetry:
-        print("telemetry disabled: no request spans or latency histograms")
-    elif args.trace_dir:
-        print(f"request spans: rotating JSONL under {args.trace_dir}/")
-    if profiler is not None:
-        print(f"sampling profiler: {args.profile_hz:g} Hz (profile op live)")
-    if args.flight_dir:
-        print(f"flight dumps: JSONL under {args.flight_dir}/")
-    if args.slow_ms is not None:
-        print(f"slow-request threshold: {args.slow_ms:g} ms")
-    if faults is not None:
-        print(
-            f"fault injection: {len(faults.plan.rules)} rules from "
-            f"{args.fault_plan} (seed {faults.plan.seed})"
-        )
-    server = ScheduleServer(
-        service, host=args.host, port=args.port, workers=args.workers,
-        allow_remote_shutdown=args.allow_remote_shutdown,
-    )
-    # the serving GC policy holds for the life of the loop; entered
-    # before the loop thread starts, so no request runs during the
-    # start-up collection and freeze
-    with serving_gc(telemetry.registry):
-        server.start()
-        # SIGTERM (systemd stop, container teardown, CI cleanup) drains:
-        # stop accepting, finish and flush in-flight work, then exit
-        import signal
+    if args.shards > 1:
+        if config.store:
+            print(f"schedule cache: {config.store}, shared across "
+                  f"{args.shards} shards")
+        elif not args.no_cache:
+            print("schedule cache: memory-only (per shard)")
+        _print_serve_flags(args, plan)
+        return _serve_sharded(args, config)
+    # the served process binds its instruments into the process-wide
+    # registry, so anything else living in this process (an embedded
+    # campaign run, custom gauges) shares the one metrics exposition
+    service = build_service(config, registry=get_registry())
+    if service.cache is not None:
+        tier = config.store or "memory-only"
+        print(f"schedule cache: {tier} ({len(service.cache)} stored entries)")
+    _print_serve_flags(args, plan)
 
-        try:
-            signal.signal(
-                signal.SIGTERM, lambda *_: server.drain(args.drain_grace)
-            )
-        except (ValueError, OSError):
-            pass  # not the main thread (embedded use): no handler
+    def ready(server) -> None:
         print(
             f"serving on {server.host}:{server.port} "
             f"({args.workers} workers; send {{\"op\": \"shutdown\"}} to stop)",
             flush=True,
         )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            server.stop()
-            server.join()
-        finally:
-            telemetry.close()  # flush + close the span log
+
+    run_service(service, config, ready, host=args.host, port=args.port,
+                allow_remote_shutdown=args.allow_remote_shutdown)
     print("server stopped")
     return 0
 

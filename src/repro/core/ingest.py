@@ -28,11 +28,12 @@ collapse into one, as in networkx.  No
 :class:`~repro.core.node_types.NodeSpec` is built; ``spec()`` makes
 them on demand.
 
-``validate=False`` is the *trusted* contract (README, wire format):
-only for documents that provably came from
+``validate=False`` is the *trusted* contract (README, trusted
+ingest): only for documents that provably came from
 :func:`~repro.core.serialize.graph_to_dict` of an already-validated
-graph, e.g. portfolio workers re-hydrating the parent's wire document.
-It checks only acyclicity and keeps repeated edges.
+graph, e.g. the service re-ingesting the graph of a cached entry to
+remap it (``ScheduleService._adapt``); wire documents are always
+validated.  It checks only acyclicity and keeps repeated edges.
 
 ``out``, when given, is a ``bytearray`` the ingest appends
 :func:`canonical_bytes` of the document to (the bytes the service's

@@ -31,7 +31,7 @@ Pieces
   drain) is exercised through these primitives;
 * :mod:`~repro.service.shard` — the sharded tier
   (``repro serve --shards N``): a supervising router forwarding by
-  rendezvous hash over the graph fingerprint to N shard processes
+  rendezvous hash over the graph document's digest to N shard processes
   that share the JSONL store, with crash respawn, transparent
   failover and a zero-downtime rolling restart (``repro reload``).
 
@@ -139,7 +139,7 @@ from .server import (
     ScheduleServer,
     ScheduleService,
 )
-from .shard import DEFAULT_SHARDS, ShardConfig, ShardRouter
+from .shard import DEFAULT_SHARDS, ServeConfig, ShardRouter
 
 __all__ = [
     "DEFAULT_PORT",
@@ -160,9 +160,9 @@ __all__ = [
     "ScheduleCache",
     "ScheduleServer",
     "ScheduleService",
+    "ServeConfig",
     "ServiceClient",
     "ServiceError",
-    "ShardConfig",
     "ShardRouter",
     "StoreKeyLock",
     "build_request_pool",

@@ -108,6 +108,8 @@ class FaultRule:
             doc["after"] = self.after
         if self.site == "compute.slow":
             doc["seconds"] = self.seconds
+        if self.error != FaultRule.error:
+            doc["error"] = self.error
         return doc
 
 

@@ -54,8 +54,11 @@ def doc_digest(doc: Mapping | bytes | bytearray) -> str:
     separators).
 
     Not isomorphism-stable — two dumps of the *same* document collide,
-    renamed nodes do not.  Used only to memoize the expensive WL
-    fingerprint per wire-level graph document.
+    renamed nodes do not.  It is the identity of one wire-level graph
+    document: it keys the service's memos (the graph memo that skips
+    the expensive WL fingerprint, the line memo ``_lines`` and the
+    response-prefix memo ``_prefix_memo``), routes a request to its
+    home shard, and is every answer's ``graph_digest``.
 
     ``doc`` may be those canonical bytes already, hashed as given: the
     serving path passes the bytes ``ingest_graph_doc(doc, out=...)``

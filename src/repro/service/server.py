@@ -22,7 +22,9 @@ Two layers, separately testable:
   digest, ingest or fingerprint and refuses the first bad one by name
   (an expired ``deadline_ms`` is refused as ``deadline_exceeded``);
   the shard router runs the same check, so it never forwards a request
-  a shard would refuse.  Control ops answer from their row's ``run``.
+  a shard would refuse.  Control ops answer from their row's ``run``,
+  on the service and on the shard router alike (the router passes
+  itself, so its ``health`` and ``stats`` are its aggregates).
   The keyed compute ops — ``schedule`` (the Section 5 streaming
   schedule, raced as a portfolio) and ``simulate`` (the Appendix B DES
   validation of one streaming variant's schedule) — share one pipeline
@@ -271,7 +273,6 @@ class ScheduleService:
     def __init__(
         self,
         cache: ScheduleCache | None = None,
-        validate_graphs: bool = True,
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
         keylock=None,
@@ -304,9 +305,6 @@ class ScheduleService:
             cache.bind_flight(self.telemetry.flight)
             if faults is not None:
                 cache.bind_faults(faults)
-        #: False engages the trusted-ingest contract (documents provably
-        #: produced by graph_to_dict, e.g. behind a validating gateway)
-        self.validate_graphs = validate_graphs
         self.started = time.time()
         self._lock = threading.Lock()
         self._inflight: dict[str, _InFlight] = {}
@@ -481,87 +479,6 @@ class ScheduleService:
                 "server is draining", draining=True, retryable=True
             )
         return self._serve_op(op, req, slots, digest_hint, span)
-
-    def _metrics(self) -> dict:
-        """The ``metrics`` op: the registry in both transports —
-        Prometheus text exposition and a structured snapshot."""
-        registry = self.telemetry.registry
-        return {
-            "ok": True,
-            "op": "metrics",
-            "telemetry_enabled": self.telemetry.enabled,
-            "text": registry.render(),
-            "snapshot": registry.snapshot(),
-        }
-
-    def _trace(self, req: dict) -> dict:
-        """The ``trace`` op: the last-N request spans from the ring,
-        as span dicts and as chrome trace events."""
-        if not self.telemetry.enabled:
-            return self._error(
-                "telemetry is disabled on this server (serve without "
-                "--no-telemetry to record request spans)"
-            )
-        n = req["n"]
-        spans = self.telemetry.recorder.last(n)
-        return {
-            "ok": True,
-            "op": "trace",
-            "count": len(spans),
-            "recorded": self.telemetry.recorder.recorded,
-            "capacity": self.telemetry.recorder.capacity,
-            "spans": spans,
-            "chrome": self.telemetry.chrome_trace(n),
-        }
-
-    def _profile(self, req: dict) -> dict:
-        """The ``profile`` op: the sampling profiler's aggregated view.
-
-        Ships the summary, the heaviest whole stacks, the hottest leaf
-        functions and the collapsed-stack text; ``{"speedscope": true}``
-        adds the full speedscope document (large — opt in).
-        """
-        profiler = self.telemetry.profiler
-        if profiler is None:
-            return self._error(
-                "no sampling profiler on this server "
-                "(serve with --profile-hz to enable one)"
-            )
-        n = req["n"]
-        response = {
-            "ok": True,
-            "op": "profile",
-            **profiler.snapshot(),
-            "top_stacks": profiler.top_stacks(n),
-            "top_functions": profiler.top_functions(n),
-            "collapsed": profiler.collapsed(),
-        }
-        if req["speedscope"]:
-            response["speedscope"] = profiler.speedscope()
-        return response
-
-    def _flight(self, req: dict) -> dict:
-        """The ``flight`` op: the recorder's last-N events and dump
-        ledger; ``{"dump": true}`` forces a dump right now (needs a
-        dump directory on the server)."""
-        flight = self.telemetry.flight
-        n = req["n"]
-        dumped = None
-        if req["dump"]:
-            path = flight.dump("manual")
-            if path is None:
-                return self._error(
-                    "cannot dump: no flight dump directory on this "
-                    "server (serve with --flight-dir)"
-                )
-            dumped = str(path)
-        return {
-            "ok": True,
-            "op": "flight",
-            **flight.snapshot(),
-            "events": flight.last(n),
-            **({"dumped": dumped} if dumped else {}),
-        }
 
     # ------------------------------------------------------------------
     # wire-level byte path (used by the event-loop server)
@@ -777,7 +694,8 @@ class ScheduleService:
         self._c_errors.inc()
         return {"ok": False, "error": message, **extra}
 
-    def _stats(self) -> dict:
+    def stats(self) -> dict:
+        """The ``stats`` op: counters, memo occupancy, cache and GC."""
         from ..core.backend import backend_info
 
         stats = {
@@ -794,7 +712,6 @@ class ScheduleService:
             "remapped": self._c_remapped.value,
             "fastpath": self._c_fastpath.value,
             "errors": self._c_errors.value,
-            "validate_graphs": self.validate_graphs,
             "schedulers": scheduler_names(),
             "sim_schedulers": list(SIM_SCHEDULERS),
             "objectives": list(OBJECTIVES),
@@ -857,7 +774,7 @@ class ScheduleService:
                 fp, graph = memo
                 return graph, fp, digest_hint, None
         graph_bytes = bytearray()
-        graph = ingest_graph_doc(graph_doc, self.validate_graphs, graph_bytes)
+        graph = ingest_graph_doc(graph_doc, out=graph_bytes)
         digest = doc_digest(graph_bytes)
         memo = self._graphs.get(digest)
         if memo is None:
@@ -1266,10 +1183,100 @@ class _Job:
         self.deadline = deadline
 
 
+
+# the control ops that read only the host's telemetry facade (the
+# service's or the shard router's); a refusal raises ValueError
+def _metrics(host, req: dict) -> dict:
+    """The ``metrics`` op: the registry in both transports —
+    Prometheus text exposition and a structured snapshot."""
+    registry = host.telemetry.registry
+    return {
+        "ok": True,
+        "op": "metrics",
+        "telemetry_enabled": host.telemetry.enabled,
+        "text": registry.render(),
+        "snapshot": registry.snapshot(),
+    }
+
+
+def _trace(host, req: dict) -> dict:
+    """The ``trace`` op: the last-N request spans from the ring,
+    as span dicts and as chrome trace events."""
+    telemetry = host.telemetry
+    if not telemetry.enabled:
+        raise ValueError(
+            "telemetry is disabled on this server (serve without "
+            "--no-telemetry to record request spans)"
+        )
+    n = req["n"]
+    spans = telemetry.recorder.last(n)
+    return {
+        "ok": True,
+        "op": "trace",
+        "count": len(spans),
+        "recorded": telemetry.recorder.recorded,
+        "capacity": telemetry.recorder.capacity,
+        "spans": spans,
+        "chrome": telemetry.chrome_trace(n),
+    }
+
+
+def _profile(host, req: dict) -> dict:
+    """The ``profile`` op: the sampling profiler's aggregated view.
+
+    Ships the summary, the heaviest whole stacks, the hottest leaf
+    functions and the collapsed-stack text; ``{"speedscope": true}``
+    adds the full speedscope document (large — opt in).
+    """
+    profiler = host.telemetry.profiler
+    if profiler is None:
+        raise ValueError(
+            "no sampling profiler on this server "
+            "(serve with --profile-hz to enable one)"
+        )
+    n = req["n"]
+    response = {
+        "ok": True,
+        "op": "profile",
+        **profiler.snapshot(),
+        "top_stacks": profiler.top_stacks(n),
+        "top_functions": profiler.top_functions(n),
+        "collapsed": profiler.collapsed(),
+    }
+    if req["speedscope"]:
+        response["speedscope"] = profiler.speedscope()
+    return response
+
+
+def _flight(host, req: dict) -> dict:
+    """The ``flight`` op: the recorder's last-N events and dump
+    ledger; ``{"dump": true}`` forces a dump right now (needs a
+    dump directory on the server)."""
+    flight = host.telemetry.flight
+    dumped = None
+    if req["dump"]:
+        path = flight.dump("manual")
+        if path is None:
+            raise ValueError(
+                "cannot dump: no flight dump directory on this "
+                "server (serve with --flight-dir)"
+            )
+        dumped = str(path)
+    return {
+        "ok": True,
+        "op": "flight",
+        **flight.snapshot(),
+        "events": flight.last(req["n"]),
+        **({"dumped": dumped} if dumped else {}),
+    }
+
+
 class Op(NamedTuple):
     """One request op: its declared fields and how it is answered.
 
-    A control op answers with ``run(service, req)``.  A keyed compute op
+    A control op answers with ``run(host, req)``, where ``host`` is the
+    :class:`ScheduleService` or the shard router: both hold a
+    ``telemetry`` facade and answer ``health()`` and ``stats()``.  A keyed compute op
     instead names the parts :meth:`ScheduleService._serve_op` runs:
     ``key(service, job)`` (the cache / coalescing key), ``body(service,
     job)`` (the cold compute under a work slot, returning the entry and
@@ -1302,22 +1309,17 @@ def _keyed_fields(**fields: Field) -> dict[str, Field]:
 
 #: every op the service answers, by name
 OPS: dict[str, Op] = {
-    "ping": Op({}, run=lambda svc, req: {
+    "ping": Op({}, run=lambda host, req: {
         "ok": True, "op": "ping", "version": __version__,
     }),
-    "stats": Op({}, run=lambda svc, req: svc._stats()),
-    "metrics": Op({}, run=lambda svc, req: svc._metrics()),
-    "trace": Op({"n": Field(int, 50, lo=1)}, run=ScheduleService._trace),
-    "profile": Op(
-        {"n": Field(int, 10, lo=1), "speedscope": _FLAG},
-        run=ScheduleService._profile,
-    ),
-    "flight": Op(
-        {"n": Field(int, 100, lo=1), "dump": _FLAG},
-        run=ScheduleService._flight,
-    ),
-    "health": Op({}, run=lambda svc, req: svc.health()),
-    "shutdown": Op({}, run=lambda svc, req: {"ok": True, "op": "shutdown"}),
+    "stats": Op({}, run=lambda host, req: host.stats()),
+    "metrics": Op({}, run=_metrics),
+    "trace": Op({"n": Field(int, 50, lo=1)}, run=_trace),
+    "profile": Op({"n": Field(int, 10, lo=1), "speedscope": _FLAG},
+                  run=_profile),
+    "flight": Op({"n": Field(int, 100, lo=1), "dump": _FLAG}, run=_flight),
+    "health": Op({}, run=lambda host, req: host.health()),
+    "shutdown": Op({}, run=lambda host, req: {"ok": True, "op": "shutdown"}),
     "schedule": Op(
         _keyed_fields(
             objective=Field(str, "makespan", names=lambda: OBJECTIVES),

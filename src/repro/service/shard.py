@@ -5,17 +5,21 @@ compute (the portfolio race is pure Python under the GIL).  This module
 multiplies that by running N *shard* processes — each a complete
 :class:`~repro.service.server.ScheduleServer` on its own loopback port,
 with its own LRU and wire memos — behind one :class:`ShardRouter` that
-clients connect to exactly as they would a single server.
+clients connect to exactly as they would a single server.  A shard is
+built by :func:`build_service` from the same :class:`ServeConfig` as
+``repro serve`` without ``--shards``, so every flag reaches it.
 
 Routing.  Compute requests (``schedule`` / ``simulate``) are routed by
 rendezvous hash of the graph document's digest, so repeats of one graph
 always land on the same shard and its LRU / wire-memo tiers stay hot.
 ``no_cache`` traffic (forced recomputes, nothing to keep hot) is spread
-round-robin instead.  Control ops (``ping`` / ``stats`` / ``metrics`` /
-``health`` / ``flight`` / ``reload`` / ``shutdown``) are answered by
-the router itself — ``stats`` and ``health`` aggregate the shards and
-carry a per-shard row for ``repro top``; anything else is relayed to a
-healthy shard.
+round-robin instead.  ``trace`` and ``profile`` read one shard's own
+spans and samples and are relayed to a shard round-robin.  The router
+answers every other op itself: ``reload`` and ``shutdown`` with its own
+code, the rest from their :data:`~repro.service.server.OPS` rows as a
+shard would, marked ``"router": true`` — there ``stats`` and
+``health`` are the router's aggregates, with a per-shard row for
+``repro top``.
 
 Supervision.  Shards run under a
 :class:`~repro.service.supervisor.Supervisor`: a crash (SIGKILL
@@ -34,9 +38,10 @@ take a per-key :class:`~repro.service.cache.StoreKeyLock` before any
 cold compute, re-probing the store after acquiring it — so two shards
 never burn CPU racing the same cold miss, and a restarted shard warms
 up from everything its siblings computed.
+Without a store (``--store -``) each shard keeps a memory-only LRU.
 
 Rolling restart.  ``repro reload`` (or SIGHUP to the router) restarts
-one shard at a time: SIGTERM (the PR-8 drain path — in-flight requests
+one shard at a time: SIGTERM (the drain path — in-flight requests
 finish, new ones are refused retryably), wait for exit, respawn, gate
 on that shard's ``health`` reporting ``ok``, then move to the next.
 Under continuous retrying load the tier serves throughout: the router
@@ -62,12 +67,17 @@ import time
 from dataclasses import dataclass
 
 from .. import __version__
-from ..obs import Telemetry
+from ..obs import FlightRecorder, SamplingProfiler, Telemetry
+from .cache import ScheduleCache, StoreKeyLock
 from .faults import FaultInjector, FaultPlan
 from .fingerprint import doc_digest, is_current_key
+from .gcpolicy import serving_gc
 from .server import (
     COMPUTE_OPS,
+    OPS,
     DeadlineExceeded,
+    ScheduleServer,
+    ScheduleService,
     loopback_peer,
     parse_request,
     refusal,
@@ -75,7 +85,10 @@ from .server import (
 )
 from .supervisor import Slot, Supervisor, start_child
 
-__all__ = ["ShardConfig", "ShardRouter", "DEFAULT_SHARDS"]
+__all__ = [
+    "ServeConfig", "ShardRouter", "DEFAULT_SHARDS", "build_service",
+    "run_service",
+]
 
 DEFAULT_SHARDS = 2
 
@@ -88,90 +101,132 @@ _LOOPBACK = "127.0.0.1"
 
 
 @dataclass
-class ShardConfig:
-    """Everything a shard process needs to build its server.
+class ServeConfig:
+    """Every ``repro serve`` flag a serving process reads.
 
     Plain primitives only, so the config crosses the process boundary
-    regardless of start method.  ``store`` is the *shared* JSONL path
-    (``None`` = memory-only LRU per shard, no cross-shard tier);
-    ``fault_plan`` is the full plan document — shards consult their own
-    sites (``disk.*``, ``conn.*``, ``compute.slow``) while the router
-    alone consults ``shard.kill``.
+    to a shard regardless of start method.  ``store`` is the JSONL
+    store path (``None``: a memory-only LRU; under ``--shards`` the one
+    file every shard shares); ``no_cache`` drops the cache tiers
+    altogether.  ``fault_plan`` is the full plan document: a shard
+    consults its own sites (``disk.*``, ``conn.*``, ``compute.slow``),
+    the router alone ``shard.kill``.
     """
 
     store: str | None = None
+    no_cache: bool = False
     cache_size: int = 1024
     workers: int = 4
-    trusted: bool = False
     telemetry: bool = True
-    fault_plan: dict | None = None
-    drain_grace: float = 5.0
+    trace_dir: str | None = None
+    profile_hz: float = 0.0
     flight_dir: str | None = None
     slow_ms: float | None = None
+    fault_plan: dict | None = None
+    drain_grace: float = 5.0
+
+    def injector(self) -> FaultInjector | None:
+        """A fresh injector over ``fault_plan``: each process its own."""
+        if not self.fault_plan:
+            return None
+        return FaultInjector(FaultPlan.from_dict(self.fault_plan))
 
 
-def _shard_main(idx: int, config: ShardConfig, conn) -> None:
-    """Shard process entry: build a full server, announce the bound
-    port over ``conn``, serve until SIGTERM drains us."""
-    from ..obs import FlightRecorder, MetricsRegistry
-    from .cache import ScheduleCache, StoreKeyLock
-    from .gcpolicy import serving_gc
-    from .server import ScheduleServer, ScheduleService
+def build_service(
+    config: ServeConfig, registry=None, shard: int | None = None
+) -> ScheduleService:
+    """The one construction of a served process: its schedule cache,
+    telemetry (with the sampling profiler, started here), fault
+    injector and :class:`~repro.service.server.ScheduleService`.
 
-    cache = None
-    keylock = None
-    if config.store is not None:
+    ``repro serve`` passes the process-wide metrics registry.  A shard
+    (``shard`` is its index) differs in three things only: it opens the
+    store shared, with a :class:`~repro.service.cache.StoreKeyLock`;
+    its registry is a fresh one (``registry=None``); and its flight
+    dumps and span logs go to ``shard-<i>/`` under the configured
+    directories.
+    """
+    sub = "" if shard is None else f"shard-{shard}"
+    shared = shard is not None and config.store is not None
+    cache = keylock = None
+    if not config.no_cache:
+        # entries persisted under an older schema version are
+        # unreachable by construction; refusing to index them lets the
+        # store compaction reclaim their bytes
         cache = ScheduleCache(
-            config.store,
-            capacity=config.cache_size,
-            retain=is_current_key,
-            shared=True,
+            config.store, capacity=config.cache_size,
+            retain=is_current_key, shared=shared,
         )
-        keylock = StoreKeyLock(config.store)
-    faults = None
-    if config.fault_plan:
-        faults = FaultInjector(FaultPlan.from_dict(config.fault_plan))
-    flight_dir = None
-    if config.flight_dir:
-        flight_dir = os.path.join(config.flight_dir, f"shard-{idx}")
+        if shared:
+            keylock = StoreKeyLock(config.store)
     telemetry = Telemetry(
-        registry=MetricsRegistry(),
+        registry=registry,
         enabled=config.telemetry,
-        flight=FlightRecorder(dump_dir=flight_dir),
+        trace_dir=config.trace_dir and os.path.join(config.trace_dir, sub),
+        flight=FlightRecorder(
+            dump_dir=config.flight_dir and os.path.join(config.flight_dir, sub)
+        ),
+        profiler=(SamplingProfiler(hz=config.profile_hz).start()
+                  if config.profile_hz > 0 else None),
         slow_request_ms=config.slow_ms,
     )
-    service = ScheduleService(
-        cache=cache,
-        validate_graphs=not config.trusted,
-        telemetry=telemetry,
-        faults=faults,
+    return ScheduleService(
+        cache=cache, telemetry=telemetry, faults=config.injector(),
         keylock=keylock,
     )
+
+
+def run_service(
+    service: ScheduleService, config: ServeConfig, ready,
+    host: str = _LOOPBACK, port: int = 0, allow_remote_shutdown: bool = False,
+) -> None:
+    """Serve ``service`` on a :class:`~repro.service.server.ScheduleServer`
+    until it stops, under the serving GC policy (see gcpolicy), with
+    SIGTERM draining it for up to ``config.drain_grace`` seconds.
+    ``ready(server)`` runs once the server listens."""
     server = ScheduleServer(
-        service, host=_LOOPBACK, port=0, workers=config.workers
+        service, host=host, port=port, workers=config.workers,
+        allow_remote_shutdown=allow_remote_shutdown,
     )
+    # the policy holds for the life of the loop; entered before the
+    # loop thread starts, so no request runs during the start-up
+    # collection and freeze
+    with serving_gc(service.telemetry.registry):
+        server.start()
+        try:
+            # SIGTERM (systemd stop, container teardown, a rolling
+            # restart): stop accepting, finish in-flight work, exit
+            signal.signal(
+                signal.SIGTERM, lambda *_: server.drain(config.drain_grace)
+            )
+        except (ValueError, OSError):
+            pass  # not the main thread (embedded use): no handler
+        ready(server)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            server.stop()
+            server.join()
+        finally:
+            service.telemetry.close()  # flush the span log, stop sampling
+
+
+def _shard_main(idx: int, config: ServeConfig, conn) -> None:
+    """Shard process entry: build the served process, announce the
+    bound port over ``conn``, serve until SIGTERM drains it."""
     try:
-        signal.signal(
-            signal.SIGTERM,
-            lambda *_: server.drain(config.drain_grace),
-        )
         # the router owns reload/terminal signals; a ^C against the
         # foreground process group must not skip the drain path
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGHUP, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - embedded use
         pass
-    # the same serving GC policy as ``repro serve`` (see gcpolicy)
-    with serving_gc(telemetry.registry):
-        server.start()
-        try:
-            conn.send({"port": server.port, "pid": os.getpid()})
-        finally:
-            conn.close()
-        try:
-            server.serve_forever()
-        finally:
-            telemetry.close()
+
+    def announce(server) -> None:
+        conn.send({"port": server.port, "pid": os.getpid()})
+        conn.close()
+
+    run_service(build_service(config, shard=idx), config, announce)
 
 
 class _Shard(Slot):
@@ -232,8 +287,7 @@ class ShardRouter:
         shards: int = DEFAULT_SHARDS,
         host: str = _LOOPBACK,
         port: int = 0,
-        config: ShardConfig | None = None,
-        telemetry: Telemetry | None = None,
+        config: ServeConfig | None = None,
         faults: FaultInjector | None = None,
         allow_remote_shutdown: bool = False,
         health_interval_s: float = 0.25,
@@ -244,13 +298,18 @@ class ShardRouter:
         self.num_shards = shards
         self.host = host
         self.port = port
-        self.config = config if config is not None else ShardConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.config = config = config if config is not None else ServeConfig()
+        # the router's own counters, flight ring and dumps; it spans no
+        # request, so it has no span log, profiler or slow trigger
+        self.telemetry = Telemetry(
+            enabled=config.telemetry,
+            flight=FlightRecorder(dump_dir=config.flight_dir),
+        )
         self.allow_remote_shutdown = allow_remote_shutdown
         self.health_interval_s = health_interval_s
         #: router-side fault injector (the ``shard.kill`` site); shards
         #: build their own injector from the same plan for their sites
-        self.faults = faults
+        self.faults = faults if faults is not None else config.injector()
         if faults is not None:
             faults.bind(
                 registry=self.telemetry.registry,
@@ -540,32 +599,6 @@ class ShardRouter:
                 {"ok": False, "error": f"bad request: {exc}"}
             ), False
         op = doc.get("op")
-        if op == "ping":
-            return self._encode({
-                "ok": True, "op": "ping", "version": __version__,
-                "router": True, "shards": self.num_shards,
-            }), False
-        if op == "health":
-            return self._encode(self.health()), False
-        if op == "stats":
-            return self._encode(self.stats()), False
-        if op == "metrics":
-            reg = self.telemetry.registry
-            return self._encode({
-                "ok": True, "op": "metrics", "router": True,
-                "telemetry_enabled": self.telemetry.enabled,
-                "text": reg.render(), "snapshot": reg.snapshot(),
-            }), False
-        if op == "flight":
-            flight = self.telemetry.flight
-            try:
-                n = parse_request(doc)["n"]
-            except ValueError as exc:
-                return self._encode(refusal(exc)), False
-            return self._encode({
-                "ok": True, "op": "flight", "router": True,
-                **flight.snapshot(), "events": flight.last(n),
-            }), False
         if op in ("reload", "shutdown") and not self._peer_permitted(client):
             return self._encode(remote_refusal(op)), False
         if op == "reload":
@@ -594,10 +627,19 @@ class ShardRouter:
                 op, outcome, 1000.0 * (time.perf_counter() - t0)
             )
             return data, False
-        # anything else (trace, profile, unknown ops): relay round-robin
-        # and let the shard answer — including its own error messages
-        order = self._rotation(next(self._rr) % self.num_shards)
-        return self._forward(line, order, upstreams), False
+        if op in ("trace", "profile"):
+            # a shard's own spans and samples: relay round-robin and let
+            # the shard answer, its refusals included
+            order = self._rotation(next(self._rr) % self.num_shards)
+            return self._forward(line, order, upstreams), False
+        # every other op is answered here from its OPS row, as a shard
+        # would; health and stats are the router's aggregates
+        try:
+            req = parse_request(doc)
+            response = OPS[op].run(self, req)
+        except (ValueError, DeadlineExceeded) as exc:
+            return self._encode(refusal(exc)), False
+        return self._encode({**response, "router": True}), False
 
     # ------------------------------------------------------------------
     # routing
@@ -779,6 +821,8 @@ class ShardRouter:
     # aggregate control ops
     # ------------------------------------------------------------------
     def health(self) -> dict:
+        """The router's ``health``: the tier's status from its shards'
+        last polls, with one row per shard."""
         up = [s for s in self.shards if s.state == "up"]
         if self._reloading:
             status = "reloading"
@@ -795,7 +839,6 @@ class ShardRouter:
         return {
             "ok": True,
             "op": "health",
-            "router": True,
             "status": status,
             "reloading": self._reloading,
             "draining": self._stop.is_set(),
@@ -809,7 +852,16 @@ class ShardRouter:
             ),
         }
 
+    #: ``stats.cache`` fields summed over the shards' own LRUs ...
+    _CACHE_SUMMED = ("hits", "store_hits", "misses", "evictions", "puts",
+                     "lru_entries", "lru_bytes")
+    #: ... and the ones every shard reports alike: the per-shard LRU
+    #: capacity and the entries of the one store file they share
+    _CACHE_SHARED = ("capacity", "store_entries")
+
     def stats(self) -> dict:
+        """The router's ``stats``: its counters, one row per shard with
+        that shard's own counters, and their totals."""
         rows = []
         totals = {"served": 0, "computed": 0, "fastpath": 0,
                   "coalesced": 0, "crossflight": 0, "errors": 0}
@@ -828,13 +880,13 @@ class ShardRouter:
                     if isinstance(cache, dict):
                         if cache_totals is None:
                             cache_totals = dict.fromkeys(
-                                ("hits", "store_hits", "misses",
-                                 "evictions", "puts", "lru_entries",
-                                 "lru_bytes", "store_entries", "capacity"),
-                                0,
+                                self._CACHE_SUMMED + self._CACHE_SHARED, 0
                             )
-                        for key in cache_totals:
+                        for key in self._CACHE_SUMMED:
                             cache_totals[key] += cache.get(key) or 0
+                        for key in self._CACHE_SHARED:
+                            cache_totals[key] = max(cache_totals[key],
+                                                    cache.get(key) or 0)
             rows.append(row)
         names = self._c_requests.label_names
         served = errors = 0
@@ -847,7 +899,6 @@ class ShardRouter:
         return {
             "ok": True,
             "op": "stats",
-            "router": True,
             "version": __version__,
             "uptime_s": round(time.time() - self.started, 3),
             "shards": rows,

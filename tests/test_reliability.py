@@ -98,12 +98,16 @@ class TestFaultPlan:
                 {"site": "compute.slow", "rate": 0.5, "count": 2,
                  "after": 3, "seconds": 0.2},
                 {"site": "conn.drop", "rate": 0.1},
+                {"site": "disk.write", "error": "disk on fire"},
             ]}
         )
         again = FaultPlan.from_dict(plan.to_dict())
         assert again.seed == 9
-        assert [r.site for r in again.rules] == ["compute.slow", "conn.drop"]
+        assert [r.site for r in again.rules] == [
+            "compute.slow", "conn.drop", "disk.write"]
         assert again.rules[0].seconds == 0.2 and again.rules[0].after == 3
+        # the plan a shard (and `repro serve`) is built from is this copy
+        assert again.rules == plan.rules
 
     def test_fire_sequence_is_deterministic(self):
         doc = {"seed": 42, "rules": [

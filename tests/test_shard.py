@@ -20,12 +20,14 @@ from repro.service import (
     ScheduleServer,
     ScheduleService,
     ServiceClient,
-    ShardConfig,
+    ServeConfig,
     ShardRouter,
     StoreKeyLock,
 )
+from repro.obs import MetricsRegistry
 from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.server import parse_request
+from repro.service.shard import build_service
 from repro.service.supervisor import BACKOFF_MIN_S, TICK_S
 
 from conftest import STORE_LAYOUTS, service_stat, store_line, wait_until
@@ -44,7 +46,7 @@ def schedule_doc(topology="chain", size=6, seed=0, num_pes=4, **extra):
 def make_router(tmp_path, shards=2, store=True, **kwargs):
     config = kwargs.pop("config", None)
     if config is None:
-        config = ShardConfig(
+        config = ServeConfig(
             workers=2,
             store=str(tmp_path / "store.jsonl") if store else None,
             drain_grace=5.0,
@@ -134,28 +136,113 @@ class TestRouting:
         finally:
             router.stop()
 
-    def test_router_answers_control_ops_with_aggregates(self, tmp_path):
+    @pytest.mark.parametrize(
+        "op", ["stats", "health", "ping", "metrics", "flight"]
+    )
+    def test_router_answers_control_ops_with_aggregates(
+        self, tmp_path, monkeypatch, op
+    ):
         router = make_router(tmp_path)
+        # every line forwarded and every control round trip to a shard
+        forwarded = []
+        forward, control = router._forward, router._control
+        monkeypatch.setattr(router, "_forward", lambda line, *rest: (
+            forwarded.append(json.loads(line)["op"]) or forward(line, *rest)
+        ))
+        monkeypatch.setattr(router, "_control", lambda shard, doc, **kw: (
+            forwarded.append(doc["op"]) or control(shard, doc, **kw)
+        ))
         try:
             with ServiceClient(port=router.port) as client:
                 client.request_with_retry(schedule_doc())
-                stats = client.stats()
-                assert stats["router"] is True
-                assert len(stats["shards"]) == 2
-                assert {"failovers", "rerouted", "shard_crashes", "respawns",
-                        "reloads"} <= set(stats["router_counters"])
-                # every shard serves under the start-up freeze
-                assert all(row["gc"]["frozen"] > 0 for row in stats["shards"])
                 # "ok" needs one health-poll round trip per shard first
                 assert wait_until(
                     lambda: client.health()["status"] == "ok"
                 )
-                health = client.health()
-                assert [row["state"] for row in health["shards"]] == ["up", "up"]
-                metrics = client.metrics()
-                assert "router_requests" in metrics["text"]
+                shard_answer = control(router.shards[0], {"op": op})
+                forwarded.clear()
+                answer = client.request({"op": op})
         finally:
             router.stop()
+        assert answer["router"] is True
+        if op == "stats":
+            assert len(answer["shards"]) == 2
+            assert {"failovers", "rerouted", "shard_crashes", "respawns",
+                    "reloads"} <= set(answer["router_counters"])
+            # every shard serves under the start-up freeze
+            assert all(row["gc"]["frozen"] > 0 for row in answer["shards"])
+        elif op == "health":
+            assert answer["status"] == "ok"
+            assert [row["state"] for row in answer["shards"]] == ["up", "up"]
+        else:
+            # the shard's answer shape, from the router's own telemetry
+            # and without a shard round trip
+            assert set(answer) == set(shard_answer) | {"router"}
+            assert op not in forwarded
+        if op == "metrics":
+            assert "router_requests" in answer["text"]
+
+    def test_memory_only_shards_keep_an_lru(self, tmp_path):
+        router = make_router(tmp_path, config=ServeConfig(
+            workers=2, store=None, cache_size=7,
+        ))
+        try:
+            assert wait_until(lambda: all(
+                s.health_status == "ok" for s in router.shards
+            ))
+            with ServiceClient(port=router.port) as client:
+                doc = schedule_doc(seed=4)
+                assert client.request_with_retry(doc)["cached"] is False
+                assert client.request_with_retry(doc)["cached"] == "lru"
+                cache = client.stats()["cache"]
+            assert cache["capacity"] == 7
+            assert cache["hits"] == 1 and cache["store_entries"] == 0
+        finally:
+            router.stop()
+
+    def test_profile_reaches_the_shards(self, tmp_path):
+        router = make_router(tmp_path, config=ServeConfig(
+            workers=2, store=None, profile_hz=50.0,
+        ))
+        try:
+            with ServiceClient(port=router.port) as client:
+                answer = client.profile()
+            assert answer["ok"] and answer["op"] == "profile"
+            assert "router" not in answer  # a shard's own samples
+        finally:
+            router.stop()
+
+    def test_span_logs_land_per_shard(self, tmp_path):
+        spans = tmp_path / "spans"
+        router = make_router(tmp_path, config=ServeConfig(
+            workers=2, store=None, trace_dir=str(spans),
+        ))
+        try:
+            assert wait_until(lambda: all(
+                s.health_status == "ok" for s in router.shards
+            ))
+            homes = {}  # home shard -> a graph routed there
+            for seed in range(40):
+                doc = schedule_doc(seed=seed, size=4)
+                home = router._rendezvous(
+                    json.dumps(doc).encode(), parse_request(doc)
+                )[0]
+                homes.setdefault(home, doc)
+                if len(homes) == 2:
+                    break
+            with ServiceClient(port=router.port) as client:
+                for doc in homes.values():
+                    assert client.request_with_retry(doc)["ok"]
+        finally:
+            router.stop()  # each shard drains and closes its span log
+        for idx in (0, 1):
+            lines = [
+                json.loads(line)
+                for path in sorted((spans / f"shard-{idx}").glob("*.jsonl"))
+                for line in path.read_text().splitlines()
+            ]
+            assert [span["op"] for span in lines] == ["schedule"]
+        assert not list(spans.glob("*.jsonl"))
 
     def test_bad_json_answered_without_a_shard(self, tmp_path):
         router = make_router(tmp_path, shards=1, store=False)
@@ -172,8 +259,9 @@ class TestRouting:
 
     @pytest.mark.parametrize("extra", [
         {"num_pes": "4"}, {"num_pes": 0}, {"op": "simulate", "graph": [1]},
-        {"deadline_ms": -1},
-    ], ids=["str-pes", "zero-pes", "list-graph", "expired-deadline"])
+        {"deadline_ms": -1}, {"op": "nope"},
+    ], ids=["str-pes", "zero-pes", "list-graph", "expired-deadline",
+            "unknown-op"])
     def test_bad_compute_request_refused_by_the_router(self, tmp_path, extra):
         """The router runs the shard's up-front check: a request a shard
         would refuse gets the shard's exact bytes, and no shard sees it."""
@@ -192,6 +280,37 @@ class TestRouting:
             assert [(r["served"], r["errors"]) for r in rows] == [(0, 0)] * 2
         finally:
             router.stop()
+
+
+class TestBuildService:
+    """``repro serve`` and every shard build their process in one
+    place; a shard differs only in its shared store and key lock, its
+    fresh registry and its ``shard-<i>/`` directories."""
+
+    def test_a_shard_differs_in_three_things(self, tmp_path):
+        config = ServeConfig(
+            store=str(tmp_path / "store.jsonl"), cache_size=5,
+            trace_dir=str(tmp_path / "spans"),
+            flight_dir=str(tmp_path / "flight"),
+        )
+        registry = MetricsRegistry()
+        single = build_service(config, registry=registry)
+        shard = build_service(config, shard=1)
+        for service in (single, shard):
+            service.telemetry.close()
+        assert single.telemetry.registry is registry
+        assert shard.telemetry.registry is not registry
+        assert not single.cache.shared and single.keylock is None
+        assert shard.cache.shared and shard.keylock is not None
+        assert single.cache.capacity == shard.cache.capacity == 5
+        for service, sub in ((single, ""), (shard, "shard-1")):
+            telemetry = service.telemetry
+            assert telemetry.span_log.directory == tmp_path / "spans" / sub
+            assert telemetry.flight.dump_dir == tmp_path / "flight" / sub
+
+    def test_no_cache_builds_none(self):
+        service = build_service(ServeConfig(no_cache=True), shard=0)
+        assert service.cache is None and service.keylock is None
 
 
 class _Peer:
