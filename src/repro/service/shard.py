@@ -288,7 +288,6 @@ class ShardRouter:
         host: str = _LOOPBACK,
         port: int = 0,
         config: ServeConfig | None = None,
-        faults: FaultInjector | None = None,
         allow_remote_shutdown: bool = False,
         health_interval_s: float = 0.25,
         clock=time.monotonic,
@@ -309,13 +308,14 @@ class ShardRouter:
         self.health_interval_s = health_interval_s
         #: router-side fault injector (the ``shard.kill`` site); shards
         #: build their own injector from the same plan for their sites
-        self.faults = faults if faults is not None else config.injector()
-        if faults is not None:
-            faults.bind(
+        self.faults = config.injector()
+        seed = 0
+        if self.faults is not None:
+            self.faults.bind(
                 registry=self.telemetry.registry,
                 flight=self.telemetry.flight,
             )
-        seed = faults.plan.seed if faults is not None else 0
+            seed = self.faults.plan.seed
         # victim choice is its own seeded stream so the fire/no-fire
         # decisions at shard.kill replay identically either way
         self._kill_rng = random.Random(f"{seed}:shard.kill:victim")
@@ -637,7 +637,7 @@ class ShardRouter:
         try:
             req = parse_request(doc)
             response = OPS[op].run(self, req)
-        except (ValueError, DeadlineExceeded) as exc:
+        except Exception as exc:  # a shard answers these too, as refusals
             return self._encode(refusal(exc)), False
         return self._encode({**response, "router": True}), False
 

@@ -6,6 +6,7 @@ fault site, and the zero-downtime rolling restart."""
 
 import json
 import os
+import random
 import signal
 import socket
 import threading
@@ -25,7 +26,6 @@ from repro.service import (
     StoreKeyLock,
 )
 from repro.obs import MetricsRegistry
-from repro.service.faults import FaultInjector, FaultPlan
 from repro.service.server import parse_request
 from repro.service.shard import build_service
 from repro.service.supervisor import BACKOFF_MIN_S, TICK_S
@@ -181,6 +181,22 @@ class TestRouting:
             assert op not in forwarded
         if op == "metrics":
             assert "router_requests" in answer["text"]
+
+    def test_failed_flight_dump_is_a_refusal_as_on_a_shard(self, tmp_path):
+        # the dump directory is a file: writing the dump raises OSError,
+        # which the router answers (as a shard does) instead of dropping
+        # the connection
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        config = ServeConfig(flight_dir=str(blocker))
+        line = b'{"op": "flight", "dump": true}'
+        data, close = ShardRouter(shards=1, config=config)._handle_line(
+            line, {}, None
+        )
+        answer = json.loads(data)
+        assert close is False
+        assert answer == build_service(config).handle(json.loads(line))
+        assert answer["ok"] is False and str(blocker) in answer["error"]
 
     def test_memory_only_shards_keep_an_lru(self, tmp_path):
         router = make_router(tmp_path, config=ServeConfig(
@@ -456,13 +472,12 @@ class TestSupervision:
 # ----------------------------------------------------------------------
 class TestShardKillFault:
     def test_plan_accepts_the_site_and_kills_deterministically(self, tmp_path):
-        plan = FaultPlan.from_dict(
-            {"seed": 11, "rules": [{"site": "shard.kill", "rate": 1.0,
-                                    "count": 1, "after": 2}]}
-        )
-        router = make_router(
-            tmp_path, shards=2, faults=FaultInjector(plan),
-        )
+        router = make_router(tmp_path, shards=2, config=ServeConfig(
+            workers=2, store=str(tmp_path / "store.jsonl"),
+            fault_plan={"seed": 11, "rules": [{
+                "site": "shard.kill", "rate": 1.0, "count": 1, "after": 2,
+            }]},
+        ))
         try:
             pids = [s.pid for s in router.shards]
             with ServiceClient(port=router.port) as client:
@@ -486,10 +501,9 @@ class TestShardKillFault:
     def test_victim_reaped_between_choice_and_kill(self):
         # the supervise thread may reap the victim between the live
         # filter and the kill: the kill must find the hole, not raise
-        plan = FaultPlan.from_dict(
-            {"seed": 0, "rules": [{"site": "shard.kill", "rate": 1.0}]}
-        )
-        router = ShardRouter(shards=1, faults=FaultInjector(plan))
+        router = ShardRouter(shards=1, config=ServeConfig(fault_plan={
+            "seed": 0, "rules": [{"site": "shard.kill", "rate": 1.0}],
+        }))
         shard = router.shards[0]
 
         class Stub:  # no pid: nothing real can be signalled
@@ -501,6 +515,22 @@ class TestShardKillFault:
         router._maybe_kill_shard()
         kinds = [e["kind"] for e in router.telemetry.flight.last(10)]
         assert "shard_kill" in kinds
+
+    def test_configured_plan_binds_and_seeds_the_router_injector(self):
+        # the plan comes from the serve config alone: the router's
+        # injector counts and records its fires, and the victim stream
+        # follows the plan's seed
+        router = ShardRouter(shards=2, config=ServeConfig(fault_plan={
+            "seed": 11, "rules": [{"site": "shard.kill", "rate": 1.0}],
+        }))
+        assert (router._kill_rng.getstate()
+                == random.Random("11:shard.kill:victim").getstate())
+        router._maybe_kill_shard()  # no shard is live: nothing is killed
+        kinds = [e["kind"] for e in router.telemetry.flight.last(10)]
+        assert "fault" in kinds
+        series = router.telemetry.registry.snapshot()[
+            "service.faults_injected"]["series"]
+        assert series == [{"labels": {"site": "shard.kill"}, "value": 1}]
 
 
 # ----------------------------------------------------------------------
